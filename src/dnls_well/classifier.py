@@ -1,13 +1,15 @@
 """Potential-well membership along the scaling curve (omega, 2 s sqrt(omega)).
 
-A field belongs to the well A_{omega,c} when its action lies below the
-soliton's action value d(omega, c); the split into A+ / A- follows the sign
-of the dilation functional K.  Along the curve c = 2 s mu (mu = sqrt(omega))
+Every verdict is taken in the well frame a = 1/4: fields given in another
+frame are gauge-transformed first.  A field belongs to the well A_{omega,c}
+when its action lies below the soliton's action value d(omega, c); the
+split into A+ / A- follows the sign of the dilation functional K.  Along
+the curve c = 2 s mu (mu = sqrt(omega)), d(mu^2, 2 s mu) = mu^2 d(1, 2s), so
 both the action gap
 
     f_s(mu) = E + (mu^2/2)(M - 2 d(1,2s)) + s mu P
 
-and K(mu) are quadratics in mu, so the per-s verdict reduces to sign
+and K(mu) are quadratics in mu, and the per-s verdict reduces to sign
 analysis of two parabolas.
 """
 from __future__ import annotations
@@ -18,8 +20,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .closedform import admissible_s_range, d_value, mass_threshold, s_star
-from .field import Field, inner_re, integrate, lp_norm_pow, spectral_derivative
-from .functionals import Frame
+from .field import Field
+from .functionals import WELL_A, Frame, Invariants, invariants
+from .gauge import gauge_transform
 from .solitons import ModelParams, RegionError
 
 # Discretized solitons sit exactly on well boundaries; exact-zero tests are
@@ -28,67 +31,44 @@ REL_TOL = 1e-6
 
 _MU_CAP = float(2**30)
 
-
-@dataclass(frozen=True)
-class ScalarInvariants:
-    """The seven scalars every membership formula is built from."""
-
-    grad_sq: float
-    mass: float
-    p_lin: float
-    l4: float
-    l6: float
-    energy: float
-    momentum: float
+# (K > 0 somewhere on J, K < 0 somewhere on J) -> curve verdict
+_VERDICTS = {
+    (True, True): "both",
+    (True, False): "A_plus",
+    (False, True): "A_minus",
+    (False, False): "neither",
+}
 
 
-def invariant_summary(f: Field, p: ModelParams, frame: Frame) -> ScalarInvariants:
-    ux = spectral_derivative(f)
-    grad_sq = lp_norm_pow(ux, 2)
-    m = lp_norm_pow(f, 2)
-    pl = inner_re(Field(f.grid, 1j * ux.values), f)
-    l4 = lp_norm_pow(f, 4)
-    l6 = lp_norm_pow(f, 6)
-    if frame is Frame.DNLS:
-        inter = integrate(
-            (1j * np.abs(f.values) ** 2 * ux.values * np.conj(f.values)).real, f.grid
-        )
-        e = 0.5 * grad_sq - 0.25 * inter - p.b / 6.0 * l6
-        mom = pl
-    else:
-        e = 0.5 * grad_sq - p.gamma / 32.0 * l6
-        mom = pl + 0.25 * l4
-    return ScalarInvariants(grad_sq, m, pl, l4, l6, e, mom)
+def invariant_summary(f: Field, p: ModelParams, frame: Frame) -> Invariants:
+    """Invariants of f in the well frame a = 1/4; f is given in `frame`."""
+    return invariants(gauge_transform(f, WELL_A - frame.a), p.b, WELL_A)
 
 
-def k_of(si: ScalarInvariants, p: ModelParams, omega: float, c: float) -> float:
-    """Gauge-frame dilation functional from precomputed invariants."""
-    return (
-        si.grad_sq
-        + omega * si.mass
-        + c * si.p_lin
-        + 0.5 * c * si.l4
-        - 3.0 / 16.0 * p.gamma * si.l6
-    )
+def k_sign(si: Invariants, omega: float, c: float) -> int:
+    """Sign of K at (omega, c); 0 inside the dead-band REL_TOL ||f_x||^2."""
+    k = si.nehari(omega, c)
+    if abs(k) < REL_TOL * max(si.grad_sq, 1e-30):
+        return 0
+    return 1 if k > 0 else -1
 
 
-def action_of(si: ScalarInvariants, omega: float, c: float) -> float:
-    return si.energy + 0.5 * omega * si.mass + 0.5 * c * si.momentum
+def apriori_bound(si: Invariants, omega: float, c: float) -> float:
+    """8 S + (c^2/2) M: bounds ||v_x||^2 along the flow of data in A+_{omega,c}."""
+    return 8.0 * si.action(omega, c) + 0.5 * c * c * si.mass
 
 
-def ell_of(si: ScalarInvariants, omega: float, c: float) -> float:
-    return si.grad_sq + omega * si.mass + c * si.p_lin
-
-
-def member(si: ScalarInvariants, p: ModelParams, omega: float, c: float):
+def member(si: Invariants, p: ModelParams, omega: float, c: float):
     """Well membership and K sign at one (omega, c), with dead-bands."""
     d = d_value(p, omega, c)
-    s = action_of(si, omega, c)
-    k = k_of(si, p, omega, c)
+    s = si.action(omega, c)
     in_a = s < d - REL_TOL * (abs(s) + d)
-    k_scale = REL_TOL * max(si.grad_sq, 1e-30)
-    k_sign = 0 if abs(k) < k_scale else (1 if k > 0 else -1)
-    return {"in_A": bool(in_a), "K_sign": int(k_sign)}
+    return {"in_A": bool(in_a), "K_sign": k_sign(si, omega, c)}
+
+
+def _curve(si: Invariants, s: float, d1: float = 0.0) -> tuple[float, float, float]:
+    """Coefficients in mu of S(mu^2, 2 s mu) - d1 mu^2."""
+    return 0.5 * si.mass - d1, s * si.momentum, si.energy
 
 
 def _negative_intervals(a: float, b: float, c: float) -> list[tuple[float, float]]:
@@ -104,10 +84,9 @@ def _negative_intervals(a: float, b: float, c: float) -> list[tuple[float, float
     disc = b * b - 4.0 * a * c
     if disc <= 0.0:
         return [] if a > 0 else [(0.0, inf)]
-    rt = math.sqrt(disc)
-    r1 = (-b - rt) / (2.0 * a)
-    r2 = (-b + rt) / (2.0 * a)
-    r1, r2 = min(r1, r2), max(r1, r2)
+    # q and c/q avoid the cancellation of -b + sqrt(disc) when |a c| << b^2
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    r1, r2 = sorted((q / a, c / q))
     if a > 0:
         lo, hi = max(r1, 0.0), r2
         return [(lo, hi)] if hi > lo else []
@@ -119,34 +98,22 @@ def _negative_intervals(a: float, b: float, c: float) -> list[tuple[float, float
 
 
 def _k_signs_on(intervals, kq) -> set[int]:
-    """Signs taken by the quadratic kq over a union of open intervals."""
-    a2, a1, a0 = kq
-    breaks = []
-    if a2 != 0.0:
-        disc = a1 * a1 - 4.0 * a2 * a0
-        if disc > 0:
-            rt = math.sqrt(disc)
-            breaks = sorted(((-a1 - rt) / (2 * a2), (-a1 + rt) / (2 * a2)))
-    elif a1 != 0.0:
-        breaks = [-a0 / a1]
+    """Signs the quadratic kq takes over a union of open intervals of mu > 0.
+
+    -1 where the union meets {kq < 0}, +1 where it is not contained in it
+    (a zero of kq counts as +1).
+    """
+    neg = _negative_intervals(*kq)
     signs: set[int] = set()
     for lo, hi in intervals:
-        pts = [b for b in breaks if lo < b < hi]
-        edges = [lo] + pts + [hi if math.isfinite(hi) else max(lo, *(pts or [lo]), 1.0) * 2 + 10]
-        for left, right in zip(edges[:-1], edges[1:]):
-            mid = 0.5 * (left + right)
-            if mid <= 0:
-                continue
-            val = (a2 * mid + a1) * mid + a0
-            signs.add(1 if val >= 0 else -1)
-        if not math.isfinite(hi):
-            far = (max([lo] + pts) + 1.0) * 4.0
-            val = (a2 * far + a1) * far + a0
-            signs.add(1 if val >= 0 else -1)
+        if any(max(lo, n_lo) < min(hi, n_hi) for n_lo, n_hi in neg):
+            signs.add(-1)
+        if not any(n_lo <= lo and hi <= n_hi for n_lo, n_hi in neg):
+            signs.add(1)
     return signs
 
 
-def scan_curve(si: ScalarInvariants, p: ModelParams, s: float) -> dict:
+def scan_curve(si: Invariants, p: ModelParams, s: float) -> dict:
     """Per-s verdict over the curve family A_{mu^2, 2 s mu}.
 
     Returns the admissible-mu interval set J_s, the K signs realized on it,
@@ -156,54 +123,17 @@ def scan_curve(si: ScalarInvariants, p: ModelParams, s: float) -> dict:
     if not (lo < s < hi or (closed and s == hi)):
         raise RegionError(f"s={s} outside admissible range for b={p.b}")
     d1 = d_value(p, 1.0, 2.0 * s)
-    j = _negative_intervals(
-        0.5 * (si.mass - 2.0 * d1), s * si.momentum, si.energy
-    )
-    kq = (
-        si.mass,
-        s * (2.0 * si.p_lin + si.l4),
-        si.grad_sq - 3.0 / 16.0 * p.gamma * si.l6,
-    )
-    signs = _k_signs_on(j, kq) if j else set()
-    has_plus = 1 in signs
-    has_minus = -1 in signs
-    if has_plus and has_minus:
-        verdict = "both"
-    elif has_plus:
-        verdict = "A_plus"
-    elif has_minus:
-        verdict = "A_minus"
-    else:
-        verdict = "neither"
+    j = _negative_intervals(*_curve(si, s, d1))
+    signs = _k_signs_on(j, _curve(si.dilated(), s))
     return {
         "s": s,
-        "verdict": verdict,
+        "verdict": _VERDICTS[1 in signs, -1 in signs],
         "J": [[float(lo), float(hi) if math.isfinite(hi) else None] for lo, hi in j],
         "k_signs": sorted(signs),
-        "d1": float(d1),
     }
 
 
-def find_mu_plus(si: ScalarInvariants, p: ModelParams, mu_start: float = 1.0):
-    """Doubling search for mu with action gap < 0 and K > 0 at s = 1.
-
-    Used for oscillating data e^{i mu x} psi: feed the invariants of psi
-    itself shifted, or of the already-oscillating field, and probe the
-    curve point (mu^2, 2 mu).  Returns mu, or None if not found below the
-    cap (never a negative claim).
-    """
-    mu = mu_start
-    d1 = d_value(p, 1.0, 2.0)
-    while mu <= _MU_CAP:
-        gap = si.energy + 0.5 * mu * mu * (si.mass - 2.0 * d1) + mu * si.momentum
-        k = k_of(si, p, mu * mu, 2.0 * mu)
-        if gap < 0 and k > 0:
-            return mu
-        mu *= 2.0
-    return None
-
-
-def critical_b_membership(si: ScalarInvariants, p: ModelParams) -> dict:
+def critical_b_membership(si: Invariants, p: ModelParams) -> dict:
     """b = -3/16 route: every field lands in some A+_s with s in (-1, 0).
 
     d(1, 2s) diverges as s -> 0-, so halving s from -1/2 always reaches
@@ -226,14 +156,14 @@ class ClassificationResult:
     mass: float
     energy: float
     momentum: float
-    m_star: float | None
-    s_star: float | None
     theorem17_case: str
-    boundary_soliton: bool
     global_existence: bool
-    witness_omega: float | None
-    witness_c: float | None
-    apriori_bound: float | None
+    m_star: float | None = None
+    s_star: float | None = None
+    boundary_soliton: bool = False
+    witness_omega: float | None = None
+    witness_c: float | None = None
+    apriori_bound: float | None = None
     per_s: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -245,124 +175,89 @@ def classify_thm17(
 ) -> ClassificationResult:
     """Full mass/energy/momentum case analysis plus per-s curve verdicts."""
     si = invariant_summary(f, p, frame)
+    e, m, mom = si.energy, si.mass, si.momentum
     if p.b <= -3.0 / 16.0:
         if abs(p.b + 3.0 / 16.0) > 1e-12:
             raise RegionError("classification requires b >= -3/16")
         route = critical_b_membership(si, p)
         return ClassificationResult(
-            mass=si.mass,
-            energy=si.energy,
-            momentum=si.momentum,
-            m_star=None,
-            s_star=None,
+            mass=m,
+            energy=e,
+            momentum=mom,
             theorem17_case="critical-b",
-            boundary_soliton=False,
             global_existence=route["verdict"] == "A_plus",
-            witness_omega=None,
-            witness_c=None,
-            apriori_bound=None,
             per_s=[route],
         )
 
     m_star = mass_threshold(p.b)
     s_dag = s_star(p.b) if p.b > 0 else 1.0
-    e, m, mom = si.energy, si.mass, si.momentum
     scale_e = REL_TOL * max(si.grad_sq, 1e-30)
     scale_p = REL_TOL * max(si.grad_sq + si.l4, 1e-30)
     on_mstar = abs(m - m_star) < REL_TOL * m_star
-
-    case = "none"
-    boundary = False
-    global_exist = False
-    witness = (None, None)
-    bound = None
-
     if p.b >= 0 and on_mstar and abs(e) < scale_e and abs(mom) < scale_p:
         case = "vi-a"
-        boundary = True
     elif m < m_star * (1.0 - REL_TOL) or (on_mstar and mom < -scale_p):
         case = "ii"
-        mu = _case_ii_witness(si, p, s_dag)
-        if mu is not None:
-            global_exist = True
-            omega, c = mu * mu, 2.0 * s_dag * mu
-            witness = (omega, c)
-            bound = 8.0 * action_of(si, omega, c) + 0.5 * c * c * m
     elif e < -scale_e:
         case = "iv"
     elif e >= 0 and m >= m_star * (1.0 - REL_TOL) and abs(mom) < scale_p:
         case = "v"
+    else:
+        case = "none"
 
-    per_s = []
+    mu = _case_ii_witness(si, p, s_dag) if case == "ii" else None
+    omega, c = (mu * mu, 2.0 * s_dag * mu) if mu is not None else (None, None)
     s_values = list(s_grid) if s_grid is not None else []
     if p.b > 0 and s_dag not in s_values:
         s_values.append(s_dag)
-    for s in s_values:
-        res = scan_curve(si, p, s)
-        res.pop("d1")
-        per_s.append(res)
-
     return ClassificationResult(
         mass=m,
         energy=e,
         momentum=mom,
+        theorem17_case=case,
+        global_existence=mu is not None,
         m_star=m_star,
         s_star=s_dag if p.b > 0 else None,
-        theorem17_case=case,
-        boundary_soliton=boundary,
-        global_existence=global_exist,
-        witness_omega=witness[0],
-        witness_c=witness[1],
-        apriori_bound=bound,
-        per_s=per_s,
+        boundary_soliton=case == "vi-a",
+        witness_omega=omega,
+        witness_c=c,
+        apriori_bound=None if mu is None else apriori_bound(si, omega, c),
+        per_s=[scan_curve(si, p, s) for s in s_values],
     )
 
 
-def _case_ii_witness(si: ScalarInvariants, p: ModelParams, s: float):
-    """Doubling search for mu certifying membership in A+ at this s."""
+def _case_ii_witness(si: Invariants, p: ModelParams, s: float = 1.0):
+    """Doubling search for mu with action gap < 0 and K > 0 at (mu^2, 2 s mu).
+
+    Such a point certifies membership in A+.  Returns mu, or None if none is
+    found below the cap (never a negative claim).
+    """
     d1 = d_value(p, 1.0, 2.0 * s)
     mu = 1.0
     while mu <= _MU_CAP:
-        gap = si.energy + 0.5 * mu * mu * (si.mass - 2.0 * d1) + s * mu * si.momentum
-        if gap < 0 and k_of(si, p, mu * mu, 2.0 * s * mu) > 0:
+        omega, c = mu * mu, 2.0 * s * mu
+        if si.action(omega, c) < omega * d1 and si.nehari(omega, c) > 0:
             return mu
         mu *= 2.0
     return None
 
 
-def scaled_action(
-    si: ScalarInvariants, p: ModelParams, omega: float, c: float, lam: float
-) -> float:
-    """Gauge-frame action of lam * phi from the invariants of phi."""
-    l2 = lam * lam
-    e = 0.5 * l2 * si.grad_sq - p.gamma / 32.0 * l2**3 * si.l6
-    mom = l2 * si.p_lin + 0.25 * l2 * l2 * si.l4
-    return e + 0.5 * omega * l2 * si.mass + 0.5 * c * mom
-
-
-def nehari_normalize(
-    si: ScalarInvariants, p: ModelParams, omega: float, c: float
-) -> float:
+def nehari_normalize(si: Invariants, omega: float, c: float) -> float:
     """Scaling lam0 > 0 with K(lam0 phi) = 0.
 
-    K(lam phi) = lam^2 L + lam^4 (c/2) l4 - lam^6 (3 gamma/16) l6, so
-    t = lam0^2 solves the quadratic (3 gamma/16) l6 t^2 - (c/2) l4 t - L = 0.
+    K(lam phi) = t K2 + t^2 K4 + t^3 K6 with t = lam^2, where K2 = L, K4
+    and K6 are the parts of K of degree 2, 4 and 6; t0 = lam0^2 solves
+    K6 t^2 + K4 t + K2 = 0.
     """
-    lq = ell_of(si, omega, c)
-    a = 3.0 / 16.0 * p.gamma * si.l6
-    b = -0.5 * c * si.l4
-    cc = -lq
-    if a > 0:
-        disc = b * b - 4.0 * a * cc
-        t = (-b + math.sqrt(disc)) / (2.0 * a)
-    else:
-        roots = [r.real for r in np.roots([a, b, cc]) if abs(r.imag) < 1e-14 and r.real > 0]
-        if not roots:
-            raise RegionError("no positive Nehari normalization for this field")
-        t = min(roots)
-    lam0 = math.sqrt(t)
-    resid = t * lq + t * t * 0.5 * c * si.l4 - t**3 * 3.0 / 16.0 * p.gamma * si.l6
-    scale = max(lq, abs(0.5 * c * si.l4) * t, 3.0 / 16.0 * abs(p.gamma) * si.l6 * t * t)
+    k2, k4, k6 = (
+        si.graded(*w).nehari(omega, c) for w in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    )
+    roots = [r.real for r in np.roots([k6, k4, k2]) if abs(r.imag) < 1e-14 and r.real > 0]
+    if not roots:
+        raise RegionError("no positive Nehari normalization for this field")
+    t = min(roots)
+    resid = t * k2 + t * t * k4 + t**3 * k6
+    scale = max(k2, abs(k4) * t, abs(k6) * t * t)
     if abs(resid) > 1e-10 * max(scale * t, 1e-30):
         raise RuntimeError("Nehari normalization residual too large")
-    return lam0
+    return math.sqrt(t)

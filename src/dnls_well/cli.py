@@ -8,9 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
-
-
-def _n_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("DNLS_WELL_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _cmd_soliton(args) -> int:
@@ -96,16 +87,7 @@ def _cmd_scan(args) -> int:
         raise ValueError("steps must be >= 2")
     s_values = np.linspace(args.s_from, args.s_to, args.steps)
     fn = _SCAN_FUNCS[args.quantity]
-
-    def one(s: float) -> float:
-        return fn(p, 1.0, 2.0 * s)
-
-    workers = _n_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            values = list(ex.map(one, s_values))
-    else:
-        values = [one(s) for s in s_values]
+    values = [fn(p, 1.0, 2.0 * s) for s in s_values]
 
     out = sys.stdout if args.out is None else open(args.out, "w")
     try:
@@ -315,7 +297,7 @@ def _build_parser() -> _Parser:
     cl = sub.add_parser("classify", help="well membership classification")
     cl.add_argument("--field", required=True)
     cl.add_argument("--b", type=float, required=True)
-    cl.add_argument("--s-grid", help="lo:hi:n")
+    cl.add_argument("--s-grid", help="lo:hi:n; write --s-grid=lo:hi:n when lo is negative")
     cl.add_argument("--frame", choices=["dnls", "gauge"], default="gauge")
     cl.set_defaults(fn=_cmd_classify)
 

@@ -11,13 +11,14 @@ where the well theory lives.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import invariant_summary, k_of
-from .field import Field, Grid, h1_norm, integrate, inner_re, l2_norm_sq, lp_norm_pow, spectral_derivative
-from .functionals import Frame
+from .classifier import apriori_bound, k_sign
+from .field import Field, Grid, h1_norm, l2_norm_sq, spectral_derivative
+from .functionals import WELL_A, invariants
 from .gauge import gauge_transform
 from .solitons import ModelParams, phi_one_two
 
@@ -27,25 +28,6 @@ GRAD_FACTOR = 1e4
 
 def kappa(p: ModelParams, a: float) -> float:
     return a * a + 0.5 * a + p.b
-
-
-def energy_a(f: Field, p: ModelParams, a: float) -> float:
-    """Conserved energy of the gauge-a equation."""
-    ux = spectral_derivative(f)
-    grad = l2_norm_sq(ux)
-    inter = integrate(
-        (1j * np.abs(f.values) ** 2 * ux.values * np.conj(f.values)).real, f.grid
-    )
-    return (
-        0.5 * grad
-        + (a - 0.25) * inter
-        + (0.5 * a * a - 0.25 * a - p.b / 6.0) * lp_norm_pow(f, 6)
-    )
-
-
-def momentum_a(f: Field, a: float) -> float:
-    ux = spectral_derivative(f)
-    return inner_re(Field(f.grid, 1j * ux.values), f) + a * lp_norm_pow(f, 4)
 
 
 @dataclass(frozen=True)
@@ -146,61 +128,55 @@ def step(f: Field, cfg: EvolveConfig) -> Field:
     return Field(f.grid, out)
 
 
-def _k_sign(f: Field, p: ModelParams, a: float, omega: float, c: float) -> int:
-    w = f if abs(a - 0.25) < 1e-15 else gauge_transform(f, 0.25 - a)
-    si = invariant_summary(w, p, Frame.GAUGE)
-    k = k_of(si, p, omega, c)
-    tol = 1e-6 * max(si.grad_sq, 1e-30)
-    return 0 if abs(k) < tol else (1 if k > 0 else -1)
-
-
 def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
-    """Integrate to t_end; record conserved-quantity drift and snapshots.
+    """Integrate to exactly t_end; record conserved-quantity drift and snapshots.
 
-    monitor = (omega, c) additionally tracks the sign of the gauge-frame
+    The step is the largest dt = t_end / n that is no larger than the tuned
+    one.  monitor = (omega, c) additionally tracks the sign of the well-frame
     dilation functional K and the gradient against the a-priori bound
     8 S(v0) + (c^2/2) M(v0).
     """
     g = f0.grid
     p = ModelParams(cfg.b)
+    a = cfg.gauge_a
     vhat = np.fft.fft(f0.values)
-    dt, dt_ok = _tune_dt(vhat, g, p, cfg)
-    stepper = _Stepper(g, dt, p, cfg.gauge_a, cfg.dealias)
+    dt_tuned, dt_ok = _tune_dt(vhat, g, p, cfg)
+    n_steps = max(1, math.ceil(cfg.t_end / dt_tuned))
+    dt = cfg.t_end / n_steps
+    stepper = _Stepper(g, dt, p, a, cfg.dealias)
+
+    def well(f, inv):
+        return inv if a == WELL_A else invariants(gauge_transform(f, WELL_A - a), p.b, WELL_A)
 
     traj = Trajectory(dt_used=dt)
-    e0 = energy_a(f0, p, cfg.gauge_a)
-    m0 = l2_norm_sq(f0)
-    p0 = momentum_a(f0, cfg.gauge_a)
+    inv0 = invariants(f0, p.b, a)
+    e0, m0, p0 = inv0.energy, inv0.mass, inv0.momentum
+    grad0 = inv0.grad_sq
     # solitons can have exactly zero energy or momentum; fall back to the
     # H^1 size of the data so "relative drift" stays meaningful
-    char = max(m0 + l2_norm_sq(spectral_derivative(f0)), 1e-30)
+    char = max(m0 + grad0, 1e-30)
     scales = [max(abs(q), char) for q in (e0, m0, p0)]
-
     if monitor is not None:
-        omega, c = monitor
-        w0 = f0 if abs(cfg.gauge_a - 0.25) < 1e-15 else gauge_transform(f0, 0.25 - cfg.gauge_a)
-        si0 = invariant_summary(w0, p, Frame.GAUGE)
-        act0 = si0.energy + 0.5 * omega * si0.mass + 0.5 * c * si0.momentum
-        traj.apriori_bound = 8.0 * act0 + 0.5 * c * c * si0.mass
+        traj.apriori_bound = apriori_bound(well(f0, inv0), *monitor)
 
-    n_steps = int(round(cfg.t_end / dt))
-    n_steps = max(n_steps, 1)
-
-    def record(i, vh):
+    def record(i, f) -> float:
+        """Store the state of step i; returns its gradient norm squared."""
         t = i * dt
-        f = Field(g, np.fft.ifft(vh))
+        inv = invariants(f, p.b, a)
         traj.times.append(t)
         traj.snapshots.append((t, f))
-        de = (energy_a(f, p, cfg.gauge_a) - e0) / scales[0]
-        dm = (l2_norm_sq(f) - m0) / scales[1]
-        dp = (momentum_a(f, cfg.gauge_a) - p0) / scales[2]
-        traj.drift.append({"t": t, "dE": abs(de), "dM": abs(dm), "dP": abs(dp)})
+        traj.drift.append({
+            "t": t,
+            "dE": abs(inv.energy - e0) / scales[0],
+            "dM": abs(inv.mass - m0) / scales[1],
+            "dP": abs(inv.momentum - p0) / scales[2],
+        })
         if monitor is not None:
-            traj.k_signs.append((t, _k_sign(f, p, cfg.gauge_a, *monitor)))
-            traj.grad_history.append((t, l2_norm_sq(spectral_derivative(f))))
+            traj.k_signs.append((t, k_sign(well(f, inv), *monitor)))
+            traj.grad_history.append((t, inv.grad_sq))
+        return inv.grad_sq
 
-    grad0 = l2_norm_sq(spectral_derivative(f0))
-    record(0, vhat)
+    record(0, f0)
     if not dt_ok:
         traj.status = "blow-up"
         return traj
@@ -212,12 +188,9 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
             traj.times.append(i * dt)  # the offending state itself is not storable
             return traj
         if i % cfg.record_every == 0 or i == n_steps:
-            f = Field(g, v)
-            if l2_norm_sq(spectral_derivative(f)) > GRAD_FACTOR**2 * max(grad0, 1e-30):
+            if record(i, Field(g, v)) > GRAD_FACTOR**2 * max(grad0, 1e-30):
                 traj.status = "blow-up"
-                record(i, vhat)
                 return traj
-            record(i, vhat)
     return traj
 
 

@@ -1,16 +1,17 @@
-"""Scalar functionals of a field in both working frames.
+"""One kernel for the scalar functionals of a field in any gauge frame.
 
-DNLS frame (variables u):
-    E = 1/2 ||u_x||^2 - 1/4 <i|u|^2 u_x, u> - (b/6) ||u||_6^6
-    P = <i u_x, u>
+The equation for v = G_a(u) conserves the mass M = ||v||^2, the energy and
+the momentum
 
-Gauge frame (variables v = G_{1/4} u):
-    E = 1/2 ||v_x||^2 - (gamma/32) ||v||_6^6
-    P = <i v_x, v> + 1/4 ||v||_4^4
+    E_a = 1/2 ||v_x||^2 + (a - 1/4) <i|v|^2 v_x, v> + (a^2/2 - a/4 - b/6) ||v||_6^6
+    P_a = <i v_x, v> + a ||v||_4^4.
 
-Mass, the action S = E + (omega/2) M + (c/2) P, the dilation derivative K
-(Nehari functional), the quadratic form L, and I = S - K/4 follow in each
-frame.  The derivative nonlinearity is always evaluated spectrally in
+a = 0 is the original equation and a = 1/4 the frame where the potential
+wells live; there the sextic coefficient is -gamma/32.  `invariants` takes
+one spectral derivative and returns the six integrals these are built
+from; the action S = E + (omega/2) M + (c/2) P, its dilation derivative K
+(Nehari functional), the quadratic form L and I = S - K/4 are methods of
+that record.  The derivative nonlinearity is evaluated spectrally in
 physical space, exactly as the definitions read.
 """
 from __future__ import annotations
@@ -20,82 +21,123 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .field import Field, inner_re, integrate, lp_norm_pow, spectral_derivative
+from .field import Field, integrate, spectral_derivative
 from .solitons import ModelParams
+
+WELL_A = 0.25
 
 
 class Frame(enum.Enum):
+    """The two named frames; each is just a gauge parameter a."""
+
     DNLS = "dnls"
     GAUGE = "gauge"
 
-
-def mass(f: Field) -> float:
-    return lp_norm_pow(f, 2)
-
-
-def _interaction(f: Field) -> float:
-    """<i |u|^2 u_x, u>."""
-    ux = spectral_derivative(f)
-    integrand = (1j * np.abs(f.values) ** 2 * ux.values * np.conj(f.values)).real
-    return integrate(integrand, f.grid)
+    @property
+    def a(self) -> float:
+        return 0.0 if self is Frame.DNLS else WELL_A
 
 
-def _p_lin(f: Field) -> float:
-    """<i u_x, u>."""
-    return inner_re(
-        Field(f.grid, 1j * spectral_derivative(f).values), f
+@dataclass(frozen=True)
+class Invariants:
+    """The integrals of one field that every functional of frame a is built from.
+
+    grad_sq, mass and p_lin are of degree 2 in the field, l4 and inter of
+    degree 4, l6 of degree 6; every functional is linear in them.
+    """
+
+    b: float
+    a: float
+    grad_sq: float  # ||f_x||^2
+    mass: float  # ||f||^2
+    p_lin: float  # <i f_x, f>
+    l4: float  # ||f||_4^4
+    l6: float  # ||f||_6^6
+    inter: float  # <i |f|^2 f_x, f>
+
+    @property
+    def energy(self) -> float:
+        a = self.a
+        return (
+            0.5 * self.grad_sq
+            + (a - 0.25) * self.inter
+            + (0.5 * a * a - 0.25 * a - self.b / 6.0) * self.l6
+        )
+
+    @property
+    def momentum(self) -> float:
+        return self.p_lin + self.a * self.l4
+
+    def action(self, omega: float, c: float) -> float:
+        return self.energy + 0.5 * omega * self.mass + 0.5 * c * self.momentum
+
+    def graded(self, w2: float, w4: float, w6: float) -> "Invariants":
+        """The record with its parts of degree 2, 4 and 6 multiplied by w2, w4, w6."""
+        return Invariants(
+            self.b,
+            self.a,
+            w2 * self.grad_sq,
+            w2 * self.mass,
+            w2 * self.p_lin,
+            w4 * self.l4,
+            w6 * self.l6,
+            w4 * self.inter,
+        )
+
+    def scaled(self, lam: float) -> "Invariants":
+        """The record of lam * f."""
+        t = lam * lam
+        return self.graded(t, t * t, t * t * t)
+
+    def dilated(self) -> "Invariants":
+        """d/dlam of the record of lam * f at lam = 1."""
+        return self.graded(2.0, 4.0, 6.0)
+
+    def nehari(self, omega: float, c: float) -> float:
+        """K_a = d/dlam S_a(lam f) at lam = 1."""
+        return self.dilated().action(omega, c)
+
+    def ell(self, omega: float, c: float) -> float:
+        """L = ||f_x||^2 + omega ||f||^2 + c <i f_x, f>, the quadratic part of K_a."""
+        return self.graded(2.0, 0.0, 0.0).action(omega, c)
+
+    def ii(self, omega: float, c: float) -> float:
+        """I = S - K/4."""
+        return self.action(omega, c) - 0.25 * self.nehari(omega, c)
+
+    @property
+    def gn_ratio(self) -> float:
+        """||f||_6^6 / ((4/pi^2) ||f||_2^4 ||f_x||^2), at most 1; inf for a
+        vanishing denominator."""
+        den = 4.0 / np.pi**2 * self.mass * self.mass * self.grad_sq
+        return self.l6 / den if den else np.inf
+
+
+def invariants(f: Field, b: float, a: float) -> Invariants:
+    """The integrals of f in gauge frame a, from one spectral derivative."""
+    g = f.grid
+    v = f.values
+    vx = spectral_derivative(f).values
+    rho = np.abs(v) ** 2
+    w = (1j * vx * np.conj(v)).real  # integrand of <i f_x, f>
+    return Invariants(
+        b=b,
+        a=a,
+        grad_sq=integrate(np.abs(vx) ** 2, g),
+        mass=integrate(rho, g),
+        p_lin=integrate(w, g),
+        l4=integrate(rho * rho, g),
+        l6=integrate(rho**3, g),
+        inter=integrate(rho * w, g),
     )
-
-
-def energy(f: Field, p: ModelParams, frame: Frame) -> float:
-    grad_sq = lp_norm_pow(spectral_derivative(f), 2)
-    l6 = lp_norm_pow(f, 6)
-    if frame is Frame.DNLS:
-        return 0.5 * grad_sq - 0.25 * _interaction(f) - p.b / 6.0 * l6
-    return 0.5 * grad_sq - p.gamma / 32.0 * l6
-
-
-def momentum(f: Field, frame: Frame) -> float:
-    if frame is Frame.DNLS:
-        return _p_lin(f)
-    return _p_lin(f) + 0.25 * lp_norm_pow(f, 4)
-
-
-def action(f: Field, p: ModelParams, omega: float, c: float, frame: Frame) -> float:
-    return (
-        energy(f, p, frame) + 0.5 * omega * mass(f) + 0.5 * c * momentum(f, frame)
-    )
-
-
-def nehari(f: Field, p: ModelParams, omega: float, c: float, frame: Frame) -> float:
-    """Dilation derivative of the action: d/dl S(l f) at l = 1."""
-    grad_sq = lp_norm_pow(spectral_derivative(f), 2)
-    m = mass(f)
-    pl = _p_lin(f)
-    l6 = lp_norm_pow(f, 6)
-    if frame is Frame.DNLS:
-        return grad_sq + omega * m + c * pl - _interaction(f) - p.b * l6
-    l4 = lp_norm_pow(f, 4)
-    return grad_sq + omega * m + c * pl + 0.5 * c * l4 - 3.0 / 16.0 * p.gamma * l6
-
-
-def ell(f: Field, omega: float, c: float) -> float:
-    """Quadratic form ||f_x||^2 + omega ||f||^2 + c <i f_x, f>."""
-    return lp_norm_pow(spectral_derivative(f), 2) + omega * mass(f) + c * _p_lin(f)
-
-
-def ii(f: Field, p: ModelParams, omega: float, c: float) -> float:
-    """I = S - K/4 = L/4 + (gamma/64) ||f||_6^6 (gauge frame)."""
-    return 0.25 * ell(f, omega, c) + p.gamma / 64.0 * lp_norm_pow(f, 6)
 
 
 def gn_ratio(f: Field) -> float:
-    """Gagliardo-Nirenberg ratio ||f||_6^6 / ((4/pi^2) ||f||_2^4 ||f_x||^2), <= 1."""
-    m = mass(f)
-    if m == 0.0:
+    """Sextic Gagliardo-Nirenberg ratio of f, <= 1."""
+    inv = invariants(f, 0.0, 0.0)
+    if inv.mass == 0.0:
         raise ValueError("GN ratio is undefined for the zero field")
-    grad_sq = lp_norm_pow(spectral_derivative(f), 2)
-    return lp_norm_pow(f, 6) / (4.0 / np.pi**2 * m * m * grad_sq)
+    return inv.gn_ratio
 
 
 @dataclass(frozen=True)
@@ -123,41 +165,22 @@ class FunctionalReport:
 
 
 def report(f: Field, p: ModelParams, omega: float, c: float, frame: Frame) -> FunctionalReport:
-    """Evaluate every functional in one pass over the FFTs."""
-    ux = spectral_derivative(f)
-    grad_sq = lp_norm_pow(ux, 2)
-    m = mass(f)
-    pl = inner_re(Field(f.grid, 1j * ux.values), f)
-    l4 = lp_norm_pow(f, 4)
-    l6 = lp_norm_pow(f, 6)
-    if frame is Frame.DNLS:
-        inter = integrate(
-            (1j * np.abs(f.values) ** 2 * ux.values * np.conj(f.values)).real, f.grid
-        )
-        e = 0.5 * grad_sq - 0.25 * inter - p.b / 6.0 * l6
-        mom = pl
-        k = grad_sq + omega * m + c * pl - inter - p.b * l6
-    else:
-        e = 0.5 * grad_sq - p.gamma / 32.0 * l6
-        mom = pl + 0.25 * l4
-        k = grad_sq + omega * m + c * pl + 0.5 * c * l4 - 3.0 / 16.0 * p.gamma * l6
-    lq = grad_sq + omega * m + c * pl
-    s = e + 0.5 * omega * m + 0.5 * c * mom
-    gn = np.inf if m == 0.0 else l6 / (4.0 / np.pi**2 * m * m * grad_sq) if grad_sq else np.inf
+    """Every functional of f at (omega, c), with f given in `frame`."""
+    inv = invariants(f, p.b, frame.a)
     return FunctionalReport(
         frame=frame.value,
         b=p.b,
         omega=omega,
         c=c,
-        energy=e,
-        mass=m,
-        momentum=mom,
-        action=s,
-        nehari=k,
-        ell=lq,
-        ii=0.25 * lq + p.gamma / 64.0 * l6,
-        l4=l4,
-        l6=l6,
-        grad_sq=grad_sq,
-        gn_ratio=gn,
+        energy=inv.energy,
+        mass=inv.mass,
+        momentum=inv.momentum,
+        action=inv.action(omega, c),
+        nehari=inv.nehari(omega, c),
+        ell=inv.ell(omega, c),
+        ii=inv.ii(omega, c),
+        l4=inv.l4,
+        l6=inv.l6,
+        grad_sq=inv.grad_sq,
+        gn_ratio=inv.gn_ratio,
     )

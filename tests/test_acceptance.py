@@ -15,12 +15,11 @@ from dnls_well.classifier import (
     member,
     nehari_normalize,
     critical_b_membership,
-    scaled_action,
     scan_curve,
 )
 from dnls_well.evolve import EvolveConfig, evolve, gauge_consistency, profile_fit
 from dnls_well.field import Field, l2_norm_sq, make_grid
-from dnls_well.functionals import Frame, energy, momentum
+from dnls_well.functionals import Frame, invariants
 from dnls_well.gauge import gauge_transform
 from dnls_well.solitons import (
     ModelParams,
@@ -120,9 +119,8 @@ def test_criterion_03_pohozaev_identity():
         p = ModelParams(b)
         sp = SolitonParams(p, omega, c)
         g = make_grid(suggested_half_length(sp), 2048)
-        f = sample_varphi(sp, g)
-        e = energy(f, p, Frame.GAUGE)
-        mom = momentum(f, Frame.GAUGE)
+        inv = invariants(sample_varphi(sp, g), p.b, Frame.GAUGE.a)
+        e, mom = inv.energy, inv.momentum
         assert abs(e + 0.25 * c * mom) / (abs(e) + abs(mom) + 1e-30) < 1e-5
 
 
@@ -366,8 +364,8 @@ def test_criterion_10_nehari_minimality():
         for _ in range(100):
             f = random_smooth_field(rng, g, amp=rng.uniform(0.2, 1.5))
             si = invariant_summary(f, p, Frame.GAUGE)
-            lam0 = nehari_normalize(si, p, omega, c)
-            assert scaled_action(si, p, omega, c, lam0) >= d * (1.0 - 1e-3)
+            lam0 = nehari_normalize(si, omega, c)
+            assert si.scaled(lam0).action(omega, c) >= d * (1.0 - 1e-3)
 
 
 def test_criterion_11_profile_fit():

@@ -3,24 +3,25 @@ import numpy as np
 import pytest
 
 from dnls_well.classifier import (
+    _case_ii_witness,
+    _k_signs_on,
     _negative_intervals,
     classify_thm17,
-    find_mu_plus,
     invariant_summary,
-    k_of,
     member,
     nehari_normalize,
     critical_b_membership,
-    scaled_action,
     scan_curve,
 )
 from dnls_well.closedform import d_value, mass_threshold, s_star, soliton_energy, soliton_mass, soliton_momentum
 from dnls_well.field import Field, make_grid
-from dnls_well.functionals import Frame, action
+from dnls_well.functionals import Frame, invariants
+from dnls_well.gauge import gauge_transform
 from dnls_well.solitons import (
     ModelParams,
     RegionError,
     SolitonParams,
+    sample_phi,
     sample_varphi,
     suggested_half_length,
 )
@@ -48,6 +49,23 @@ def test_soliton_sits_on_the_boundary():
     si = invariant_summary(f, p, Frame.GAUGE)
     res = member(si, p, 1.0, 0.8)
     assert res == {"in_A": False, "K_sign": 0}
+    # the same soliton given in the original frame
+    u = sample_phi(SolitonParams(p, 1.0, 0.8), f.grid)
+    res = member(invariant_summary(u, p, Frame.DNLS), p, 1.0, 0.8)
+    assert res == {"in_A": False, "K_sign": 0}
+
+
+def test_classify_dnls_frame_equals_gauge_image(rng):
+    p = ModelParams(0.1)
+    s_grid = [-0.5, 0.3]
+    g = make_grid(30.0, 512)
+    fields = [random_smooth_field(rng, g, amp=0.05), random_smooth_field(rng, g, amp=1.0)]
+    sp = SolitonParams(p, 1.0, 0.8)
+    fields.append(sample_phi(sp, make_grid(suggested_half_length(sp), 1024)))
+    for u in fields:
+        res_u = classify_thm17(u, p, s_grid, Frame.DNLS)
+        res_v = classify_thm17(gauge_transform(u, 0.25), p, s_grid, Frame.GAUGE)
+        assert res_u.to_dict() == res_v.to_dict()
 
 
 def test_scaled_soliton_membership_signs():
@@ -59,25 +77,24 @@ def test_scaled_soliton_membership_signs():
     assert member(above, p, 1.0, 0.8)["K_sign"] == -1
 
 
-def test_k_of_matches_scaled_action_derivative():
+def test_nehari_matches_scaled_action_derivative():
     # K(lam phi) = lam * d/dlam S(lam phi), tested at a generic lam
     f, p = _soliton_field(0.05, 1.0, 0.4)
     si = invariant_summary(f, p, Frame.GAUGE)
     lam, h = 0.8, 1e-6
     slope = (
-        scaled_action(si, p, 1.0, 0.4, lam + h)
-        - scaled_action(si, p, 1.0, 0.4, lam - h)
+        si.scaled(lam + h).action(1.0, 0.4) - si.scaled(lam - h).action(1.0, 0.4)
     ) / (2.0 * h)
     si_lam = invariant_summary(Field(f.grid, lam * f.values), p, Frame.GAUGE)
-    assert lam * slope == pytest.approx(k_of(si_lam, p, 1.0, 0.4), rel=1e-8)
+    assert lam * slope == pytest.approx(si_lam.nehari(1.0, 0.4), rel=1e-8)
 
 
 def test_scaled_action_agrees_with_direct_functional():
     f, p = _soliton_field(0.05, 1.0, 0.4)
     si = invariant_summary(f, p, Frame.GAUGE)
     lam = 0.7
-    direct = action(Field(f.grid, lam * f.values), p, 1.0, 0.4, Frame.GAUGE)
-    assert scaled_action(si, p, 1.0, 0.4, lam) == pytest.approx(direct, rel=1e-12)
+    direct = invariants(Field(f.grid, lam * f.values), p.b, Frame.GAUGE.a).action(1.0, 0.4)
+    assert si.scaled(lam).action(1.0, 0.4) == pytest.approx(direct, rel=1e-12)
 
 
 def test_negative_intervals_quadratic_cases():
@@ -92,6 +109,11 @@ def test_negative_intervals_quadratic_cases():
     assert _negative_intervals(0.0, 1.0, -2.0) == [(0.0, 2.0)]
     assert _negative_intervals(0.0, 0.0, -1.0) == [(0.0, np.inf)]
     assert _negative_intervals(0.0, 0.0, 1.0) == []
+    # a tiny leading coefficient keeps the root near -c/b
+    assert _negative_intervals(1e-297, 1.0, -1.0) == [(0.0, 1.0)]
+    assert _k_signs_on([(0.0, np.inf)], (-1e-116, -1.0, 1.0)) == {-1, 1}
+    # K = 1 - mu is negative only beyond the end of J = (0, 1)
+    assert _k_signs_on([(0.0, 1.0)], (0.0, -1.0, 1.0)) == {1}
 
 
 def test_scan_curve_small_field_is_a_plus(rng):
@@ -112,16 +134,16 @@ def test_scan_curve_rejects_inadmissible_s():
         scan_curve(si, p, 0.5)
 
 
-def test_find_mu_plus_on_small_data(rng):
+def test_case_ii_witness_on_small_data(rng):
     g = make_grid(30.0, 512)
     p = ModelParams(0.0)
     f = random_smooth_field(rng, g, amp=0.05)
     si = invariant_summary(f, p, Frame.GAUGE)
-    mu = find_mu_plus(si, p)
+    mu = _case_ii_witness(si, p, s=1.0)
     assert mu is not None
     d1 = d_value(p, 1.0, 2.0)
     gap = si.energy + 0.5 * mu * mu * (si.mass - 2.0 * d1) + mu * si.momentum
-    assert gap < 0 and k_of(si, p, mu * mu, 2.0 * mu) > 0
+    assert gap < 0 and si.nehari(mu * mu, 2.0 * mu) > 0
 
 
 def test_classify_small_mass_case_ii(rng):
@@ -189,7 +211,7 @@ def test_critical_b_route_rejected_elsewhere(rng):
 def test_nehari_normalize_soliton_is_identity():
     f, p = _soliton_field(0.05, 1.0, 0.4)
     si = invariant_summary(f, p, Frame.GAUGE)
-    assert nehari_normalize(si, p, 1.0, 0.4) == pytest.approx(1.0, abs=1e-6)
+    assert nehari_normalize(si, 1.0, 0.4) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_nehari_normalized_action_dominates_d(rng):
@@ -198,6 +220,6 @@ def test_nehari_normalized_action_dominates_d(rng):
     for _ in range(5):
         f = random_smooth_field(rng, g, amp=0.8)
         si = invariant_summary(f, p, Frame.GAUGE)
-        lam0 = nehari_normalize(si, p, 1.0, 0.0)
-        s_val = scaled_action(si, p, 1.0, 0.0, lam0)
+        lam0 = nehari_normalize(si, 1.0, 0.0)
+        s_val = si.scaled(lam0).action(1.0, 0.0)
         assert s_val >= d_value(p, 1.0, 0.0) * (1.0 - 1e-9)

@@ -99,16 +99,6 @@ def test_scan_csv_17_digits_and_file_output(tmp_path):
         assert f"{float(v_txt):.17g}" == v_txt
 
 
-def test_scan_threads_env_same_output(tmp_path, capsys, monkeypatch):
-    args = ["scan", "--b", "0", "--quantity", "momentum",
-            "--s-from", "-0.5", "--s-to", "0.5", "--steps", "7"]
-    assert main(args) == 0
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("DNLS_WELL_THREADS", "4")
-    assert main(args) == 0
-    assert capsys.readouterr().out == serial
-
-
 def test_classify_json(tmp_path, capsys):
     g = make_grid(30.0, 256)
     rng = np.random.default_rng(7)
@@ -120,6 +110,16 @@ def test_classify_json(tmp_path, capsys):
     res = json.loads(capsys.readouterr().out)
     assert res["theorem17_case"] == "ii"
     assert len(res["per_s"]) >= 3
+
+
+def test_classify_negative_s_grid_needs_equals_form(tmp_path, capsys):
+    g = make_grid(30.0, 256)
+    path = tmp_path / "f.json"
+    save_field(random_smooth_field(np.random.default_rng(7), g, amp=0.05), path)
+    assert main(["classify", "--field", str(path), "--b", "0.1",
+                 "--s-grid=-0.8:0.8:9"]) == 0
+    res = json.loads(capsys.readouterr().out)
+    assert [row["s"] for row in res["per_s"][:9]] == pytest.approx(np.linspace(-0.8, 0.8, 9))
 
 
 def test_evolve_writes_artifacts(tmp_path):

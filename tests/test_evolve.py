@@ -5,16 +5,22 @@ import pytest
 from dnls_well.evolve import (
     EvolveConfig,
     Trajectory,
-    energy_a,
     evolve,
     gauge_consistency,
     kappa,
-    momentum_a,
     profile_fit,
     step,
 )
-from dnls_well.field import Field, l2_norm_sq, make_grid
-from dnls_well.functionals import Frame, energy, momentum
+from dnls_well.field import (
+    Field,
+    inner_re,
+    integrate,
+    l2_norm_sq,
+    lp_norm_pow,
+    make_grid,
+    spectral_derivative,
+)
+from dnls_well.functionals import invariants
 from dnls_well.solitons import (
     ModelParams,
     SolitonParams,
@@ -36,10 +42,17 @@ def test_conserved_quantities_match_functionals(rng):
     g = make_grid(20.0, 256)
     f = random_smooth_field(rng, g)
     p = ModelParams(0.1)
-    assert energy_a(f, p, 0.0) == pytest.approx(energy(f, p, Frame.DNLS), rel=1e-12)
-    assert momentum_a(f, 0.0) == pytest.approx(momentum(f, Frame.DNLS), rel=1e-12)
-    assert energy_a(f, p, 0.25) == pytest.approx(energy(f, p, Frame.GAUGE), rel=1e-12)
-    assert momentum_a(f, 0.25) == pytest.approx(momentum(f, Frame.GAUGE), rel=1e-12)
+    # the DNLS-frame and gauge-frame formulas, written out
+    fx = spectral_derivative(f)
+    grad = l2_norm_sq(fx)
+    inter = integrate((1j * np.abs(f.values) ** 2 * fx.values * np.conj(f.values)).real, g)
+    p_lin = inner_re(Field(g, 1j * fx.values), f)
+    l4, l6 = lp_norm_pow(f, 4), lp_norm_pow(f, 6)
+    dnls, gauge = invariants(f, p.b, 0.0), invariants(f, p.b, 0.25)
+    assert dnls.energy == pytest.approx(0.5 * grad - 0.25 * inter - p.b / 6.0 * l6, rel=1e-12)
+    assert dnls.momentum == pytest.approx(p_lin, rel=1e-12)
+    assert gauge.energy == pytest.approx(0.5 * grad - p.gamma / 32.0 * l6, rel=1e-12)
+    assert gauge.momentum == pytest.approx(p_lin + 0.25 * l4, rel=1e-12)
 
 
 def test_drift_small_on_smooth_data(rng):
@@ -103,6 +116,16 @@ def test_monitor_tracks_k_sign_and_bound():
     assert traj.apriori_bound is not None
     assert all(sign == 1 for _, sign in traj.k_signs)
     assert all(grad <= traj.apriori_bound * (1 + 1e-4) for _, grad in traj.grad_history)
+
+
+@pytest.mark.parametrize("t_end", [1e-5, 0.0105])
+def test_evolve_lands_on_t_end(rng, t_end):
+    g = make_grid(20.0, 256)
+    f = random_smooth_field(rng, g, amp=0.5)
+    traj = evolve(f, EvolveConfig(b=0.1, dt=1e-3, t_end=t_end))
+    assert traj.status == "ok"
+    assert traj.times[-1] == pytest.approx(t_end, rel=1e-12)
+    assert traj.dt_used <= 1e-3
 
 
 def test_adaptive_dt_no_larger_than_requested(rng):

@@ -3,16 +3,7 @@ import pytest
 
 from dnls_well import closedform as cf
 from dnls_well.field import Field, make_grid
-from dnls_well.functionals import (
-    Frame,
-    action,
-    energy,
-    gn_ratio,
-    mass,
-    momentum,
-    nehari,
-    report,
-)
+from dnls_well.functionals import Frame, gn_ratio, invariants, report
 from dnls_well.solitons import (
     ModelParams,
     SolitonParams,
@@ -61,13 +52,11 @@ def test_frames_agree_through_gauge_transform(rng):
     g = make_grid(15.0, 512)
     u = random_smooth_field(rng, g)
     v = gauge_transform(u, 0.25)
-    assert energy(u, p, Frame.DNLS) == pytest.approx(
-        energy(v, p, Frame.GAUGE), abs=1e-10
-    )
-    assert momentum(u, Frame.DNLS) == pytest.approx(
-        momentum(v, Frame.GAUGE), abs=1e-10
-    )
-    assert mass(u) == pytest.approx(mass(v), abs=1e-12)
+    iu = invariants(u, p.b, Frame.DNLS.a)
+    iv = invariants(v, p.b, Frame.GAUGE.a)
+    assert iu.energy == pytest.approx(iv.energy, abs=1e-10)
+    assert iu.momentum == pytest.approx(iv.momentum, abs=1e-10)
+    assert iu.mass == pytest.approx(iv.mass, abs=1e-12)
 
 
 def test_nehari_is_dilation_derivative(rng):
@@ -76,10 +65,11 @@ def test_nehari_is_dilation_derivative(rng):
     f = random_smooth_field(rng, g)
     omega, c = 1.1, 0.4
     h = 1e-6
-    sp = action(Field(g, (1 + h) * f.values), p, omega, c, Frame.GAUGE)
-    sm = action(Field(g, (1 - h) * f.values), p, omega, c, Frame.GAUGE)
-    fd = (sp - sm) / (2 * h)
-    assert nehari(f, p, omega, c, Frame.GAUGE) == pytest.approx(fd, rel=1e-7)
+    for a in (Frame.DNLS.a, Frame.GAUGE.a):
+        sp = invariants(Field(g, (1 + h) * f.values), p.b, a).action(omega, c)
+        sm = invariants(Field(g, (1 - h) * f.values), p.b, a).action(omega, c)
+        fd = (sp - sm) / (2 * h)
+        assert invariants(f, p.b, a).nehari(omega, c) == pytest.approx(fd, rel=1e-7)
 
 
 def test_action_decomposition(rng):
@@ -90,7 +80,10 @@ def test_action_decomposition(rng):
     rep = report(f, p, 0.9, -0.3, Frame.GAUGE)
     rhs = 0.25 * rep.nehari + 0.25 * rep.ell + p.gamma / 64.0 * rep.l6
     assert rep.action == pytest.approx(rhs, rel=1e-12)
-    assert rep.ii == pytest.approx(rep.action - 0.25 * rep.nehari, rel=1e-12)
+    # I = S - K/4 in every frame
+    for frame in Frame:
+        rep = report(f, p, 0.9, -0.3, frame)
+        assert rep.ii == pytest.approx(rep.action - 0.25 * rep.nehari, rel=1e-12)
 
 
 def test_gn_ratio_gaussian():
