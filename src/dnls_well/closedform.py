@@ -11,8 +11,7 @@ algebraic soliton c = 2 sqrt(omega) handled separately.
 """
 from __future__ import annotations
 
-import numpy as np
-from scipy.optimize import brentq
+import math
 
 from .solitons import ModelParams, RegionError, existence_region, is_algebraic, s_lower
 
@@ -23,7 +22,7 @@ _GAMMA_EPS = 1e-8
 
 def _half_acos(a: float) -> float:
     """arctan(sqrt((1-a)/(1+a))) evaluated stably as acos(a)/2."""
-    return 0.5 * np.arccos(np.clip(a, -1.0, 1.0))
+    return 0.5 * math.acos(min(max(a, -1.0), 1.0))
 
 
 def cosh_integral(alpha: float, power: int) -> float:
@@ -51,18 +50,18 @@ def cosh_integral(alpha: float, power: int) -> float:
         t = _half_acos(alpha)
         r = 1.0 - alpha * alpha
         if power == 1:
-            return 4.0 * t / np.sqrt(r)
+            return 4.0 * t / math.sqrt(r)
         return 2.0 / r - 4.0 * alpha * t / r**1.5
-    lg = np.log(alpha + np.sqrt(alpha * alpha - 1.0))
+    lg = math.log(alpha + math.sqrt(alpha * alpha - 1.0))
     r = alpha * alpha - 1.0
     if power == 1:
-        return 2.0 * lg / np.sqrt(r)
+        return 2.0 * lg / math.sqrt(r)
     return -2.0 / r + 2.0 * alpha * lg / r**1.5
 
 
 def curve_beta(p: ModelParams, omega: float, c: float) -> float:
     """beta(omega, c) = c / sqrt(c^2 + gamma (4 omega - c^2)); alpha = -beta."""
-    return c / np.sqrt(c * c + p.gamma * (4.0 * omega - c * c))
+    return c / math.sqrt(c * c + p.gamma * (4.0 * omega - c * c))
 
 
 def _require_region(p: ModelParams, omega: float, c: float) -> None:
@@ -77,15 +76,15 @@ def soliton_mass(p: ModelParams, omega: float, c: float) -> float:
     _require_region(p, omega, c)
     g = p.gamma
     if g > 0 and is_algebraic(omega, c):
-        return 4.0 * np.pi / np.sqrt(g)
+        return 4.0 * math.pi / math.sqrt(g)
     if abs(g) < _GAMMA_EPS:
-        return 4.0 * np.sqrt(4.0 * omega - c * c) / (-c)
+        return 4.0 * math.sqrt(4.0 * omega - c * c) / (-c)
     beta = curve_beta(p, omega, c)
     if g > 0:
         # (8/sqrt(g)) arctan sqrt((1+beta)/(1-beta)), stable form near beta = 1
-        return 8.0 / np.sqrt(g) * _half_acos(-beta)
+        return 8.0 / math.sqrt(g) * _half_acos(-beta)
     alpha = -beta
-    return 4.0 / np.sqrt(-g) * np.log(alpha + np.sqrt(alpha * alpha - 1.0))
+    return 4.0 / math.sqrt(-g) * math.log(alpha + math.sqrt(alpha * alpha - 1.0))
 
 
 def soliton_momentum(p: ModelParams, omega: float, c: float) -> float:
@@ -95,7 +94,7 @@ def soliton_momentum(p: ModelParams, omega: float, c: float) -> float:
     m = soliton_mass(p, omega, c)
     if abs(g) < _GAMMA_EPS:
         return -(2.0 * omega + c * c) / (3.0 * c) * m
-    return 0.5 * c * (-1.0 + 1.0 / g) * m + 2.0 / g * np.sqrt(
+    return 0.5 * c * (-1.0 + 1.0 / g) * m + 2.0 / g * math.sqrt(
         max(4.0 * omega - c * c, 0.0)
     )
 
@@ -112,7 +111,7 @@ def d_value(p: ModelParams, omega: float, c: float) -> float:
     scaling d(omega, 2 s sqrt(omega)) = omega d(1, 2s).
     """
     _require_region(p, omega, c)
-    s = c / (2.0 * np.sqrt(omega))
+    s = c / (2.0 * math.sqrt(omega))
     c1 = 2.0 * s
     return omega * 0.5 * (soliton_mass(p, 1.0, c1) + s * soliton_momentum(p, 1.0, c1))
 
@@ -121,7 +120,11 @@ def s_star(b: float) -> float:
     """Unique zero of s -> P(phi_{1,2s}) in (0, 1) for b > 0.
 
     P is continuous and strictly decreasing on [0, 1] with P > 0 at s = 0 and
-    P < 0 at s = 1, so a Brent solve on a tight bracket suffices.
+    P < 0 at the algebraic end s = 1.  Bisection runs until the bracket is
+    two adjacent floats, which also covers tiny b, where the root sits within
+    a few ulp of 1 and P jumps by more than any fixed residual between
+    neighbouring floats.  The sign change across that pair certifies the
+    root; the endpoint with the smaller |P| is returned.
     """
     if b <= 0:
         raise ValueError(f"s* is defined for b > 0, got b={b}")
@@ -130,15 +133,22 @@ def s_star(b: float) -> float:
     def mom(s: float) -> float:
         return soliton_momentum(p, 1.0, 2.0 * s)
 
-    # for tiny b the root sits within machine distance of s = 1; push the
-    # upper bracket toward 1 until the momentum changes sign
-    lo, hi = 1e-6, 1.0 - 1e-9
-    while mom(hi) > 0.0 and 1.0 - hi > 1e-15:
-        hi = 1.0 - 1e-3 * (1.0 - hi)
-    root = brentq(mom, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    if abs(mom(root)) > 1e-10:
-        raise RuntimeError(f"momentum root did not converge at b={b}")
-    return float(root)
+    lo, hi = 1e-6, 1.0
+    p_lo, p_hi = mom(lo), mom(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        p_mid = mom(mid)
+        if p_mid > 0.0:
+            lo, p_lo = mid, p_mid
+        else:
+            hi, p_hi = mid, p_mid
+    # the loop leaves lo, hi adjacent; the sign change across them is the
+    # certificate, and fails only if the initial bracket had no sign change
+    if not p_lo > 0.0 >= p_hi:
+        raise RuntimeError(f"momentum has no sign change on [1e-6, 1] at b={b}")
+    return lo if abs(p_lo) < abs(p_hi) else hi
 
 
 def mass_threshold(b: float) -> float:
@@ -154,7 +164,7 @@ def mass_threshold(b: float) -> float:
         p = ModelParams(b)
         return soliton_mass(p, 1.0, 2.0 * s_star(b))
     gamma = 1.0 + (16.0 / 3.0) * b
-    return 4.0 * np.pi / gamma**1.5
+    return 4.0 * math.pi / gamma**1.5
 
 
 def admissible_s_range(p: ModelParams) -> tuple[float, float, bool]:

@@ -132,9 +132,9 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     """Integrate to exactly t_end; record conserved-quantity drift and snapshots.
 
     The step is the largest dt = t_end / n that is no larger than the tuned
-    one.  monitor = (omega, c) additionally tracks the sign of the well-frame
-    dilation functional K and the gradient against the a-priori bound
-    8 S(v0) + (c^2/2) M(v0).
+    one.  monitor = (omega, c) additionally tracks, in the well frame
+    v = G_{1/4-a}(u), the sign of the dilation functional K and the gradient
+    ||v_x||^2 that the a-priori bound 8 S(v0) + (c^2/2) M(v0) controls.
     """
     g = f0.grid
     p = ModelParams(cfg.b)
@@ -172,8 +172,9 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
             "dP": abs(inv.momentum - p0) / scales[2],
         })
         if monitor is not None:
-            traj.k_signs.append((t, k_sign(well(f, inv), *monitor)))
-            traj.grad_history.append((t, inv.grad_sq))
+            w = well(f, inv)
+            traj.k_signs.append((t, k_sign(w, *monitor)))
+            traj.grad_history.append((t, w.grad_sq))
         return inv.grad_sq
 
     record(0, f0)

@@ -13,7 +13,6 @@ Phi through zero are too large.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .solitons import ModelParams, RegionError, SolitonParams, phi_sq
 
@@ -28,6 +27,8 @@ class ShootingError(RuntimeError):
 
 def adaptive_quad(f, a, b, tol: float = 1e-10) -> float:
     """Adaptive quadrature of f over [a, b]; a, b may be +-inf."""
+    from scipy.integrate import quad
+
     with np.errstate(over="ignore"):
         val, err = quad(f, a, b, epsabs=tol, epsrel=tol, limit=400)
     if err > max(tol, 1e-10 * abs(val)) * 100:
@@ -58,6 +59,8 @@ def _shoot_once(p: ModelParams, omega: float, c: float, peak: float, half_length
 
     Returns (status, sol) with status in {'decay', 'bounce', 'cross'}.
     """
+    from scipy.integrate import solve_ivp
+
     a2 = omega - 0.25 * c * c
     a4 = 0.5 * c
     a6 = -3.0 / 16.0 * p.gamma

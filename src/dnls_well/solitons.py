@@ -12,10 +12,13 @@ c = 2*sqrt(omega) ("algebraic", only for gamma > 0).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from .field import Field, Grid, cumulative_integral
+
+from .field import Field, Grid
+from .gauge import gauge_transform
 
 
 class RegionError(ValueError):
@@ -38,7 +41,7 @@ def s_lower(p: ModelParams) -> float:
     g = p.gamma
     if g > 0:
         raise RegionError("s_* is defined only for gamma <= 0 (b <= -3/16)")
-    return float(np.sqrt(-g / (1.0 - g)))
+    return math.sqrt(-g / (1.0 - g))
 
 
 def existence_region(p: ModelParams, omega: float, c: float) -> bool:
@@ -49,14 +52,16 @@ def existence_region(p: ModelParams, omega: float, c: float) -> bool:
     """
     if omega <= 0:
         raise RegionError(f"omega must be positive, got {omega}")
-    rw = 2.0 * np.sqrt(omega)
+    rw = 2.0 * math.sqrt(omega)
     if p.gamma > 0:
         return -rw < c <= rw
     return -rw < c < -s_lower(p) * rw
 
 
 def is_algebraic(omega: float, c: float) -> bool:
-    return c > 0 and np.isclose(c, 2.0 * np.sqrt(omega), rtol=1e-13, atol=0.0)
+    """c = 2 sqrt(omega) to 1e-13 relative: the algebraic soliton."""
+    rw = 2.0 * math.sqrt(omega)
+    return c > 0 and abs(c - rw) <= 1e-13 * rw
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ class SolitonParams:
 
     @property
     def s(self) -> float:
-        return self.c / (2.0 * np.sqrt(self.omega))
+        return self.c / (2.0 * math.sqrt(self.omega))
 
     @property
     def algebraic(self) -> bool:
@@ -116,16 +121,13 @@ def sample_varphi(sp: SolitonParams, g: Grid) -> Field:
 
 
 def sample_phi(sp: SolitonParams, g: Grid) -> Field:
-    """Original-frame profile with the cumulative phase integral.
+    """Original-frame profile G_{-1/4}(varphi).
 
-    The lower limit -inf is replaced by the left grid edge; the difference is
-    a constant phase, invisible to every functional used here.  The running
-    integral uses the spectral antiderivative, matching the gauge module.
+    The lower limit -inf of the phase integral is replaced by the left grid
+    edge, as in the gauge module; the difference is a constant phase,
+    invisible to every functional used here.
     """
-    p2 = phi_sq(sp, g.x)
-    cum = cumulative_integral(p2, g)
-    phase = 0.5 * sp.c * g.x - 0.25 * cum
-    return Field(g, np.sqrt(p2) * np.exp(1j * phase))
+    return gauge_transform(sample_varphi(sp, g), -0.25)
 
 
 def phi_one_two(x) -> np.ndarray:

@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -114,6 +117,47 @@ def test_s_star_properties():
         assert abs(soliton_momentum(p, 1.0, 2.0 * s_star(b))) < 1e-10
     with pytest.raises(ValueError):
         s_star(0.0)
+
+
+def _momentum_root_mp(gamma: float):
+    """Root of s -> P(phi_{1,2s}) on [1e-6, 1] by 200 bisections at 50 digits.
+
+    gamma is taken as the float the closed form sees, so the reference is
+    the root of the function that s_star actually evaluates.
+    """
+    with mpmath.workdps(50):
+        g = mpmath.mpf(gamma)
+
+        def mom(s):
+            c = 2 * s
+            beta = c / mpmath.sqrt(c * c + g * (4 - c * c))
+            mass = 4 / mpmath.sqrt(g) * mpmath.acos(-beta)
+            return c / 2 * (1 / g - 1) * mass + 2 / g * mpmath.sqrt(4 - c * c)
+
+        lo, hi = mpmath.mpf("1e-6"), mpmath.mpf(1)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if mom(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+
+def test_s_star_within_two_ulp_of_high_precision_root():
+    # down to b = 1e-9, where the root sits one ulp below s = 1
+    for b in np.logspace(-9.0, math.log10(3.0), 60):
+        b = float(b)
+        ref = _momentum_root_mp(ModelParams(b).gamma)
+        err = abs(mpmath.mpf(s_star(b)) - ref)
+        assert float(err) <= 2.0 * math.ulp(float(ref)), b
+
+
+def test_mass_threshold_tiny_b_finite_and_decreasing():
+    ms = [mass_threshold(float(b)) for b in np.logspace(-9.0, -6.0, 40)]
+    assert np.all(np.isfinite(ms))
+    assert np.all(np.diff(ms) < 0)
+    assert all(m < 4.0 * np.pi for m in ms)
 
 
 def test_mass_threshold_branches():

@@ -21,6 +21,7 @@ from dnls_well.field import (
     spectral_derivative,
 )
 from dnls_well.functionals import invariants
+from dnls_well.gauge import gauge_transform
 from dnls_well.solitons import (
     ModelParams,
     SolitonParams,
@@ -115,6 +116,23 @@ def test_monitor_tracks_k_sign_and_bound():
     traj = evolve(f, EvolveConfig(b=0.1, gauge_a=0.25, t_end=0.1), monitor=(1.0, 0.4))
     assert traj.apriori_bound is not None
     assert all(sign == 1 for _, sign in traj.k_signs)
+    assert all(grad <= traj.apriori_bound * (1 + 1e-4) for _, grad in traj.grad_history)
+
+
+def test_monitor_records_well_frame_gradient_at_a0():
+    # the a-priori bound controls ||(G_{1/4} u)_x||^2, so that is what a
+    # frame-a run must record; ||u_x||^2 here is 2.957 against 2.508
+    p = ModelParams(0.1)
+    sp = SolitonParams(p, 1.0, 0.4)
+    g = make_grid(suggested_half_length(sp), 512)
+    u0 = gauge_transform(Field(g, 0.9 * sample_varphi(sp, g).values), -0.25)
+    traj = evolve(u0, EvolveConfig(b=0.1, gauge_a=0.0, t_end=0.1), monitor=(1.0, 0.4))
+    assert traj.status == "ok"
+    assert len(traj.grad_history) == len(traj.snapshots)
+    for (t, grad), (ts, snap) in zip(traj.grad_history, traj.snapshots):
+        assert t == ts
+        well = l2_norm_sq(spectral_derivative(gauge_transform(snap, 0.25)))
+        assert grad == pytest.approx(well, rel=1e-12)
     assert all(grad <= traj.apriori_bound * (1 + 1e-4) for _, grad in traj.grad_history)
 
 

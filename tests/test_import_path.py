@@ -1,0 +1,83 @@
+"""scipy stays off the import path of every subcommand except `verify`.
+
+Each case runs `cli.main` in a fresh interpreter and reports whether any
+scipy module got loaded.  `verify --suite quad` is the control: it runs
+the quadrature oracle, so it must load scipy, which shows that the guard
+can fail.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dnls_well.field import make_grid, save_field
+from dnls_well.solitons import ModelParams, SolitonParams, sample_phi, suggested_half_length
+
+from conftest import random_smooth_field
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_PROBE = """
+import contextlib, io, json, sys
+from dnls_well import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("import_path")
+    sp = SolitonParams(ModelParams(0.1), 1.0, 0.4)
+    sol = d / "sol.json"
+    save_field(sample_phi(sp, make_grid(suggested_half_length(sp), 256)), sol)
+    rnd = d / "rnd.json"
+    rng = np.random.default_rng(7)
+    save_field(random_smooth_field(rng, make_grid(30.0, 256), amp=0.05), rnd)
+    return d, str(sol), str(rnd)
+
+
+def _run(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+CASES = {
+    "soliton": lambda d, sol, rnd: ["soliton", "--b", "0.1", "--omega", "1", "--c", "0.4",
+                                    "--L", "20", "--N", "256", "--out", str(d / "out.json")],
+    "report": lambda d, sol, rnd: ["report", "--field", sol, "--b", "0.1", "--omega", "1",
+                                   "--c", "0.4"],
+    "gauge": lambda d, sol, rnd: ["gauge", "--a", "0.25", "--in", sol, "--out", str(d / "g.json")],
+    "scan": lambda d, sol, rnd: ["scan", "--b", "0.1", "--quantity", "d", "--s-from", "-0.9",
+                                 "--s-to", "0.9", "--steps", "21"],
+    "threshold": lambda d, sol, rnd: ["threshold", "--b", "0.1"],
+    "classify": lambda d, sol, rnd: ["classify", "--field", rnd, "--b", "0.1",
+                                     "--s-grid=-0.8:0.8:5"],
+    "evolve": lambda d, sol, rnd: ["evolve", "--field", sol, "--b", "0.1", "--t-end", "0.01",
+                                   "--monitor-omega", "1", "--monitor-c", "0.4",
+                                   "--out", str(d / "traj")],
+    "verify_gauge": lambda d, sol, rnd: ["verify", "--suite", "gauge"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_subcommand_loads_no_scipy(files, name):
+    res = _run(CASES[name](*files))
+    assert res["code"] == 0
+    assert res["scipy"] == []
+
+
+def test_guard_sees_scipy_in_quadrature_suite():
+    res = _run(["verify", "--suite", "quad"])
+    assert res["code"] == 0
+    assert "scipy.integrate" in res["scipy"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dnls_well.field import l2_norm_sq, lp_norm_pow, make_grid
+from dnls_well.field import cumulative_integral, l2_norm_sq, lp_norm_pow, make_grid
 from dnls_well.solitons import (
     ModelParams,
     RegionError,
@@ -90,6 +90,16 @@ def test_three_gauges_share_modulus():
     c = np.abs(sample_phi(sp, g).values)
     assert np.max(np.abs(a - b)) < 1e-14
     assert np.max(np.abs(a - c)) < 1e-14
+
+
+def test_sample_phi_matches_explicit_phase():
+    # phi = Phi exp(i c x/2 - (i/4) int Phi^2), written out
+    sp = SolitonParams(ModelParams(0.1), 1.0, 0.4)
+    g = make_grid(suggested_half_length(sp), 512)
+    p2 = phi_sq(sp, g.x)
+    phase = 0.5 * sp.c * g.x - 0.25 * cumulative_integral(p2, g)
+    ref = np.sqrt(p2) * np.exp(1j * phase)
+    assert np.max(np.abs(sample_phi(sp, g).values - ref)) < 1e-14
 
 
 def test_phi_one_two_closed_form():
