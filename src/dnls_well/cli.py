@@ -144,7 +144,10 @@ def _cmd_evolve(args) -> int:
         save_field(snap, out / f"snap_{i:06d}.json")
     summary = {
         "status": traj.status,
+        "reason": traj.reason,
+        "n_steps": traj.n_steps,
         "dt_used": traj.dt_used,
+        "dt_trail": traj.dt_trail,
         "t_final": traj.times[-1],
         "apriori_bound": traj.apriori_bound,
         "k_signs": traj.k_signs,

@@ -79,12 +79,17 @@ def soliton_mass(p: ModelParams, omega: float, c: float) -> float:
         return 4.0 * math.pi / math.sqrt(g)
     if abs(g) < _GAMMA_EPS:
         return 4.0 * math.sqrt(4.0 * omega - c * c) / (-c)
-    beta = curve_beta(p, omega, c)
     if g > 0:
         # (8/sqrt(g)) arctan sqrt((1+beta)/(1-beta)), stable form near beta = 1
-        return 8.0 / math.sqrt(g) * _half_acos(-beta)
-    alpha = -beta
-    return 4.0 / math.sqrt(-g) * math.log(alpha + math.sqrt(alpha * alpha - 1.0))
+        return 8.0 / math.sqrt(g) * _half_acos(-curve_beta(p, omega, c))
+    # (4/sqrt(-g)) acosh(alpha), alpha = -beta = |c| / r, written in
+    # delta = alpha - 1 = (c^2 - r^2) / (r (|c| + r)): alpha - 1 is formed
+    # without cancelling, which matters for small |g| and for s -> -1
+    rw = 2.0 * math.sqrt(omega)
+    q = (rw - c) * (rw + c)
+    r = math.sqrt(c * c + g * q)
+    delta = -g * q / (r * (abs(c) + r))
+    return 4.0 / math.sqrt(-g) * math.log1p(delta + math.sqrt(delta * (2.0 + delta)))
 
 
 def soliton_momentum(p: ModelParams, omega: float, c: float) -> float:

@@ -45,66 +45,96 @@ class EvolveConfig:
 
 
 class _Stepper:
-    """Precomputed Lawson-RK4 data for one (grid, dt, a, b)."""
+    """Precomputed Lawson-RK4 data for one (grid, dt, a, b).
+
+    A step makes four stages of one inverse FFT (v and v_x from a (2, N)
+    stack) and one forward FFT each: 8 FFT calls, 12 transforms.
+    """
 
     def __init__(self, g: Grid, dt: float, p: ModelParams, a: float, dealias: float = 2.0 / 3.0):
         self.dt = dt
         self.a = a
         self.kap = kappa(p, a)
-        self.ik = 1j * g.k
-        self.ik[g.N // 2] = 0.0
-        lam = -1j * g.k**2
-        self.e_half = np.exp(0.5 * dt * lam)
-        self.e_full = self.e_half**2
+        ik = 1j * g.k
+        ik[g.N // 2] = 0.0
         kmax = np.max(np.abs(g.k))
         self.mask = (np.abs(g.k) <= dealias * kmax).astype(float)
+        # one multiplier turns v-hat into the stack [mask v-hat, mask ik v-hat]
+        self.to_v_vx = np.stack([self.mask, self.mask * ik])
+        self.e_half = np.exp(-0.5j * dt * g.k**2)
+        self.e_full = self.e_half**2
+        # the RK4 weights, with their integrating factors folded in
+        self.h_half = 0.5 * dt * self.e_half
+        self.h_full = dt * self.e_half
+        self.w1 = dt / 6.0 * self.e_full
+        self.w23 = dt / 3.0 * self.e_half
 
     def _nhat(self, vhat):
-        vh = self.mask * vhat
-        v = np.fft.ifft(vh)
-        vx = np.fft.ifft(self.ik * vh)
-        n = (
-            -(1.0 - 2.0 * self.a) * np.abs(v) ** 2 * vx
-            + 2.0 * self.a * v * v * np.conj(vx)
-            + 1j * self.kap * np.abs(v) ** 4 * v
-        )
+        """Dealiased transform of -(1-2a)|v|^2 v_x + 2a v^2 conj(v_x) + i kap |v|^4 v."""
+        v, vx = np.fft.ifft(self.to_v_vx * vhat)
+        rho = v.real * v.real + v.imag * v.imag
+        n = rho * ((2.0 * self.a - 1.0) * vx + 1j * self.kap * rho * v)
+        if self.a != 0.0:
+            n += 2.0 * self.a * v * v * np.conj(vx)
         return self.mask * np.fft.fft(n)
 
     def step(self, vhat):
-        dt, eh, ef = self.dt, self.e_half, self.e_full
+        dt = self.dt
+        ehv = self.e_half * vhat
+        efv = self.e_full * vhat
         k1 = self._nhat(vhat)
-        k2 = self._nhat(eh * vhat + 0.5 * dt * eh * k1)
-        k3 = self._nhat(eh * vhat + 0.5 * dt * k2)
-        k4 = self._nhat(ef * vhat + dt * eh * k3)
-        return ef * vhat + dt / 6.0 * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
+        k2 = self._nhat(ehv + self.h_half * k1)
+        k3 = self._nhat(ehv + 0.5 * dt * k2)
+        k4 = self._nhat(efv + self.h_full * k3)
+        return efv + self.w1 * k1 + self.w23 * (k2 + k3) + dt / 6.0 * k4
 
 
 @dataclass
 class Trajectory:
+    """What a run stored and why it stopped.
+
+    status is "ok" or "blow-up"; reason names the stop of a blow-up run:
+    "richardson-failed" (no dt above the floor meets the tolerance at t = 0),
+    "non-finite" or "amp-cap" (the state after a step), or "grad-growth"
+    (a recorded gradient grew past GRAD_FACTOR^2 times the initial one).
+    n_steps counts the steps taken and dt_trail the step sizes _tune_dt
+    tried; dt_used, the dt stepped, is t_end over a whole number of steps.
+    """
+
     times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     drift: list = field(default_factory=list)
     k_signs: list = field(default_factory=list)
     grad_history: list = field(default_factory=list)
     status: str = "ok"
+    reason: str | None = None
+    n_steps: int = 0
     dt_used: float = 0.0
+    dt_trail: list = field(default_factory=list)
     apriori_bound: float | None = None
 
     @property
     def final(self) -> Field:
         return self.snapshots[-1][1]
 
+    def stop(self, reason: str) -> Trajectory:
+        self.status, self.reason = "blow-up", reason
+        return self
 
-def _tune_dt(vhat0, g: Grid, p: ModelParams, cfg: EvolveConfig) -> tuple[float, bool]:
-    """Pick the step size; the flag is False when no dt above the floor
-    meets the Richardson tolerance (the data is numerically hopeless)."""
+
+def _tune_dt(vhat0, g: Grid, p: ModelParams, cfg: EvolveConfig) -> tuple[float, bool, list]:
+    """Pick the step size and list every dt tried (with adapt off, the one
+    dt picked); the flag is False when no dt above the floor meets the
+    Richardson tolerance (the data is numerically hopeless)."""
     v0 = np.fft.ifft(vhat0)
     dt = min(cfg.dt, cfg.cfl * g.dx / (1.0 + float(np.max(np.abs(v0)) ** 2)))
     if not cfg.adapt:
-        return dt, True
+        return dt, True, [dt]
     scale = max(np.sqrt(l2_norm_sq(Field(g, v0))), 1e-30)
     ok = False
+    trail = []
     while dt > cfg.dt_floor:
+        trail.append(dt)
         coarse = _Stepper(g, dt, p, cfg.gauge_a, cfg.dealias).step(vhat0)
         fine = _Stepper(g, 0.5 * dt, p, cfg.gauge_a, cfg.dealias)
         vh = fine.step(fine.step(vhat0))
@@ -115,7 +145,16 @@ def _tune_dt(vhat0, g: Grid, p: ModelParams, cfg: EvolveConfig) -> tuple[float, 
             ok = True
             break
         dt *= 0.5
-    return max(dt, cfg.dt_floor), ok
+    return max(dt, cfg.dt_floor), ok, trail
+
+
+def _blow_up(v) -> str | None:
+    """Reason a physical-space state is unusable, or None."""
+    if not np.all(np.isfinite(v)):
+        return "non-finite"
+    if np.max(np.abs(v)) > AMP_CAP:
+        return "amp-cap"
+    return None
 
 
 def step(f: Field, cfg: EvolveConfig) -> Field:
@@ -123,7 +162,7 @@ def step(f: Field, cfg: EvolveConfig) -> Field:
     p = ModelParams(cfg.b)
     st = _Stepper(f.grid, cfg.dt, p, cfg.gauge_a, cfg.dealias)
     out = np.fft.ifft(st.step(np.fft.fft(f.values)))
-    if not np.all(np.isfinite(out)) or np.max(np.abs(out)) > AMP_CAP:
+    if _blow_up(out) is not None:
         raise FloatingPointError("numerical blow-up in a single step")
     return Field(f.grid, out)
 
@@ -140,15 +179,19 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     p = ModelParams(cfg.b)
     a = cfg.gauge_a
     vhat = np.fft.fft(f0.values)
-    dt_tuned, dt_ok = _tune_dt(vhat, g, p, cfg)
+    dt_tuned, dt_ok, trail = _tune_dt(vhat, g, p, cfg)
     n_steps = max(1, math.ceil(cfg.t_end / dt_tuned))
     dt = cfg.t_end / n_steps
     stepper = _Stepper(g, dt, p, a, cfg.dealias)
+    # |v_j| <= sum_k |v-hat_k| / N for numpy's ifft: below this (with room
+    # for rounding) the amplitude cap cannot be hit, and a non-finite v-hat
+    # fails the comparison, so only the other steps need the back-transform
+    clean_l1 = g.N * AMP_CAP * (1.0 - 1e-9)
 
     def well(f, inv):
         return inv if a == WELL_A else invariants(gauge_transform(f, WELL_A - a), p.b, WELL_A)
 
-    traj = Trajectory(dt_used=dt)
+    traj = Trajectory(dt_used=dt, dt_trail=trail)
     inv0 = invariants(f0, p.b, a)
     e0, m0, p0 = inv0.energy, inv0.mass, inv0.momentum
     grad0 = inv0.grad_sq
@@ -179,19 +222,20 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
 
     record(0, f0)
     if not dt_ok:
-        traj.status = "blow-up"
-        return traj
+        return traj.stop("richardson-failed")
     for i in range(1, n_steps + 1):
         vhat = stepper.step(vhat)
+        traj.n_steps = i
+        due = i % cfg.record_every == 0 or i == n_steps
+        if not due and np.abs(vhat).sum() <= clean_l1:
+            continue
         v = np.fft.ifft(vhat)
-        if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > AMP_CAP:
-            traj.status = "blow-up"
+        reason = _blow_up(v)
+        if reason is not None:
             traj.times.append(i * dt)  # the offending state itself is not storable
-            return traj
-        if i % cfg.record_every == 0 or i == n_steps:
-            if record(i, Field(g, v)) > GRAD_FACTOR**2 * max(grad0, 1e-30):
-                traj.status = "blow-up"
-                return traj
+            return traj.stop(reason)
+        if due and record(i, Field(g, v)) > GRAD_FACTOR**2 * max(grad0, 1e-30):
+            return traj.stop("grad-growth")
     return traj
 
 

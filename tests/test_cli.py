@@ -130,6 +130,9 @@ def test_evolve_writes_artifacts(tmp_path):
     assert (out / "drift.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "ok"
+    assert summary["reason"] is None
+    assert summary["n_steps"] == round(0.05 / summary["dt_used"])
+    assert summary["dt_trail"]
     snaps = sorted(out.glob("snap_*.json"))
     assert snaps and load_field(snaps[0]).grid.N == 256
     header, *rows = (out / "drift.csv").read_text().strip().splitlines()
@@ -151,6 +154,9 @@ def test_evolve_blow_up_exits_2(tmp_path):
     assert code == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "blow-up"
+    # the CFL step for this amplitude is already below the dt floor
+    assert summary["reason"] == "richardson-failed"
+    assert summary["n_steps"] == 0 and summary["dt_trail"] == []
 
 
 def test_verify_quad_passes(capsys):

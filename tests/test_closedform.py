@@ -17,6 +17,7 @@ from dnls_well.closedform import (
     soliton_mass,
     soliton_momentum,
 )
+from dnls_well.oracle import mass_by_quadrature, momentum_by_quadrature
 from dnls_well.solitons import ModelParams, RegionError
 
 
@@ -29,6 +30,17 @@ def test_exact_constants():
     assert abs(mass_threshold(-3.0 / 32.0) - 8.0 * np.sqrt(2.0) * np.pi) < 1e-12
     assert abs(cosh_integral(1.0, 1) - 2.0) < 1e-12
     assert abs(cosh_integral(1.0, 2) - 2.0 / 3.0) < 1e-12
+
+
+def test_small_negative_gamma_near_s_minus_one_matches_quadrature():
+    # alpha - 1 ~ 1e-9 here: the mass as log(alpha + sqrt(alpha^2 - 1)) lost
+    # eight digits and the 1/gamma form of P turned that into 1.6% of P
+    p = ModelParams(3.0 * (-5e-7 - 1.0) / 16.0)
+    c = 2.0 * -0.9925
+    m, mom = soliton_mass(p, 1.0, c), soliton_momentum(p, 1.0, c)
+    scale = abs(m) + abs(mom)
+    assert abs(m - mass_by_quadrature(p, 1.0, c)) <= 1e-9 * scale
+    assert abs(mom - momentum_by_quadrature(p, 1.0, c)) <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("alpha", [-0.9, -0.3, 0.5, 0.999, 1.5, 10.0])

@@ -1,13 +1,15 @@
 """The pure-`math` closed forms against the numpy versions they replaced.
 
 The reference functions below are the earlier numpy implementation, kept
-verbatim (numpy ufuncs, `np.isclose` for the algebraic test).  Both paths
+verbatim (numpy ufuncs, `np.isclose` for the algebraic test), except for the
+gamma < 0 mass, which both sides now take in a form that does not cancel.  Both paths
 evaluate the same formulas, so they may differ only by the last-ulp
 differences of the libm calls.  Near gamma = 0 the 1/gamma form of the
 momentum amplifies such differences (3.5e-10 relative at gamma = -5e-7),
 so b with 1e-8 <= |gamma| < 1e-3 is left to the monotonicity and
 criterion checks instead.
 """
+import mpmath
 import numpy as np
 import pytest
 
@@ -86,8 +88,13 @@ def soliton_mass(p: ModelParams, omega: float, c: float) -> float:
     if g > 0:
         # (8/sqrt(g)) arctan sqrt((1+beta)/(1-beta)), stable form near beta = 1
         return 8.0 / np.sqrt(g) * _half_acos(-beta)
-    alpha = -beta
-    return 4.0 / np.sqrt(-g) * np.log(alpha + np.sqrt(alpha * alpha - 1.0))
+    # not verbatim: log(alpha + sqrt(alpha^2 - 1)) cancels as alpha -> 1, so
+    # the reference takes acosh(alpha) = log1p(delta + sqrt(delta (2 + delta)))
+    # with delta = alpha - 1 formed without cancelling, as the code now does
+    q = (2.0 * np.sqrt(omega) - c) * (2.0 * np.sqrt(omega) + c)
+    r = np.sqrt(c * c + g * q)
+    delta = -g * q / (r * (abs(c) + r))
+    return 4.0 / np.sqrt(-g) * np.log1p(delta + np.sqrt(delta * (2.0 + delta)))
 
 
 def soliton_momentum(p: ModelParams, omega: float, c: float) -> float:
@@ -149,3 +156,32 @@ def test_cosh_integral_matches_numpy_reference(power):
     for a in alphas:
         ref = cosh_integral(a, power)
         assert abs(cf.cosh_integral(a, power) - ref) <= 1e-12 * abs(ref), a
+
+
+# --- gamma < 0 mass against 50 digits ----------------------------------------
+
+
+def _mass_50_digits(p: ModelParams, c: float) -> float:
+    """(4/sqrt(-g)) acosh(alpha), alpha = |c| / sqrt(c^2 + g (4 - c^2)), omega = 1."""
+    with mpmath.workdps(50):
+        g, c = mpmath.mpf(p.gamma), mpmath.mpf(c)
+        alpha = abs(c) / mpmath.sqrt(c * c + g * (4 - c * c))
+        return float(4 / mpmath.sqrt(-g) * mpmath.acosh(alpha))
+
+
+@pytest.mark.parametrize(
+    "b",
+    [-0.3, -3.0 / 16.0 - 1e-3, 3.0 * (-5e-5 - 1.0) / 16.0, 3.0 * (-5e-7 - 1.0) / 16.0],
+    ids=["b=-0.3", "b=-3/16-1e-3", "gamma=-5e-5", "gamma=-5e-7"],
+)
+def test_negative_gamma_mass_matches_50_digits(b):
+    # the s -> -1 half of the grid, where alpha -> 1 and the plain
+    # log(alpha + sqrt(alpha^2 - 1)) lost up to 1.1e6 of |M| + |P|
+    p = ModelParams(b)
+    lo, hi, _ = cf.admissible_s_range(p)
+    grid = _s_grid(p)
+    for s in grid[grid < 0.5 * (lo + hi)]:
+        c = 2.0 * s
+        m = cf.soliton_mass(p, 1.0, c)
+        scale = 1e-15 * (abs(m) + abs(cf.soliton_momentum(p, 1.0, c)))
+        assert abs(m - _mass_50_digits(p, c)) <= scale, s

@@ -62,6 +62,9 @@ def test_drift_small_on_smooth_data(rng):
     cfg = EvolveConfig(b=0.1, t_end=0.1)
     traj = evolve(f, cfg)
     assert traj.status == "ok"
+    assert traj.reason is None
+    assert traj.n_steps == round(0.1 / traj.dt_used)
+    assert traj.dt_trail and traj.dt_used <= traj.dt_trail[-1]
     worst = max(max(row["dE"], row["dM"], row["dP"]) for row in traj.drift)
     assert worst < 1e-6
 
@@ -103,6 +106,9 @@ def test_blow_up_is_reported_not_raised():
     cfg = EvolveConfig(b=0.5, dt=0.05, t_end=1.0, adapt=False, record_every=1)
     traj = evolve(f, cfg)
     assert traj.status == "blow-up"
+    assert traj.reason == "amp-cap"
+    assert traj.n_steps == 1 and traj.times[-1] == pytest.approx(traj.dt_used)
+    assert len(traj.dt_trail) == 1 and traj.dt_used <= traj.dt_trail[0]
     assert traj.times[-1] <= 1.0
     for _, snap in traj.snapshots:
         assert np.all(np.isfinite(snap.values))

@@ -1,0 +1,122 @@
+"""The Lawson-RK4 stepper against the one it replaced, and the blow-up screen.
+
+`SeedStepper` below is the earlier implementation, kept verbatim: two
+inverse FFTs per stage and |v|^2, |v|^4 through np.abs.  The current
+stepper evaluates the same Lawson-RK4 step in a different order, so one
+step may differ only by rounding.  `evolve` no longer back-transforms
+every step to look for blow-up; the screen tests below check that the
+Fourier-side bound it uses instead lets no bad state through.
+"""
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from dnls_well import evolve as ev
+from dnls_well.evolve import AMP_CAP, EvolveConfig, _Stepper, evolve, kappa
+from dnls_well.field import Field, Grid, make_grid
+from dnls_well.solitons import ModelParams
+
+from conftest import random_smooth_field
+
+# --- earlier implementation, verbatim ----------------------------------------
+
+
+class SeedStepper:
+    """Precomputed Lawson-RK4 data for one (grid, dt, a, b)."""
+
+    def __init__(self, g: Grid, dt: float, p: ModelParams, a: float, dealias: float = 2.0 / 3.0):
+        self.dt = dt
+        self.a = a
+        self.kap = kappa(p, a)
+        self.ik = 1j * g.k
+        self.ik[g.N // 2] = 0.0
+        lam = -1j * g.k**2
+        self.e_half = np.exp(0.5 * dt * lam)
+        self.e_full = self.e_half**2
+        kmax = np.max(np.abs(g.k))
+        self.mask = (np.abs(g.k) <= dealias * kmax).astype(float)
+
+    def _nhat(self, vhat):
+        vh = self.mask * vhat
+        v = np.fft.ifft(vh)
+        vx = np.fft.ifft(self.ik * vh)
+        n = (
+            -(1.0 - 2.0 * self.a) * np.abs(v) ** 2 * vx
+            + 2.0 * self.a * v * v * np.conj(vx)
+            + 1j * self.kap * np.abs(v) ** 4 * v
+        )
+        return self.mask * np.fft.fft(n)
+
+    def step(self, vhat):
+        dt, eh, ef = self.dt, self.e_half, self.e_full
+        k1 = self._nhat(vhat)
+        k2 = self._nhat(eh * vhat + 0.5 * dt * eh * k1)
+        k3 = self._nhat(eh * vhat + 0.5 * dt * k2)
+        k4 = self._nhat(ef * vhat + dt * eh * k3)
+        return ef * vhat + dt / 6.0 * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
+
+
+# --- parity ------------------------------------------------------------------
+
+
+def _rel(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [512, 4096])
+@pytest.mark.parametrize("b", [0.0, 0.1, -0.1])
+@pytest.mark.parametrize("a", [0.0, 0.25, 0.1, -0.3])
+def test_step_matches_seed_stepper(a, b, n):
+    g = make_grid(20.0, n)
+    vhat = np.fft.fft(random_smooth_field(np.random.default_rng(n), g, amp=1.5).values)
+    p, dt = ModelParams(b), 1e-3
+    seed, new = SeedStepper(g, dt, p, a), _Stepper(g, dt, p, a)
+    ref = seed.step(vhat)
+    assert _rel(new.step(vhat), ref) <= 1e-13
+    # the nonlinearity alone: the step is mostly the integrating factor both
+    # share, which dilutes a difference in the stage evaluation by ~1e-3
+    assert _rel(new._nhat(vhat), seed._nhat(vhat)) <= 1e-13
+
+
+# --- blow-up screen ----------------------------------------------------------
+
+
+def _frozen_run(monkeypatch, state, f0):
+    """evolve() from f0 whose every step lands on `state`: three steps, of
+    which only the last is a record step, so the screen alone decides
+    whether the first two stop the run."""
+    g = f0.grid
+    monkeypatch.setattr(ev._Stepper, "step", lambda self, vhat: np.fft.fft(state))
+    cfg = EvolveConfig(b=0.0, adapt=False, record_every=10**9)
+    dt = min(cfg.dt, cfg.cfl * g.dx / (1.0 + np.max(np.abs(f0.values)) ** 2))
+    return evolve(f0, replace(cfg, t_end=2.5 * dt))
+
+
+def test_screen_flags_amplitude_just_above_cap(monkeypatch):
+    g = make_grid(20.0, 512)
+    state = np.exp(-g.x**2) * (AMP_CAP * (1.0 + 1e-9)) + 0j
+    f0 = random_smooth_field(np.random.default_rng(1), g, amp=0.5)
+    traj = _frozen_run(monkeypatch, state, f0)
+    assert (traj.status, traj.reason, traj.n_steps) == ("blow-up", "amp-cap", 1)
+
+
+def test_screen_flags_non_finite_state(monkeypatch):
+    g = make_grid(20.0, 512)
+    state = np.exp(-g.x**2) + 0j
+    state[7] = np.nan
+    f0 = random_smooth_field(np.random.default_rng(1), g, amp=0.5)
+    traj = _frozen_run(monkeypatch, state, f0)
+    assert (traj.status, traj.reason, traj.n_steps) == ("blow-up", "non-finite", 1)
+
+
+def test_screen_lets_large_l1_below_cap_run_on(monkeypatch):
+    # sum |v-hat| / N exceeds the cap, so every step takes the exact check,
+    # which finds max |v| below it
+    g = make_grid(20.0, 512)
+    phases = np.exp(2j * np.pi * np.random.default_rng(2).random(g.N))
+    state = np.fft.ifft(phases)
+    state *= 0.5 * AMP_CAP / np.max(np.abs(state))
+    assert np.abs(np.fft.fft(state)).sum() / g.N > AMP_CAP > np.max(np.abs(state))
+    traj = _frozen_run(monkeypatch, state, Field(g, state))
+    assert (traj.status, traj.reason, traj.n_steps) == ("ok", None, 3)
