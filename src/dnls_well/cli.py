@@ -148,6 +148,8 @@ def _cmd_evolve(args) -> int:
         "n_steps": traj.n_steps,
         "dt_used": traj.dt_used,
         "dt_trail": traj.dt_trail,
+        "peak_drift": traj.peak_drift,
+        "phase_s": traj.phase_s,
         "t_final": traj.times[-1],
         "apriori_bound": traj.apriori_bound,
         "k_signs": traj.k_signs,

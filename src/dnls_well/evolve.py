@@ -8,10 +8,18 @@ The evolution equation for v = G_a(u) is
 solved pseudospectrally with a Lawson (integrating-factor) RK4 step and
 2/3-rule dealiasing.  a = 0 is the original equation, a = 1/4 the frame
 where the well theory lives.
+
+With z = conj(v) v_x and rho = |v|^2 the nonlinearity is exactly v q,
+
+    q = (4a - 1) Re z + i (kappa rho^2 - Im z),
+
+since rho v_x = v z and v^2 conj(v_x) = v conj(z).  At a = 1/4 the real
+part drops out and q is purely imaginary.
 """
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,60 +53,106 @@ class EvolveConfig:
 
 
 class _Stepper:
-    """Precomputed Lawson-RK4 data for one (grid, dt, a, b).
+    """Precomputed Lawson-RK4 data and work arrays for one (grid, dt, a, b).
 
     A step makes four stages of one inverse FFT (v and v_x from a (2, N)
-    stack) and one forward FFT each: 8 FFT calls, 12 transforms.
+    stack) and one forward FFT each: 8 FFT calls, 12 transforms.  Every
+    stage writes into the work arrays, so a step allocates only the array
+    it returns; it never writes into its input.
     """
 
     def __init__(self, g: Grid, dt: float, p: ModelParams, a: float, dealias: float = 2.0 / 3.0):
+        n, k = g.N, g.k
         self.dt = dt
-        self.a = a
+        self.re_q = 4.0 * a - 1.0
         self.kap = kappa(p, a)
-        ik = 1j * g.k
-        ik[g.N // 2] = 0.0
-        kmax = np.max(np.abs(g.k))
-        self.mask = (np.abs(g.k) <= dealias * kmax).astype(float)
+        ik = 1j * k
+        ik[n // 2] = 0.0
+        kmax = np.max(np.abs(k))
+        self.mask = (np.abs(k) <= dealias * kmax).astype(float)
         # one multiplier turns v-hat into the stack [mask v-hat, mask ik v-hat]
         self.to_v_vx = np.stack([self.mask, self.mask * ik])
-        self.e_half = np.exp(-0.5j * dt * g.k**2)
+        self.e_half = np.exp(-0.5j * dt * k**2)
         self.e_full = self.e_half**2
         # the RK4 weights, with their integrating factors folded in
         self.h_half = 0.5 * dt * self.e_half
         self.h_full = dt * self.e_half
         self.w1 = dt / 6.0 * self.e_full
         self.w23 = dt / 3.0 * self.e_half
+        # work arrays: the stack before and after the inverse FFT, rho and
+        # a real scratch row, z, q, the four stages, e_half v-hat and the
+        # stage argument
+        self._stack = np.empty((2, n), complex)
+        self._v_vx = np.empty((2, n), complex)
+        self._rho = np.empty(n)
+        self._tmp = np.empty(n)
+        self._z = np.empty(n, complex)
+        self._q = np.empty(n, complex)
+        self._k = np.empty((4, n), complex)
+        self._ehv = np.empty(n, complex)
+        self._arg = np.empty(n, complex)
+        self._v, self._vx = self._v_vx
 
-    def _nhat(self, vhat):
-        """Dealiased transform of -(1-2a)|v|^2 v_x + 2a v^2 conj(v_x) + i kap |v|^4 v."""
-        v, vx = np.fft.ifft(self.to_v_vx * vhat)
-        rho = v.real * v.real + v.imag * v.imag
-        n = rho * ((2.0 * self.a - 1.0) * vx + 1j * self.kap * rho * v)
-        if self.a != 0.0:
-            n += 2.0 * self.a * v * v * np.conj(vx)
-        return self.mask * np.fft.fft(n)
+    def _nhat(self, vhat, out=None):
+        """Dealiased transform of the nonlinearity v q, into out (or a new array)."""
+        np.multiply(self.to_v_vx, vhat, out=self._stack)
+        np.fft.ifft(self._stack, out=self._v_vx)
+        v, vx, rho, tmp, z, q = self._v, self._vx, self._rho, self._tmp, self._z, self._q
+        np.multiply(v.real, v.real, out=rho)
+        np.multiply(v.imag, v.imag, out=tmp)
+        rho += tmp
+        np.conjugate(v, out=z)
+        z *= vx
+        np.multiply(z.real, self.re_q, out=q.real)
+        np.multiply(rho, rho, out=tmp)
+        tmp *= self.kap
+        np.subtract(tmp, z.imag, out=q.imag)
+        q *= v
+        out = np.fft.fft(q, out=out)
+        out *= self.mask
+        return out
 
     def step(self, vhat):
-        dt = self.dt
-        ehv = self.e_half * vhat
-        efv = self.e_full * vhat
-        k1 = self._nhat(vhat)
-        k2 = self._nhat(ehv + self.h_half * k1)
-        k3 = self._nhat(ehv + 0.5 * dt * k2)
-        k4 = self._nhat(efv + self.h_full * k3)
-        return efv + self.w1 * k1 + self.w23 * (k2 + k3) + dt / 6.0 * k4
+        k1, k2, k3, k4 = self._k
+        ehv, arg = self._ehv, self._arg
+        out = self.e_full * vhat  # e_full v-hat, then the result
+        np.multiply(self.e_half, vhat, out=ehv)
+        self._nhat(vhat, k1)
+        np.multiply(self.h_half, k1, out=arg)
+        arg += ehv
+        self._nhat(arg, k2)
+        np.multiply(k2, 0.5 * self.dt, out=arg)
+        arg += ehv
+        self._nhat(arg, k3)
+        np.multiply(self.h_full, k3, out=arg)
+        arg += out
+        self._nhat(arg, k4)
+        k1 *= self.w1
+        out += k1
+        k2 += k3
+        k2 *= self.w23
+        out += k2
+        k4 *= self.dt / 6.0
+        out += k4
+        return out
 
 
 @dataclass
 class Trajectory:
-    """What a run stored and why it stopped.
+    """What a run stored, why it stopped and where its time went.
 
     status is "ok" or "blow-up"; reason names the stop of a blow-up run:
-    "richardson-failed" (no dt above the floor meets the tolerance at t = 0),
-    "non-finite" or "amp-cap" (the state after a step), or "grad-growth"
-    (a recorded gradient grew past GRAD_FACTOR^2 times the initial one).
-    n_steps counts the steps taken and dt_trail the step sizes _tune_dt
-    tried; dt_used, the dt stepped, is t_end over a whole number of steps.
+    "dt-floor" (the CFL-capped dt is already at or below the floor, so no
+    Richardson test ran), "richardson-failed" (no dt above the floor meets
+    the tolerance at t = 0), "non-finite" or "amp-cap" (the state after a
+    step), or "grad-growth" (a recorded gradient grew past GRAD_FACTOR^2
+    times the initial one).  n_steps counts the steps taken and dt_trail
+    the step sizes _tune_dt tried (for "dt-floor", the capped dt); dt_used,
+    the dt stepped, is t_end over a whole number of steps.  peak_drift is
+    the largest dE, dM or dP over the records, and phase_s the seconds
+    spent in "tune" (dt tuning and stepper set-up), "step" (the stepping
+    loop and its blow-up checks, records excluded) and "record" (every
+    record, the t = 0 one included).
     """
 
     times: list = field(default_factory=list)
@@ -112,6 +166,8 @@ class Trajectory:
     dt_used: float = 0.0
     dt_trail: list = field(default_factory=list)
     apriori_bound: float | None = None
+    peak_drift: float = 0.0
+    phase_s: dict = field(default_factory=dict)
 
     @property
     def final(self) -> Field:
@@ -122,16 +178,19 @@ class Trajectory:
         return self
 
 
-def _tune_dt(vhat0, g: Grid, p: ModelParams, cfg: EvolveConfig) -> tuple[float, bool, list]:
-    """Pick the step size and list every dt tried (with adapt off, the one
-    dt picked); the flag is False when no dt above the floor meets the
-    Richardson tolerance (the data is numerically hopeless)."""
+def _tune_dt(vhat0, g: Grid, p: ModelParams, cfg: EvolveConfig) -> tuple[float, str | None, list]:
+    """Pick the step size; return it, the reason no usable dt exists (None
+    when one does) and every dt tried.  With adapt off the trail is the one
+    dt picked; "dt-floor" means the CFL-capped dt is already at or below the
+    floor (its trail is that dt), "richardson-failed" that no dt above the
+    floor meets the Richardson tolerance."""
     v0 = np.fft.ifft(vhat0)
     dt = min(cfg.dt, cfg.cfl * g.dx / (1.0 + float(np.max(np.abs(v0)) ** 2)))
     if not cfg.adapt:
-        return dt, True, [dt]
+        return dt, None, [dt]
+    if dt <= cfg.dt_floor:
+        return cfg.dt_floor, "dt-floor", [dt]
     scale = max(np.sqrt(l2_norm_sq(Field(g, v0))), 1e-30)
-    ok = False
     trail = []
     while dt > cfg.dt_floor:
         trail.append(dt)
@@ -142,10 +201,9 @@ def _tune_dt(vhat0, g: Grid, p: ModelParams, cfg: EvolveConfig) -> tuple[float, 
         with np.errstate(over="ignore", invalid="ignore"):
             err = np.sqrt(g.dx / g.N * np.sum(np.abs(coarse - vh) ** 2))
         if np.isfinite(err) and err / scale < cfg.adapt_tol:
-            ok = True
-            break
+            return dt, None, trail
         dt *= 0.5
-    return max(dt, cfg.dt_floor), ok, trail
+    return cfg.dt_floor, "richardson-failed", trail
 
 
 def _blow_up(v) -> str | None:
@@ -175,23 +233,28 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     v = G_{1/4-a}(u), the sign of the dilation functional K and the gradient
     ||v_x||^2 that the a-priori bound 8 S(v0) + (c^2/2) M(v0) controls.
     """
+    clock = time.perf_counter
+    t_start = clock()
     g = f0.grid
     p = ModelParams(cfg.b)
     a = cfg.gauge_a
     vhat = np.fft.fft(f0.values)
-    dt_tuned, dt_ok, trail = _tune_dt(vhat, g, p, cfg)
+    dt_tuned, unusable, trail = _tune_dt(vhat, g, p, cfg)
     n_steps = max(1, math.ceil(cfg.t_end / dt_tuned))
     dt = cfg.t_end / n_steps
     stepper = _Stepper(g, dt, p, a, cfg.dealias)
-    # |v_j| <= sum_k |v-hat_k| / N for numpy's ifft: below this (with room
-    # for rounding) the amplitude cap cannot be hit, and a non-finite v-hat
-    # fails the comparison, so only the other steps need the back-transform
+    # |v_j| <= sum_k |v-hat_k| / N <= sum_k (|Re v-hat_k| + |Im v-hat_k|) / N
+    # for numpy's ifft: below this (with room for rounding) the amplitude cap
+    # cannot be hit, and a non-finite v-hat fails the comparison, so only
+    # the other steps need the back-transform
     clean_l1 = g.N * AMP_CAP * (1.0 - 1e-9)
+    parts = np.empty(2 * g.N)
+    phase = {"tune": clock() - t_start, "step": 0.0, "record": 0.0}
 
     def well(f, inv):
         return inv if a == WELL_A else invariants(gauge_transform(f, WELL_A - a), p.b, WELL_A)
 
-    traj = Trajectory(dt_used=dt, dt_trail=trail)
+    traj = Trajectory(dt_used=dt, dt_trail=trail, phase_s=phase)
     inv0 = invariants(f0, p.b, a)
     e0, m0, p0 = inv0.energy, inv0.mass, inv0.momentum
     grad0 = inv0.grad_sq
@@ -204,39 +267,47 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
 
     def record(i, f) -> float:
         """Store the state of step i; returns its gradient norm squared."""
+        t_in = clock()
         t = i * dt
         inv = invariants(f, p.b, a)
-        traj.times.append(t)
-        traj.snapshots.append((t, f))
-        traj.drift.append({
+        drift = {
             "t": t,
             "dE": abs(inv.energy - e0) / scales[0],
             "dM": abs(inv.mass - m0) / scales[1],
             "dP": abs(inv.momentum - p0) / scales[2],
-        })
+        }
+        traj.times.append(t)
+        traj.snapshots.append((t, f))
+        traj.drift.append(drift)
+        traj.peak_drift = max(traj.peak_drift, drift["dE"], drift["dM"], drift["dP"])
         if monitor is not None:
             w = well(f, inv)
             traj.k_signs.append((t, k_sign(w, *monitor)))
             traj.grad_history.append((t, w.grad_sq))
+        phase["record"] += clock() - t_in
         return inv.grad_sq
 
     record(0, f0)
-    if not dt_ok:
-        return traj.stop("richardson-failed")
+    if unusable is not None:
+        return traj.stop(unusable)
+    t_loop, record_before = clock(), phase["record"]
+    reason = None
     for i in range(1, n_steps + 1):
         vhat = stepper.step(vhat)
         traj.n_steps = i
         due = i % cfg.record_every == 0 or i == n_steps
-        if not due and np.abs(vhat).sum() <= clean_l1:
+        if not due and np.abs(vhat.view(float), out=parts).sum() <= clean_l1:
             continue
         v = np.fft.ifft(vhat)
         reason = _blow_up(v)
         if reason is not None:
             traj.times.append(i * dt)  # the offending state itself is not storable
-            return traj.stop(reason)
+            break
         if due and record(i, Field(g, v)) > GRAD_FACTOR**2 * max(grad0, 1e-30):
-            return traj.stop("grad-growth")
-    return traj
+            reason = "grad-growth"
+            break
+    phase["step"] = clock() - t_loop - (phase["record"] - record_before)
+    return traj if reason is None else traj.stop(reason)
 
 
 def gauge_consistency(f0: Field, b: float, t_end: float, dt: float = 1e-3) -> float:

@@ -133,6 +133,8 @@ def test_evolve_writes_artifacts(tmp_path):
     assert summary["reason"] is None
     assert summary["n_steps"] == round(0.05 / summary["dt_used"])
     assert summary["dt_trail"]
+    assert summary["peak_drift"] >= 0.0
+    assert set(summary["phase_s"]) == {"tune", "step", "record"}
     snaps = sorted(out.glob("snap_*.json"))
     assert snaps and load_field(snaps[0]).grid.N == 256
     header, *rows = (out / "drift.csv").read_text().strip().splitlines()
@@ -155,8 +157,9 @@ def test_evolve_blow_up_exits_2(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "blow-up"
     # the CFL step for this amplitude is already below the dt floor
-    assert summary["reason"] == "richardson-failed"
-    assert summary["n_steps"] == 0 and summary["dt_trail"] == []
+    assert summary["reason"] == "dt-floor"
+    assert summary["n_steps"] == 0 and len(summary["dt_trail"]) == 1
+    assert summary["dt_trail"][0] <= 1e-8
 
 
 def test_verify_quad_passes(capsys):

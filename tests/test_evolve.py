@@ -1,10 +1,13 @@
 """Time integration: conservation, soliton propagation, diagnostics."""
+import time
+
 import numpy as np
 import pytest
 
 from dnls_well.evolve import (
     EvolveConfig,
     Trajectory,
+    _Stepper,
     evolve,
     gauge_consistency,
     kappa,
@@ -67,6 +70,38 @@ def test_drift_small_on_smooth_data(rng):
     assert traj.dt_trail and traj.dt_used <= traj.dt_trail[-1]
     worst = max(max(row["dE"], row["dM"], row["dP"]) for row in traj.drift)
     assert worst < 1e-6
+
+
+def test_peak_drift_and_phase_times(rng):
+    g = make_grid(20.0, 256)
+    f = random_smooth_field(rng, g, amp=0.5)
+    t0 = time.perf_counter()
+    traj = evolve(f, EvolveConfig(b=0.1, t_end=0.1, record_every=3), monitor=(1.0, 0.0))
+    wall = time.perf_counter() - t0
+    assert traj.peak_drift == max(max(r["dE"], r["dM"], r["dP"]) for r in traj.drift)
+    assert traj.peak_drift > 0.0
+    assert set(traj.phase_s) == {"tune", "step", "record"}
+    assert all(s >= 0.0 for s in traj.phase_s.values())
+    assert sum(traj.phase_s.values()) <= wall
+
+
+def test_data_too_large_for_the_floor_says_so():
+    g = make_grid(10.0, 128)
+    f = Field(g, 9e5 * np.exp(-g.x**2, dtype=complex))
+    traj = evolve(f, EvolveConfig(b=0.5, dt=0.05, t_end=1.0))
+    cap = 0.5 * g.dx / (1.0 + np.max(np.abs(f.values)) ** 2)
+    assert (traj.status, traj.reason, traj.n_steps) == ("blow-up", "dt-floor", 0)
+    assert traj.dt_trail == [pytest.approx(cap, rel=1e-12)] and cap <= 1e-8
+    assert traj.phase_s["step"] == 0.0
+
+
+def test_richardson_failure_keeps_its_reason(rng):
+    # a tolerance no step size can meet: the test runs, then gives up at the floor
+    g = make_grid(20.0, 256)
+    f = random_smooth_field(rng, g, amp=0.5)
+    traj = evolve(f, EvolveConfig(b=0.1, t_end=0.1, adapt_tol=0.0, dt_floor=1e-4))
+    assert (traj.status, traj.reason, traj.n_steps) == ("blow-up", "richardson-failed", 0)
+    assert len(traj.dt_trail) >= 1 and traj.dt_trail[-1] > 1e-4
 
 
 def test_standing_wave_rotates_in_place():
@@ -157,6 +192,56 @@ def test_adaptive_dt_no_larger_than_requested(rng):
     f = random_smooth_field(rng, g)
     traj = evolve(f, EvolveConfig(b=0.0, dt=1e-2, t_end=0.05))
     assert traj.dt_used <= 1e-2 + 1e-15
+
+
+# --- aliasing: a step owns its result, snapshots own their data ---------------
+
+
+def _stepper_and_state(rng, n=256, a=0.25):
+    g = make_grid(20.0, n)
+    vhat = np.fft.fft(random_smooth_field(rng, g, amp=0.8).values)
+    return g, _Stepper(g, 1e-3, ModelParams(0.1), a), vhat
+
+
+@pytest.mark.parametrize("a", [0.0, 0.25])
+def test_step_leaves_its_input_unchanged(rng, a):
+    _, st, vhat = _stepper_and_state(rng, a=a)
+    before = vhat.copy()
+    st.step(vhat)
+    st.step(vhat)
+    assert np.array_equal(vhat, before)
+
+
+def test_steps_return_fresh_arrays(rng):
+    _, st, vhat = _stepper_and_state(rng)
+    first = st.step(vhat)
+    kept = first.copy()
+    second = st.step(first)
+    buffers = [x for x in vars(st).values() if isinstance(x, np.ndarray)]
+    assert buffers
+    assert not np.shares_memory(first, second)
+    for out in (first, second):
+        assert not any(np.shares_memory(out, buf) for buf in buffers)
+    assert np.array_equal(first, kept)
+
+
+def test_every_snapshot_owns_its_data(rng):
+    g = make_grid(20.0, 256)
+    f = random_smooth_field(rng, g, amp=0.5)
+    p = ModelParams(0.1)
+    traj = evolve(f, EvolveConfig(b=p.b, gauge_a=0.25, t_end=0.01, record_every=1))
+    assert traj.status == "ok" and len(traj.snapshots) == traj.n_steps + 1 >= 3
+    values = [snap.values for _, snap in traj.snapshots]
+    for i, x in enumerate(values):
+        for y in values[i + 1:]:
+            assert not np.shares_memory(x, y)
+    # an independent re-run, one fresh stepper, reproduces every snapshot
+    st = _Stepper(g, traj.dt_used, p, 0.25)
+    vhat = np.fft.fft(f.values)
+    assert np.array_equal(values[0], f.values)
+    for x in values[1:]:
+        vhat = st.step(vhat)
+        assert np.array_equal(x, np.fft.ifft(vhat))
 
 
 def test_gauge_consistency_small(rng):
