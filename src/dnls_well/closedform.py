@@ -177,15 +177,3 @@ def admissible_s_range(p: ModelParams) -> tuple[float, float, bool]:
     if p.gamma > 0:
         return -1.0, 1.0, True
     return -1.0, -s_lower(p), False
-
-
-def d_monotonicity_scan(b: float, s_samples) -> list[tuple[float, float]]:
-    """Table of (s, d(1, 2s)) over admissible samples."""
-    p = ModelParams(b)
-    lo, hi, closed = admissible_s_range(p)
-    out = []
-    for s in s_samples:
-        if not (lo < s < hi or (closed and s == hi)):
-            raise RegionError(f"s={s} outside admissible range for b={b}")
-        out.append((float(s), d_value(p, 1.0, 2.0 * s)))
-    return out

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,10 +38,12 @@ class Grid:
     def x(self) -> np.ndarray:
         return -self.L + self.dx * np.arange(self.N)
 
-    @property
+    @cached_property
     def k(self) -> np.ndarray:
-        """Angular wavenumbers in FFT order."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.dx)
+        """Angular wavenumbers in FFT order, computed once and read-only."""
+        k = 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.dx)
+        k.setflags(write=False)
+        return k
 
 
 def make_grid(L: float, N: int) -> Grid:

@@ -169,6 +169,15 @@ def test_verify_quad_passes(capsys):
     assert all(c["error"] < c["tol"] for c in res["checks"])
 
 
+@pytest.mark.parametrize("suite", ["mass", "momentum"])
+def test_verify_scalar_suite_passes(capsys, suite):
+    assert main(["verify", "--suite", suite]) == 0
+    res = json.loads(capsys.readouterr().out)
+    assert res["suite"] == suite and res["pass"] is True
+    assert len(res["checks"]) == 20
+    assert all(c["error"] < c["tol"] for c in res["checks"])
+
+
 def test_verify_gauge_passes(capsys):
     assert main(["verify", "--suite", "gauge"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True

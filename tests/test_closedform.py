@@ -9,7 +9,6 @@ from dnls_well.closedform import (
     admissible_s_range,
     cosh_integral,
     curve_beta,
-    d_monotonicity_scan,
     d_value,
     mass_threshold,
     s_star,
@@ -190,8 +189,3 @@ def test_admissible_s_range():
     assert admissible_s_range(ModelParams(0.0)) == (-1.0, 1.0, True)
     lo, hi, closed = admissible_s_range(ModelParams(-0.5))
     assert lo == -1.0 and not closed and -1.0 < hi < 0.0
-
-
-def test_d_monotonicity_scan_rejects_bad_s():
-    with pytest.raises(RegionError):
-        d_monotonicity_scan(-0.5, [0.5])

@@ -36,6 +36,16 @@ def test_grid_geometry():
     assert g.x[-1] == pytest.approx(10.0 - g.dx)
 
 
+def test_grid_wavenumbers_cached_and_read_only():
+    g = make_grid(10.0, 64)
+    k = g.k
+    assert g.k is k
+    np.testing.assert_array_equal(k, 2.0 * np.pi * np.fft.fftfreq(64, g.dx))
+    with pytest.raises(ValueError):
+        k[0] = 1.0
+    assert make_grid(10.0, 64) == g  # the cache is not part of equality
+
+
 def test_field_shape_and_finiteness():
     g = make_grid(5.0, 16)
     with pytest.raises(GridError):

@@ -1,9 +1,10 @@
-"""scipy stays off the import path of every subcommand except `verify`.
+"""scipy stays off the import path of every subcommand but `verify --suite ode`.
 
 Each case runs `cli.main` in a fresh interpreter and reports whether any
-scipy module got loaded.  `verify --suite quad` is the control: it runs
-the quadrature oracle, so it must load scipy, which shows that the guard
-can fail.
+scipy module got loaded.  The quadrature suites (`quad`, `mass`,
+`momentum`) run the numpy double-exponential rule and must load none.
+`verify --suite ode` is the control: the shooting oracle integrates with
+`solve_ivp`, so it must load scipy, which shows that the guard can fail.
 """
 import json
 import os
@@ -67,6 +68,9 @@ CASES = {
                                    "--monitor-omega", "1", "--monitor-c", "0.4",
                                    "--out", str(d / "traj")],
     "verify_gauge": lambda d, sol, rnd: ["verify", "--suite", "gauge"],
+    "verify_quad": lambda d, sol, rnd: ["verify", "--suite", "quad"],
+    "verify_mass": lambda d, sol, rnd: ["verify", "--suite", "mass"],
+    "verify_momentum": lambda d, sol, rnd: ["verify", "--suite", "momentum"],
 }
 
 
@@ -77,7 +81,7 @@ def test_subcommand_loads_no_scipy(files, name):
     assert res["scipy"] == []
 
 
-def test_guard_sees_scipy_in_quadrature_suite():
-    res = _run(["verify", "--suite", "quad"])
+def test_guard_sees_scipy_in_shooting_suite():
+    res = _run(["verify", "--suite", "ode"])
     assert res["code"] == 0
     assert "scipy.integrate" in res["scipy"]
