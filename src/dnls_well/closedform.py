@@ -1,13 +1,14 @@
 """Exact scalar formulas for the soliton family.
 
-Mass, momentum, energy and the action value d(omega, c) all reduce to the
-two cosh integrals
+`_mass_momentum(p, omega, c)` checks the existence region and reads gamma
+once, computes the mass M once and forms the momentum P from it; mass,
+momentum, energy E = -(c/4) P and d = (M + s P)/2 at (1, 2s) call it.  The
+first matching mass branch applies (q = 4 omega - c^2):
 
-    I1(a) = int dy / (cosh y + a),   I2(a) = int dy / (cosh y + a)^2,
-
-each with an arctan branch (|a| < 1), a constant at a = 1, and a log branch
-(a > 1).  The mass branches are keyed by the sign of gamma, with the
-algebraic soliton c = 2 sqrt(omega) handled separately.
+  gamma > 0, c = 2 sqrt(omega) : 4 pi / sqrt(gamma), the algebraic soliton
+  |gamma| < _GAMMA_EPS         : 4 sqrt(q) / (-c), the gamma = 0 limit
+  gamma > 0                    : (4 / sqrt(gamma)) acos(-c / sqrt(c^2 + gamma q))
+  gamma < 0                    : (4 / sqrt(-gamma)) acosh(|c| / sqrt(c^2 + gamma q))
 """
 from __future__ import annotations
 
@@ -59,54 +60,50 @@ def cosh_integral(alpha: float, power: int) -> float:
     return -2.0 / r + 2.0 * alpha * lg / r**1.5
 
 
-def curve_beta(p: ModelParams, omega: float, c: float) -> float:
-    """beta(omega, c) = c / sqrt(c^2 + gamma (4 omega - c^2)); alpha = -beta."""
-    return c / math.sqrt(c * c + p.gamma * (4.0 * omega - c * c))
-
-
 def _require_region(p: ModelParams, omega: float, c: float) -> None:
     if not existence_region(p, omega, c):
-        raise RegionError(
-            f"(omega={omega}, c={c}) outside existence region for b={p.b}"
-        )
+        raise RegionError(f"(omega={omega}, c={c}) outside existence region for b={p.b}")
+
+
+def _mass_momentum(p: ModelParams, omega: float, c: float) -> tuple[float, float]:
+    """(M, P) of phi_{omega,c}, branchwise in gamma; M is computed once."""
+    _require_region(p, omega, c)
+    g = p.gamma
+    small = abs(g) < _GAMMA_EPS
+    if g > 0 and is_algebraic(omega, c):
+        m = 4.0 * math.pi / math.sqrt(g)
+    elif small:
+        m = 4.0 * math.sqrt(4.0 * omega - c * c) / (-c)
+    elif g > 0:
+        # (8/sqrt(g)) arctan sqrt((1+beta)/(1-beta)), stable form near beta = 1
+        beta = c / math.sqrt(c * c + g * (4.0 * omega - c * c))
+        m = 8.0 / math.sqrt(g) * _half_acos(-beta)
+    else:
+        # acosh(alpha) = log1p(delta + ...), alpha = |c| / r: delta = alpha - 1 is
+        # formed without cancelling, which matters for small |g| and for s -> -1
+        rw = 2.0 * math.sqrt(omega)
+        q = (rw - c) * (rw + c)
+        r = math.sqrt(c * c + g * q)
+        delta = -g * q / (r * (abs(c) + r))
+        m = 4.0 / math.sqrt(-g) * math.log1p(delta + math.sqrt(delta * (2.0 + delta)))
+    if small:
+        return m, -(2.0 * omega + c * c) / (3.0 * c) * m
+    return m, 0.5 * c * (-1.0 + 1.0 / g) * m + 2.0 / g * math.sqrt(max(4.0 * omega - c * c, 0.0))
 
 
 def soliton_mass(p: ModelParams, omega: float, c: float) -> float:
-    """M(phi_{omega,c}), branchwise in gamma."""
-    _require_region(p, omega, c)
-    g = p.gamma
-    if g > 0 and is_algebraic(omega, c):
-        return 4.0 * math.pi / math.sqrt(g)
-    if abs(g) < _GAMMA_EPS:
-        return 4.0 * math.sqrt(4.0 * omega - c * c) / (-c)
-    if g > 0:
-        # (8/sqrt(g)) arctan sqrt((1+beta)/(1-beta)), stable form near beta = 1
-        return 8.0 / math.sqrt(g) * _half_acos(-curve_beta(p, omega, c))
-    # (4/sqrt(-g)) acosh(alpha), alpha = -beta = |c| / r, written in
-    # delta = alpha - 1 = (c^2 - r^2) / (r (|c| + r)): alpha - 1 is formed
-    # without cancelling, which matters for small |g| and for s -> -1
-    rw = 2.0 * math.sqrt(omega)
-    q = (rw - c) * (rw + c)
-    r = math.sqrt(c * c + g * q)
-    delta = -g * q / (r * (abs(c) + r))
-    return 4.0 / math.sqrt(-g) * math.log1p(delta + math.sqrt(delta * (2.0 + delta)))
+    """M(phi_{omega,c})."""
+    return _mass_momentum(p, omega, c)[0]
 
 
 def soliton_momentum(p: ModelParams, omega: float, c: float) -> float:
     """P(phi_{omega,c}); the same formula covers gamma > 0 and gamma < 0."""
-    _require_region(p, omega, c)
-    g = p.gamma
-    m = soliton_mass(p, omega, c)
-    if abs(g) < _GAMMA_EPS:
-        return -(2.0 * omega + c * c) / (3.0 * c) * m
-    return 0.5 * c * (-1.0 + 1.0 / g) * m + 2.0 / g * math.sqrt(
-        max(4.0 * omega - c * c, 0.0)
-    )
+    return _mass_momentum(p, omega, c)[1]
 
 
 def soliton_energy(p: ModelParams, omega: float, c: float) -> float:
     """Pohozaev identity: E = -(c/4) P on the soliton family."""
-    return -0.25 * c * soliton_momentum(p, omega, c)
+    return -0.25 * c * _mass_momentum(p, omega, c)[1]
 
 
 def d_value(p: ModelParams, omega: float, c: float) -> float:
@@ -117,8 +114,8 @@ def d_value(p: ModelParams, omega: float, c: float) -> float:
     """
     _require_region(p, omega, c)
     s = c / (2.0 * math.sqrt(omega))
-    c1 = 2.0 * s
-    return omega * 0.5 * (soliton_mass(p, 1.0, c1) + s * soliton_momentum(p, 1.0, c1))
+    m, mom = _mass_momentum(p, 1.0, 2.0 * s)
+    return omega * 0.5 * (m + s * mom)
 
 
 def s_star(b: float) -> float:

@@ -66,12 +66,10 @@ class _Stepper:
         self.dt = dt
         self.re_q = 4.0 * a - 1.0
         self.kap = kappa(p, a)
-        ik = 1j * k
-        ik[n // 2] = 0.0
         kmax = np.max(np.abs(k))
         self.mask = (np.abs(k) <= dealias * kmax).astype(float)
         # one multiplier turns v-hat into the stack [mask v-hat, mask ik v-hat]
-        self.to_v_vx = np.stack([self.mask, self.mask * ik])
+        self.to_v_vx = np.stack([self.mask, self.mask * g.ik])
         self.e_half = np.exp(-0.5j * dt * k**2)
         self.e_full = self.e_half**2
         # the RK4 weights, with their integrating factors folded in

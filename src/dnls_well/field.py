@@ -45,6 +45,15 @@ class Grid:
         k.setflags(write=False)
         return k
 
+    @cached_property
+    def ik(self) -> np.ndarray:
+        """Derivative multiplier 1j k, computed once and read-only.  The Nyquist
+        mode is zeroed: for even N its derivative is not representable."""
+        ik = 1j * self.k
+        ik[self.N // 2] = 0.0
+        ik.setflags(write=False)
+        return ik
+
 
 def make_grid(L: float, N: int) -> Grid:
     return Grid(float(L), int(N))
@@ -72,15 +81,8 @@ class Field:
 
 
 def spectral_derivative(f: Field) -> Field:
-    """Fourier-collocation d/dx; exact for band-limited trigonometric data.
-
-    The Nyquist mode is zeroed: for even N its derivative is not
-    representable on the collocation grid.
-    """
-    g = f.grid
-    ik = 1j * g.k
-    ik[g.N // 2] = 0.0
-    return Field(g, np.fft.ifft(ik * np.fft.fft(f.values)))
+    """Fourier-collocation d/dx with `Grid.ik`; exact for band-limited data."""
+    return Field(f.grid, np.fft.ifft(f.grid.ik * np.fft.fft(f.values)))
 
 
 def integrate(samples: np.ndarray, grid: Grid) -> float:

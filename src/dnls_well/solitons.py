@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,7 @@ class ModelParams:
 
     b: float
 
-    @property
+    @cached_property
     def gamma(self) -> float:
         return 1.0 + (16.0 / 3.0) * self.b
 
@@ -95,9 +96,11 @@ def phi_sq(sp: SolitonParams, x) -> np.ndarray:
     if sp.algebraic:
         return 4.0 * c / ((c * x) ** 2 + g)
     q = 4.0 * w - c * c
-    # far tails overflow cosh to inf; the quotient correctly underflows to 0
+    r, y = np.sqrt(c * c + g * q), np.sqrt(q) * x
+    # r cosh y - c, for c > 0 as g q/(r + c) + 2 r sinh^2(y/2), which does not
+    # cancel at small g; far tails overflow to inf and the quotient underflows to 0
     with np.errstate(over="ignore"):
-        denom = np.sqrt(c * c + g * q) * np.cosh(np.sqrt(q) * x) - c
+        denom = g * q / (r + c) + 2.0 * r * np.sinh(0.5 * y) ** 2 if c > 0 else r * np.cosh(y) - c
         return 2.0 * q / denom
 
 

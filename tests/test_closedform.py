@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from dnls_well.closedform import (
     admissible_s_range,
     cosh_integral,
-    curve_beta,
     d_value,
     mass_threshold,
     s_star,
@@ -58,12 +57,6 @@ def test_cosh_integral_branch_continuity(power):
     above = cosh_integral(1.0 + eps, power)
     assert abs(below - at) < 1e-6
     assert abs(above - at) < 1e-6
-
-
-def test_curve_beta_range():
-    p = ModelParams(0.0)
-    assert curve_beta(p, 1.0, 2.0) == pytest.approx(1.0)
-    assert curve_beta(p, 1.0, 0.0) == 0.0
 
 
 def test_region_enforced():

@@ -46,6 +46,19 @@ def test_grid_wavenumbers_cached_and_read_only():
     assert make_grid(10.0, 64) == g  # the cache is not part of equality
 
 
+def test_grid_derivative_multiplier_cached_and_read_only():
+    g = make_grid(10.0, 64)
+    ik = g.ik
+    assert g.ik is ik
+    assert not ik.flags.writeable
+    # the multiplier spectral_derivative used to build on every call
+    old = 1j * g.k
+    old[g.N // 2] = 0.0
+    np.testing.assert_array_equal(ik, old)
+    with pytest.raises(ValueError):
+        ik[0] = 1.0
+
+
 def test_field_shape_and_finiteness():
     g = make_grid(5.0, 16)
     with pytest.raises(GridError):
