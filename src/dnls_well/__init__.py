@@ -1,17 +1,7 @@
-"""Soliton and potential-well toolkit for a derivative NLS with quintic term."""
+"""Soliton and potential-well toolkit for a derivative NLS with quintic term.
 
-from .field import Field, Grid, load_field, make_grid, save_field
-from .solitons import ModelParams, RegionError, SolitonParams
-
-__all__ = [
-    "Field",
-    "Grid",
-    "load_field",
-    "make_grid",
-    "save_field",
-    "ModelParams",
-    "RegionError",
-    "SolitonParams",
-]
+The package root imports nothing: each module loads only what it uses, so
+that a process pays for numpy only when it runs code that needs it.
+"""
 
 __version__ = "0.1.0"

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 domain error (bad parameters), 2 numerical failure,
 64 usage error.
+
+Each subcommand imports the modules it runs when it runs, so `threshold` and
+`scan`, which need only the closed forms, start without numpy.
 """
 from __future__ import annotations
 
@@ -9,27 +12,9 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 
-import numpy as np
-
-from . import closedform, functionals, oracle
-from .classifier import classify_thm17
-from .evolve import EvolveConfig, evolve, gauge_consistency
-from .field import GridError, load_field, make_grid, save_field, to_json_dict
-from .functionals import Frame
-from .gauge import gauge_transform
-from .oracle import QuadratureError, ShootingError, adaptive_quad
-from .solitons import (
-    ModelParams,
-    RegionError,
-    SolitonParams,
-    phi_sq,
-    sample_capital_phi,
-    sample_phi,
-    sample_varphi,
-    suggested_half_length,
-)
+from . import closedform
+from .closedform import ModelParams
 
 USAGE_EXIT = 64
 
@@ -46,6 +31,9 @@ def _fmt(v: float) -> str:
 
 
 def _cmd_soliton(args) -> int:
+    from .field import make_grid, save_field
+    from .solitons import SolitonParams, sample_capital_phi, sample_phi, sample_varphi
+
     sp = SolitonParams(ModelParams(args.b), args.omega, args.c)
     g = make_grid(args.L, args.N)
     sampler = {
@@ -58,8 +46,11 @@ def _cmd_soliton(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .field import load_field
+    from .functionals import Frame, report
+
     f = load_field(args.field)
-    rep = functionals.report(
+    rep = report(
         f, ModelParams(args.b), args.omega, args.c, Frame(args.frame)
     )
     json.dump(rep.to_dict(), sys.stdout)
@@ -68,6 +59,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_gauge(args) -> int:
+    from .field import load_field, save_field
+    from .gauge import gauge_transform
+
     f = load_field(getattr(args, "in"))
     save_field(gauge_transform(f, args.a), args.out)
     return 0
@@ -81,11 +75,28 @@ _SCAN_FUNCS = {
 }
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """np.linspace(lo, hi, n) for n >= 2 in plain floats, bit for bit.
+
+    Like numpy, point i is i*step + lo, or (i/(n-1))*(hi-lo) + lo when the
+    step rounds to 0, and the last point is hi exactly.
+    """
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:
+        pts = [i / div * delta + lo for i in range(n)]
+    else:
+        pts = [i * step + lo for i in range(n)]
+    pts[-1] = hi
+    return pts
+
+
 def _cmd_scan(args) -> int:
     p = ModelParams(args.b)
     if args.steps < 2:
         raise ValueError("steps must be >= 2")
-    s_values = np.linspace(args.s_from, args.s_to, args.steps)
+    s_values = _linspace(args.s_from, args.s_to, args.steps)
     fn = _SCAN_FUNCS[args.quantity]
     values = [fn(p, 1.0, 2.0 * s) for s in s_values]
 
@@ -110,11 +121,17 @@ def _cmd_threshold(args) -> int:
 
 
 def _parse_s_grid(text: str):
+    import numpy as np
+
     lo, hi, n = text.split(":")
     return np.linspace(float(lo), float(hi), int(n)).tolist()
 
 
 def _cmd_classify(args) -> int:
+    from .classifier import classify_thm17
+    from .field import load_field
+    from .functionals import Frame
+
     f = load_field(args.field)
     s_grid = _parse_s_grid(args.s_grid) if args.s_grid else None
     res = classify_thm17(f, ModelParams(args.b), s_grid, Frame(args.frame))
@@ -124,6 +141,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    from pathlib import Path
+
+    from .evolve import EvolveConfig, evolve
+    from .field import load_field, save_field
+
     f = load_field(args.field)
     cfg = EvolveConfig(b=args.b, gauge_a=args.a, dt=args.dt, t_end=args.t_end)
     monitor = None
@@ -162,6 +184,10 @@ def _cmd_evolve(args) -> int:
 
 
 def _verify_quad() -> dict:
+    import numpy as np
+
+    from .oracle import adaptive_quad
+
     checks = []
     v = adaptive_quad(lambda y: 1.0 / (np.cosh(y) + 1.0), -np.inf, np.inf)
     checks.append({"name": "cosh+1", "error": abs(v - 2.0), "tol": 1e-10})
@@ -174,6 +200,11 @@ def _verify_quad() -> dict:
 
 
 def _verify_ode() -> dict:
+    import numpy as np
+
+    from . import oracle
+    from .solitons import SolitonParams, phi_sq
+
     checks = []
     p = ModelParams(0.0)
     x, phi = oracle.ode_profile(p, 1.0, 0.0, half_length=15.0, n=512)
@@ -205,6 +236,10 @@ def _sample_triples(rng, gamma_positive: bool, n=10):
 
 
 def _verify_scalar(name: str, seed: int) -> dict:
+    import numpy as np
+
+    from . import oracle
+
     rng = np.random.default_rng(seed)
     closed = {
         "mass": closedform.soliton_mass,
@@ -226,6 +261,10 @@ def _verify_scalar(name: str, seed: int) -> dict:
 
 
 def _verify_gauge() -> dict:
+    from .evolve import gauge_consistency
+    from .field import make_grid
+    from .solitons import SolitonParams, sample_phi, suggested_half_length
+
     sp = SolitonParams(ModelParams(0.05), 1.0, 0.4)
     L = suggested_half_length(sp)
     g = make_grid(L, 512)
@@ -328,12 +367,14 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # RegionError and GridError subclass ValueError, QuadratureError and
+    # ShootingError RuntimeError, so the subcommands' own errors land here
     try:
         return args.fn(args)
-    except (RegionError, GridError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (FileNotFoundError, KeyError, ValueError) as exc:
         print(f"dnls-well: domain error: {exc}", file=sys.stderr)
         return 1
-    except (QuadratureError, ShootingError, RuntimeError, ArithmeticError) as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"dnls-well: numerical failure: {exc}", file=sys.stderr)
         return 2
 

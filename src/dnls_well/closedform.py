@@ -9,12 +9,59 @@ first matching mass branch applies (q = 4 omega - c^2):
   |gamma| < _GAMMA_EPS         : 4 sqrt(q) / (-c), the gamma = 0 limit
   gamma > 0                    : (4 / sqrt(gamma)) acos(-c / sqrt(c^2 + gamma q))
   gamma < 0                    : (4 / sqrt(-gamma)) acosh(|c| / sqrt(c^2 + gamma q))
+
+The scalar parameter layer (`ModelParams`, `RegionError`, the existence
+region) lives here too, so that this module runs on plain `math` and the
+closed-form subcommands load no numpy.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 
-from .solitons import ModelParams, RegionError, existence_region, is_algebraic, s_lower
+
+class RegionError(ValueError):
+    """Parameters outside the soliton existence region."""
+
+
+@dataclass(frozen=True)
+class ModelParams:
+    """Quintic coefficient b and derived gamma = 1 + 16b/3."""
+
+    b: float
+
+    @cached_property
+    def gamma(self) -> float:
+        return 1.0 + (16.0 / 3.0) * self.b
+
+
+def s_lower(p: ModelParams) -> float:
+    """Velocity-parameter bound s_* = sqrt(-gamma/(1-gamma)) for gamma <= 0."""
+    g = p.gamma
+    if g > 0:
+        raise RegionError("s_* is defined only for gamma <= 0 (b <= -3/16)")
+    return math.sqrt(-g / (1.0 - g))
+
+
+def existence_region(p: ModelParams, omega: float, c: float) -> bool:
+    """Admissibility of (omega, c).
+
+    gamma > 0 : -2 sqrt(omega) < c <= 2 sqrt(omega)
+    gamma <= 0: -2 sqrt(omega) < c < -2 s_* sqrt(omega)
+    """
+    if omega <= 0:
+        raise RegionError(f"omega must be positive, got {omega}")
+    rw = 2.0 * math.sqrt(omega)
+    if p.gamma > 0:
+        return -rw < c <= rw
+    return -rw < c < -s_lower(p) * rw
+
+
+def is_algebraic(omega: float, c: float) -> bool:
+    """c = 2 sqrt(omega) to 1e-13 relative: the algebraic soliton."""
+    rw = 2.0 * math.sqrt(omega)
+    return c > 0 and abs(c - rw) <= 1e-13 * rw
 
 # Eq-2.31's 1/gamma has a finite limit as gamma -> 0; below this threshold
 # the dedicated gamma = 0 formula is used to avoid cancellation.

@@ -160,6 +160,7 @@ def _shoot_once(p: ModelParams, omega: float, c: float, peak: float, half_length
         (0.0, half_length),
         [peak, 0.0],
         events=(crossed, bounced, exploded),
+        method="DOP853",
         rtol=1e-13,
         atol=1e-16,
         dense_output=True,

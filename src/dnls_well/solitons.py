@@ -1,4 +1,4 @@
-"""Closed-form traveling-wave profiles and their existence region.
+"""Closed-form traveling-wave profiles; their existence region is in closedform.
 
 The model is i u_t + u_xx + i|u|^2 u_x + b|u|^4 u = 0 with gamma = 1 + 16b/3.
 Profiles come in three gauges:
@@ -14,55 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
+# the scalar parameter layer lives in closedform; re-exported here
+from .closedform import ModelParams, RegionError, existence_region, is_algebraic, s_lower  # noqa: F401
 from .field import Field, Grid
 from .gauge import gauge_transform
-
-
-class RegionError(ValueError):
-    """Parameters outside the soliton existence region."""
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Quintic coefficient b and derived gamma = 1 + 16b/3."""
-
-    b: float
-
-    @cached_property
-    def gamma(self) -> float:
-        return 1.0 + (16.0 / 3.0) * self.b
-
-
-def s_lower(p: ModelParams) -> float:
-    """Velocity-parameter bound s_* = sqrt(-gamma/(1-gamma)) for gamma <= 0."""
-    g = p.gamma
-    if g > 0:
-        raise RegionError("s_* is defined only for gamma <= 0 (b <= -3/16)")
-    return math.sqrt(-g / (1.0 - g))
-
-
-def existence_region(p: ModelParams, omega: float, c: float) -> bool:
-    """Admissibility of (omega, c).
-
-    gamma > 0 : -2 sqrt(omega) < c <= 2 sqrt(omega)
-    gamma <= 0: -2 sqrt(omega) < c < -2 s_* sqrt(omega)
-    """
-    if omega <= 0:
-        raise RegionError(f"omega must be positive, got {omega}")
-    rw = 2.0 * math.sqrt(omega)
-    if p.gamma > 0:
-        return -rw < c <= rw
-    return -rw < c < -s_lower(p) * rw
-
-
-def is_algebraic(omega: float, c: float) -> bool:
-    """c = 2 sqrt(omega) to 1e-13 relative: the algebraic soliton."""
-    rw = 2.0 * math.sqrt(omega)
-    return c > 0 and abs(c - rw) <= 1e-13 * rw
 
 
 @dataclass(frozen=True)
@@ -164,8 +122,3 @@ def algebraic_tail_l4(sp: SolitonParams, L: float) -> float:
     inner = (np.pi / (2.0 * rg) - np.arctan(u / rg) / rg - u / (u * u + g)) / (2.0 * g)
     return 32.0 * c * inner
 
-
-def algebraic_half_length(sp: SolitonParams, tol: float) -> float:
-    """Half-length so the analytic tail mass is below tol."""
-    c, g = sp.c, sp.params.gamma
-    return float(np.tan(np.pi / 2.0 - tol * np.sqrt(g) / 8.0) * np.sqrt(g) / c)

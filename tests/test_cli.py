@@ -86,6 +86,24 @@ def test_scan_csv_strictly_increasing(capsys):
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize(
+    "s_from, s_to, steps",
+    [
+        (-0.73, 0.91, 37),  # ascending
+        (0.9, -0.85, 17),  # descending
+        (0.1, 0.5, 2),
+        (0.3, 0.3, 4),  # s_from == s_to: the step is 0
+        (0.0, 5e-324, 4),  # the step underflows to 0 with s_from != s_to
+    ],
+)
+def test_scan_grid_is_numpy_linspace_bit_for_bit(capsys, s_from, s_to, steps):
+    assert main(["scan", "--b", "0.1", "--quantity", "d", f"--s-from={s_from!r}",
+                 f"--s-to={s_to!r}", "--steps", str(steps)]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    printed = [float(row.split(",")[0]).hex() for row in rows]
+    assert printed == [s.hex() for s in np.linspace(s_from, s_to, steps).tolist()]
+
+
 def test_scan_csv_17_digits_and_file_output(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["scan", "--b", "0.1", "--quantity", "d",

@@ -1,10 +1,17 @@
-"""scipy stays off the import path of every subcommand but `verify --suite ode`.
+"""Each subcommand loads only what it runs.
 
-Each case runs `cli.main` in a fresh interpreter and reports whether any
-scipy module got loaded.  The quadrature suites (`quad`, `mass`,
-`momentum`) run the numpy double-exponential rule and must load none.
-`verify --suite ode` is the control: the shooting oracle integrates with
-`solve_ivp`, so it must load scipy, which shows that the guard can fail.
+Each case runs `cli.main` in a fresh interpreter and reports which scipy and
+numpy modules got loaded.
+
+scipy stays off the import path of every subcommand but `verify --suite ode`.
+The quadrature suites (`quad`, `mass`, `momentum`) run the numpy
+double-exponential rule and must load none.  `verify --suite ode` is the
+control: the shooting oracle integrates with `solve_ivp`, so it must load
+scipy, which shows that the guard can fail.
+
+numpy stays off the import path of the package root and of the closed-form
+subcommands `threshold` and `scan`.  `soliton`, which samples a profile on a
+grid, is the control that must load numpy.
 """
 import json
 import os
@@ -27,7 +34,8 @@ import contextlib, io, json, sys
 from dnls_well import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+loaded = {pkg: sorted(m for m in sys.modules if m.split(".")[0] == pkg) for pkg in ("scipy", "numpy")}
+print(json.dumps({"code": code, **loaded}))
 """
 
 
@@ -43,14 +51,18 @@ def files(tmp_path_factory):
     return d, str(sol), str(rnd)
 
 
-def _run(argv):
+def _python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        [sys.executable, *args],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _run(argv):
+    return _python("-c", _PROBE, json.dumps(argv))
 
 
 CASES = {
@@ -85,3 +97,22 @@ def test_guard_sees_scipy_in_shooting_suite():
     res = _run(["verify", "--suite", "ode"])
     assert res["code"] == 0
     assert "scipy.integrate" in res["scipy"]
+
+
+@pytest.mark.parametrize("name", ["scan", "threshold"])
+def test_closed_form_subcommand_loads_no_numpy(files, name):
+    res = _run(CASES[name](*files))
+    assert res["code"] == 0
+    assert res["numpy"] == []
+
+
+def test_package_root_loads_no_numpy():
+    res = _python("-c", "import json, sys, dnls_well; "
+                        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')))")
+    assert res == []
+
+
+def test_guard_sees_numpy_in_soliton(files):
+    res = _run(CASES["soliton"](*files))
+    assert res["code"] == 0
+    assert "numpy" in res["numpy"]

@@ -7,7 +7,6 @@ from dnls_well.solitons import (
     ModelParams,
     RegionError,
     SolitonParams,
-    algebraic_half_length,
     algebraic_tail_l4,
     algebraic_tail_mass,
     existence_region,
@@ -120,12 +119,6 @@ def test_algebraic_tail_models_match_quadrature():
     assert algebraic_tail_mass(sp, L) == pytest.approx(2.0 * ref, rel=1e-10)
     ref4, _ = quad(lambda x: phi_sq(sp, x) ** 2, L, np.inf)
     assert algebraic_tail_l4(sp, L) == pytest.approx(2.0 * ref4, rel=1e-10)
-
-
-def test_algebraic_half_length_hits_tolerance():
-    sp = SolitonParams(ModelParams(0.0), 1.0, 2.0)
-    L = algebraic_half_length(sp, 1e-3)
-    assert algebraic_tail_mass(sp, L) == pytest.approx(1e-3, rel=1e-6)
 
 
 def test_suggested_half_length_rejects_algebraic():
