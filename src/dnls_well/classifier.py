@@ -226,7 +226,7 @@ def classify_thm17(
     )
 
 
-def _case_ii_witness(si: Invariants, p: ModelParams, s: float = 1.0):
+def _case_ii_witness(si: Invariants, p: ModelParams, s: float):
     """Doubling search for mu with action gap < 0 and K > 0 at (mu^2, 2 s mu).
 
     Such a point certifies membership in A+.  Returns mu, or None if none is

@@ -148,9 +148,7 @@ def _cmd_evolve(args) -> int:
 
     f = load_field(args.field)
     cfg = EvolveConfig(b=args.b, gauge_a=args.a, dt=args.dt, t_end=args.t_end)
-    monitor = None
-    if args.monitor_omega is not None and args.monitor_c is not None:
-        monitor = (args.monitor_omega, args.monitor_c)
+    monitor = None if args.monitor_omega is None else (args.monitor_omega, args.monitor_c)
     traj = evolve(f, cfg, monitor=monitor)
 
     out = Path(args.out)
@@ -217,16 +215,16 @@ def _verify_ode() -> dict:
     return _verdict("ode", checks)
 
 
-def _sample_triples(rng, gamma_positive: bool, n=10):
+def _sample_triples(rng, gamma_positive: bool):
+    """Ten random (b, omega, c) in the existence region, on one side of gamma = 0."""
     triples = []
-    while len(triples) < n:
+    while len(triples) < 10:
         if gamma_positive:
             b = rng.uniform(-3.0 / 16.0 + 0.02, 0.5)
             s = rng.uniform(-0.95, 0.95)
         else:
             b = rng.uniform(-0.6, -3.0 / 16.0 - 0.02)
-            p = ModelParams(b)
-            sl = math.sqrt(-p.gamma / (1.0 - p.gamma))
+            sl = closedform.s_lower(ModelParams(b))
             if sl > 0.9:
                 continue
             s = rng.uniform(-0.95, -sl - 0.02)
@@ -269,7 +267,7 @@ def _verify_gauge() -> dict:
     L = suggested_half_length(sp)
     g = make_grid(L, 512)
     f = sample_phi(sp, g)
-    dist = gauge_consistency(f, 0.05, t_end=0.05, dt=1e-3)
+    dist = gauge_consistency(f, 0.05, t_end=0.05)
     return _verdict("gauge", [{"name": "cross-check L2", "error": dist, "tol": 1e-5}])
 
 
@@ -367,6 +365,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.cmd == "evolve" and (args.monitor_omega is None) != (args.monitor_c is None):
+        parser.error("evolve: --monitor-omega and --monitor-c go together")
     # RegionError and GridError subclass ValueError, QuadratureError and
     # ShootingError RuntimeError, so the subcommands' own errors land here
     try:

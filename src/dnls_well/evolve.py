@@ -32,6 +32,10 @@ from .solitons import ModelParams, phi_one_two
 
 AMP_CAP = 1e6
 GRAD_FACTOR = 1e4
+DEALIAS = 2.0 / 3.0  # the 2/3 rule: modes above DEALIAS * k_max are zeroed
+CFL = 0.5  # dt <= CFL dx / (1 + max |v0|^2)
+ADAPT_TOL = 1e-9  # Richardson tolerance, relative L^2
+DT_FLOOR = 1e-8  # no dt at or below this is stepped
 
 
 def kappa(p: ModelParams, a: float) -> float:
@@ -44,12 +48,13 @@ class EvolveConfig:
     gauge_a: float = 0.0
     dt: float = 1e-3
     t_end: float = 1.0
-    dealias: float = 2.0 / 3.0
     record_every: int = 10
-    cfl: float = 0.5
-    adapt: bool = True
-    adapt_tol: float = 1e-9
-    dt_floor: float = 1e-8
+
+    def __post_init__(self):
+        # the chained comparisons are false for nan as well
+        finite = 0.0 < self.t_end < math.inf and 0.0 < self.dt < math.inf
+        if not (finite and self.record_every >= 1):
+            raise ValueError(f"need finite t_end, dt > 0 and record_every >= 1: {self}")
 
 
 class _Stepper:
@@ -61,13 +66,13 @@ class _Stepper:
     it returns; it never writes into its input.
     """
 
-    def __init__(self, g: Grid, dt: float, p: ModelParams, a: float, dealias: float = 2.0 / 3.0):
+    def __init__(self, g: Grid, dt: float, p: ModelParams, a: float):
         n, k = g.N, g.k
         self.dt = dt
         self.re_q = 4.0 * a - 1.0
         self.kap = kappa(p, a)
         kmax = np.max(np.abs(k))
-        self.mask = (np.abs(k) <= dealias * kmax).astype(float)
+        self.mask = (np.abs(k) <= DEALIAS * kmax).astype(float)
         # one multiplier turns v-hat into the stack [mask v-hat, mask ik v-hat]
         self.to_v_vx = np.stack([self.mask, self.mask * g.ik])
         self.e_half = np.exp(-0.5j * dt * k**2)
@@ -178,30 +183,27 @@ class Trajectory:
 
 def _tune_dt(vhat0, g: Grid, p: ModelParams, cfg: EvolveConfig) -> tuple[float, str | None, list]:
     """Pick the step size; return it, the reason no usable dt exists (None
-    when one does) and every dt tried.  With adapt off the trail is the one
-    dt picked; "dt-floor" means the CFL-capped dt is already at or below the
-    floor (its trail is that dt), "richardson-failed" that no dt above the
-    floor meets the Richardson tolerance."""
+    when one does) and every dt tried.  "dt-floor" means the CFL-capped dt
+    is already at or below DT_FLOOR (its trail is that dt),
+    "richardson-failed" that no dt above the floor meets ADAPT_TOL."""
     v0 = np.fft.ifft(vhat0)
-    dt = min(cfg.dt, cfg.cfl * g.dx / (1.0 + float(np.max(np.abs(v0)) ** 2)))
-    if not cfg.adapt:
-        return dt, None, [dt]
-    if dt <= cfg.dt_floor:
-        return cfg.dt_floor, "dt-floor", [dt]
+    dt = min(cfg.dt, CFL * g.dx / (1.0 + float(np.max(np.abs(v0)) ** 2)))
+    if dt <= DT_FLOOR:
+        return DT_FLOOR, "dt-floor", [dt]
     scale = max(np.sqrt(l2_norm_sq(Field(g, v0))), 1e-30)
     trail = []
-    while dt > cfg.dt_floor:
+    while dt > DT_FLOOR:
         trail.append(dt)
-        coarse = _Stepper(g, dt, p, cfg.gauge_a, cfg.dealias).step(vhat0)
-        fine = _Stepper(g, 0.5 * dt, p, cfg.gauge_a, cfg.dealias)
+        coarse = _Stepper(g, dt, p, cfg.gauge_a).step(vhat0)
+        fine = _Stepper(g, 0.5 * dt, p, cfg.gauge_a)
         vh = fine.step(fine.step(vhat0))
         # Parseval: ||diff||_L2 from the FFT coefficients directly
         with np.errstate(over="ignore", invalid="ignore"):
             err = np.sqrt(g.dx / g.N * np.sum(np.abs(coarse - vh) ** 2))
-        if np.isfinite(err) and err / scale < cfg.adapt_tol:
+        if np.isfinite(err) and err / scale < ADAPT_TOL:
             return dt, None, trail
         dt *= 0.5
-    return cfg.dt_floor, "richardson-failed", trail
+    return DT_FLOOR, "richardson-failed", trail
 
 
 def _blow_up(v) -> str | None:
@@ -216,7 +218,7 @@ def _blow_up(v) -> str | None:
 def step(f: Field, cfg: EvolveConfig) -> Field:
     """One integrating-factor RK4 step of the gauge-a equation."""
     p = ModelParams(cfg.b)
-    st = _Stepper(f.grid, cfg.dt, p, cfg.gauge_a, cfg.dealias)
+    st = _Stepper(f.grid, cfg.dt, p, cfg.gauge_a)
     out = np.fft.ifft(st.step(np.fft.fft(f.values)))
     if _blow_up(out) is not None:
         raise FloatingPointError("numerical blow-up in a single step")
@@ -240,7 +242,7 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     dt_tuned, unusable, trail = _tune_dt(vhat, g, p, cfg)
     n_steps = max(1, math.ceil(cfg.t_end / dt_tuned))
     dt = cfg.t_end / n_steps
-    stepper = _Stepper(g, dt, p, a, cfg.dealias)
+    stepper = _Stepper(g, dt, p, a)
     # |v_j| <= sum_k |v-hat_k| / N <= sum_k (|Re v-hat_k| + |Im v-hat_k|) / N
     # for numpy's ifft: below this (with room for rounding) the amplitude cap
     # cannot be hit, and a non-finite v-hat fails the comparison, so only
@@ -308,10 +310,10 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     return traj if reason is None else traj.stop(reason)
 
 
-def gauge_consistency(f0: Field, b: float, t_end: float, dt: float = 1e-3) -> float:
+def gauge_consistency(f0: Field, b: float, t_end: float) -> float:
     """L^2 distance between evolve-then-gauge and gauge-then-evolve."""
-    cfg0 = EvolveConfig(b=b, gauge_a=0.0, dt=dt, t_end=t_end, record_every=10**9)
-    cfg4 = EvolveConfig(b=b, gauge_a=0.25, dt=dt, t_end=t_end, record_every=10**9)
+    cfg0 = EvolveConfig(b=b, gauge_a=0.0, t_end=t_end, record_every=10**9)
+    cfg4 = EvolveConfig(b=b, gauge_a=0.25, t_end=t_end, record_every=10**9)
     u = evolve(f0, cfg0).final
     path1 = gauge_transform(u, 0.25)
     v = evolve(gauge_transform(f0, 0.25), cfg4).final

@@ -38,6 +38,8 @@ class ShootingError(RuntimeError):
 _T_MAX = 4.5
 _MIN_LEVELS = 3
 _MAX_LEVELS = 12
+QUAD_TOL = 1e-10  # successive levels agree to max(QUAD_TOL, QUAD_TOL |I|)
+_PEAK_TOL = 1e-15  # shooting bisection stops at a relative bracket of this width
 
 
 def _de_nodes(kind: str, a: float, b: float, t: np.ndarray):
@@ -64,15 +66,15 @@ def _de_nodes(kind: str, a: float, b: float, t: np.ndarray):
     return x[keep], w[keep]
 
 
-def adaptive_quad(f, a, b, tol: float = 1e-10) -> float:
+def adaptive_quad(f, a, b) -> float:
     """Double-exponential quadrature of f over [a, b]; a, b may be +-inf.
 
     f takes an ndarray of abscissas.  Each level halves the step h and
     evaluates f only at the new nodes.  The result is returned once two
-    successive levels, from the third on, agree to max(tol, tol |I|).
+    successive levels, from the third on, agree to max(QUAD_TOL, QUAD_TOL |I|).
     """
     if a > b:
-        return -adaptive_quad(f, b, a, tol)
+        return -adaptive_quad(f, b, a)
     if np.isinf(a) and np.isinf(b):
         # two half-lines from 0, each carrying f(x) + f(-x)
         def g(x):
@@ -96,28 +98,26 @@ def adaptive_quad(f, a, b, tol: float = 1e-10) -> float:
             if not np.isfinite(est):
                 raise QuadratureError(f"non-finite quadrature sum at level {level}")
             diff = abs(est - prev)
-            if level >= _MIN_LEVELS - 1 and diff <= max(tol, tol * abs(est)):
+            if level >= _MIN_LEVELS - 1 and diff <= max(QUAD_TOL, QUAD_TOL * abs(est)):
                 return est
             prev = est
     raise QuadratureError(f"no convergence in {_MAX_LEVELS} levels: last two differ by {diff:.3g}")
 
 
-def mass_by_quadrature(p: ModelParams, omega: float, c: float, tol: float = 1e-10) -> float:
+def mass_by_quadrature(p: ModelParams, omega: float, c: float) -> float:
     """int Phi^2 dx via the explicit integrand, independent of branch formulas."""
     sp = SolitonParams(p, omega, c)
-    return adaptive_quad(lambda x: phi_sq(sp, x), -np.inf, np.inf, tol)
+    return adaptive_quad(lambda x: phi_sq(sp, x), -np.inf, np.inf)
 
 
-def l4_by_quadrature(p: ModelParams, omega: float, c: float, tol: float = 1e-10) -> float:
+def l4_by_quadrature(p: ModelParams, omega: float, c: float) -> float:
     sp = SolitonParams(p, omega, c)
-    return adaptive_quad(lambda x: phi_sq(sp, x) ** 2, -np.inf, np.inf, tol)
+    return adaptive_quad(lambda x: phi_sq(sp, x) ** 2, -np.inf, np.inf)
 
 
-def momentum_by_quadrature(p: ModelParams, omega: float, c: float, tol: float = 1e-10) -> float:
+def momentum_by_quadrature(p: ModelParams, omega: float, c: float) -> float:
     """P = -(c/2) M(Phi) + (1/4) ||Phi||_4^4, both terms by quadrature."""
-    return -0.5 * c * mass_by_quadrature(p, omega, c, tol) + 0.25 * l4_by_quadrature(
-        p, omega, c, tol
-    )
+    return -0.5 * c * mass_by_quadrature(p, omega, c) + 0.25 * l4_by_quadrature(p, omega, c)
 
 
 def _shoot_once(p: ModelParams, omega: float, c: float, peak: float, half_length: float):
@@ -174,12 +174,7 @@ def _shoot_once(p: ModelParams, omega: float, c: float, peak: float, half_length
 
 
 def ode_profile(
-    p: ModelParams,
-    omega: float,
-    c: float,
-    half_length: float,
-    n: int,
-    peak_tol: float = 1e-15,
+    p: ModelParams, omega: float, c: float, half_length: float, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample points and even profile values over [-half_length, half_length).
 
@@ -206,7 +201,7 @@ def ode_profile(
         amp *= 2.0
     if hi is None:
         raise ShootingError("failed to bracket the shooting amplitude")
-    while hi - lo > peak_tol * max(1.0, hi):
+    while hi - lo > _PEAK_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         status, _ = _shoot_once(p, omega, c, mid, shoot_length)
         if status == "cross":

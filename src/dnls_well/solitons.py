@@ -62,12 +62,16 @@ def phi_sq(sp: SolitonParams, x) -> np.ndarray:
         return 2.0 * q / denom
 
 
-def suggested_half_length(sp: SolitonParams, tail: float = 1e-12) -> float:
-    """Half-length so that Phi(L)^2 < tail; exponential regime only."""
+def suggested_half_length(sp: SolitonParams) -> float:
+    """Half-length 30/sqrt(4 omega - c^2); exponential regime only.
+
+    Phi^2 decays like (4q/r) exp(-sqrt(q) |x|), with q = 4 omega - c^2 and
+    r = sqrt(c^2 + gamma q), so at L it is about 1e-13 (4q/r): below 1e-12
+    for the O(1) profiles used here.
+    """
     if sp.algebraic:
         raise RegionError("algebraic profile has 1/x decay; choose L by tail mass")
-    q = 4.0 * sp.omega - sp.c**2
-    return max(30.0 / np.sqrt(q), -np.log(tail) / np.sqrt(q))
+    return 30.0 / np.sqrt(4.0 * sp.omega - sp.c**2)
 
 
 def sample_capital_phi(sp: SolitonParams, g: Grid) -> Field:

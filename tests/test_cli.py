@@ -180,6 +180,26 @@ def test_evolve_blow_up_exits_2(tmp_path):
     assert summary["dt_trail"][0] <= 1e-8
 
 
+def test_evolve_negative_t_end_is_domain_error(tmp_path):
+    path = _soliton_file(tmp_path, n=256)
+    out = tmp_path / "traj"
+    assert main(["evolve", "--field", str(path), "--b", "0",
+                 "--t-end=-0.5", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given", [["--monitor-omega", "1"], ["--monitor-c", "0.4"]])
+def test_evolve_half_a_monitor_is_usage_error(tmp_path, capsys, given):
+    path = _soliton_file(tmp_path, n=256)
+    out = tmp_path / "traj"
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--field", str(path), "--b", "0", "--t-end", "0.01",
+              "--out", str(out), *given])
+    assert exc.value.code == 64
+    assert "--monitor-omega and --monitor-c" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_quad_passes(capsys):
     assert main(["verify", "--suite", "quad"]) == 0
     res = json.loads(capsys.readouterr().out)

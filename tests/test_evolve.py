@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from dnls_well import evolve as ev
 from dnls_well.evolve import (
     EvolveConfig,
     Trajectory,
@@ -95,11 +96,13 @@ def test_data_too_large_for_the_floor_says_so():
     assert traj.phase_s["step"] == 0.0
 
 
-def test_richardson_failure_keeps_its_reason(rng):
+def test_richardson_failure_keeps_its_reason(rng, monkeypatch):
     # a tolerance no step size can meet: the test runs, then gives up at the floor
+    monkeypatch.setattr(ev, "ADAPT_TOL", 0.0)
+    monkeypatch.setattr(ev, "DT_FLOOR", 1e-4)
     g = make_grid(20.0, 256)
     f = random_smooth_field(rng, g, amp=0.5)
-    traj = evolve(f, EvolveConfig(b=0.1, t_end=0.1, adapt_tol=0.0, dt_floor=1e-4))
+    traj = evolve(f, EvolveConfig(b=0.1, t_end=0.1))
     assert (traj.status, traj.reason, traj.n_steps) == ("blow-up", "richardson-failed", 0)
     assert len(traj.dt_trail) >= 1 and traj.dt_trail[-1] > 1e-4
 
@@ -135,10 +138,19 @@ def test_single_step_preserves_mass(rng):
     assert l2_norm_sq(out) == pytest.approx(l2_norm_sq(f), rel=1e-10)
 
 
-def test_blow_up_is_reported_not_raised():
+def _cfl_dt_only(vhat0, g, p, cfg):
+    """_tune_dt without its Richardson test: the CFL-capped dt."""
+    dt = min(cfg.dt, ev.CFL * g.dx / (1.0 + float(np.max(np.abs(np.fft.ifft(vhat0)))) ** 2))
+    return dt, None, [dt]
+
+
+def test_blow_up_is_reported_not_raised(monkeypatch):
+    # the Richardson test would settle on dt ~ 4e-8 here, some 2e7 steps;
+    # step with the CFL-capped dt instead, which meets the blow-up at once
+    monkeypatch.setattr(ev, "_tune_dt", _cfl_dt_only)
     g = make_grid(10.0, 128)
     f = Field(g, 30.0 * np.exp(-g.x**2, dtype=complex))
-    cfg = EvolveConfig(b=0.5, dt=0.05, t_end=1.0, adapt=False, record_every=1)
+    cfg = EvolveConfig(b=0.5, dt=0.05, t_end=1.0, record_every=1)
     traj = evolve(f, cfg)
     assert traj.status == "blow-up"
     assert traj.reason == "amp-cap"
@@ -185,6 +197,25 @@ def test_evolve_lands_on_t_end(rng, t_end):
     assert traj.status == "ok"
     assert traj.times[-1] == pytest.approx(t_end, rel=1e-12)
     assert traj.dt_used <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"t_end": -0.5},  # would step backwards
+        {"t_end": 0.0},  # would take one step of size 0
+        {"t_end": float("inf")},
+        {"t_end": float("nan")},
+        {"dt": 0.0},  # would be reported as a dt-floor blow-up
+        {"dt": -1e-3},
+        {"dt": float("nan")},
+        {"record_every": 0},  # would divide by zero
+        {"record_every": -1},
+    ],
+)
+def test_config_rejects_impossible_runs(bad):
+    with pytest.raises(ValueError):
+        EvolveConfig(b=0.1, **bad)
 
 
 def test_adaptive_dt_no_larger_than_requested(rng):

@@ -37,6 +37,20 @@ def test_quad_finite_interval():
 
 
 @pytest.mark.parametrize(
+    "f, a, b, exact",
+    [
+        (np.exp, -np.inf, 0.0, 1.0),  # the 'lower' map on (-inf, b]
+        (lambda x: x**-2.0, 1.0, np.inf, 1.0),  # a half-line 'upper' map from a != 0
+        (np.sin, math.pi, 0.0, -2.0),  # reversed limits
+        (lambda x: np.exp(-x * x), -np.inf, 1.0, 0.5 * math.sqrt(math.pi) * (1.0 + math.erf(1.0))),
+    ],
+    ids=["lower", "upper-from-1", "reversed", "lower-gauss"],
+)
+def test_quad_half_lines_and_reversed_limits(f, a, b, exact):
+    assert abs(adaptive_quad(f, a, b) - exact) < 1e-12
+
+
+@pytest.mark.parametrize(
     "b,omega,c",
     [(0.0, 1.0, 0.5), (0.1, 1.5, -0.4), (-0.5, 1.0, -1.9), (-3.0 / 16.0, 1.0, -0.8)],
 )
@@ -86,4 +100,4 @@ def test_algebraic_not_shootable():
 
 def test_quad_error_propagates():
     with pytest.raises(QuadratureError):
-        adaptive_quad(lambda y: np.sin(y * y) / (abs(y) + 1e-300) ** 0.999, -np.inf, np.inf, tol=1e-13)
+        adaptive_quad(lambda y: np.sin(y * y) / (abs(y) + 1e-300) ** 0.999, -np.inf, np.inf)
