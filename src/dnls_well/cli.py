@@ -207,11 +207,12 @@ def _verify_ode() -> dict:
     p = ModelParams(0.0)
     x, phi = oracle.ode_profile(p, 1.0, 0.0, half_length=15.0, n=512)
     checks.append({"name": "peak b=0", "error": abs(phi[len(phi) // 2] - 2.0), "tol": 1e-7})
-    p = ModelParams(3.0 / 16.0)
-    sp = SolitonParams(p, 1.0, 1.0)
-    x, phi = oracle.ode_profile(p, 1.0, 1.0, half_length=20.0, n=1024)
-    err = float(np.max(np.abs(phi - np.sqrt(phi_sq(sp, x)))))
-    checks.append({"name": "pointwise b=3/16", "error": err, "tol": 1e-6})
+    for name, b, c in (("b=3/16", 3.0 / 16.0, 1.0), ("b=-2", -2.0, -1.94)):
+        p = ModelParams(b)
+        sp = SolitonParams(p, 1.0, c)
+        x, phi = oracle.ode_profile(p, 1.0, c, half_length=20.0, n=1024)
+        err = float(np.max(np.abs(phi - np.sqrt(phi_sq(sp, x)))))
+        checks.append({"name": f"pointwise {name}", "error": err, "tol": 1e-6})
     return _verdict("ode", checks)
 
 

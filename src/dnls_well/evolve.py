@@ -36,6 +36,7 @@ DEALIAS = 2.0 / 3.0  # the 2/3 rule: modes above DEALIAS * k_max are zeroed
 CFL = 0.5  # dt <= CFL dx / (1 + max |v0|^2)
 ADAPT_TOL = 1e-9  # Richardson tolerance, relative L^2
 DT_FLOOR = 1e-8  # no dt at or below this is stepped
+MAX_STEPS = 10**6  # no run that needs more steps than this is stepped
 
 
 def kappa(p: ModelParams, a: float) -> float:
@@ -146,16 +147,17 @@ class Trajectory:
 
     status is "ok" or "blow-up"; reason names the stop of a blow-up run:
     "dt-floor" (the CFL-capped dt is already at or below the floor, so no
-    Richardson test ran), "richardson-failed" (no dt above the floor meets
-    the tolerance at t = 0), "non-finite" or "amp-cap" (the state after a
-    step), or "grad-growth" (a recorded gradient grew past GRAD_FACTOR^2
-    times the initial one).  n_steps counts the steps taken and dt_trail
-    the step sizes _tune_dt tried (for "dt-floor", the capped dt); dt_used,
-    the dt stepped, is t_end over a whole number of steps.  peak_drift is
-    the largest dE, dM or dP over the records, and phase_s the seconds
-    spent in "tune" (dt tuning and stepper set-up), "step" (the stepping
-    loop and its blow-up checks, records excluded) and "record" (every
-    record, the t = 0 one included).
+    Richardson test ran), "richardson-failed" (no dt above the floor meets the
+    tolerance at t = 0), "step-budget" (the tuned dt needs more than MAX_STEPS
+    steps, so none is taken), "non-finite" or "amp-cap" (the state after a
+    step), or "grad-growth" (a recorded gradient grew past GRAD_FACTOR^2 times
+    the initial one).  n_steps counts the steps taken and dt_trail the step
+    sizes _tune_dt tried (for "dt-floor", the capped dt); dt_used, the dt
+    stepped, is t_end over a whole number of steps.  peak_drift is the largest
+    dE, dM or dP over the records, and phase_s the seconds spent in "tune" (dt
+    tuning and stepper set-up), "step" (the stepping loop and its blow-up
+    checks, records excluded) and "record" (every record, the t = 0 one
+    included).
     """
 
     times: list = field(default_factory=list)
@@ -241,6 +243,8 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     vhat = np.fft.fft(f0.values)
     dt_tuned, unusable, trail = _tune_dt(vhat, g, p, cfg)
     n_steps = max(1, math.ceil(cfg.t_end / dt_tuned))
+    if unusable is None and n_steps > MAX_STEPS:
+        unusable = "step-budget"
     dt = cfg.t_end / n_steps
     stepper = _Stepper(g, dt, p, a)
     # |v_j| <= sum_k |v-hat_k| / N <= sum_k (|Re v-hat_k| + |Im v-hat_k|) / N

@@ -1,10 +1,11 @@
 """Independent verification back-ends.
 
 Two routes that never touch the closed-form branch logic: double-exponential
-quadrature of the explicit integrands, and a shooting solver for the
+quadrature of the explicit integrands, and a Newton solver for the
 double-power profile ODE
 
-    -Phi'' + (omega - c^2/4) Phi + (c/2) Phi^3 - (3 gamma/16) Phi^5 = 0.
+    -Phi'' + a2 Phi + a4 Phi^3 + a6 Phi^5 = 0,
+    a2 = omega - c^2/4,  a4 = c/2,  a6 = -3 gamma/16.
 
 The quadrature is the double-exponential rule of Takahasi and Mori (Publ.
 RIMS 9 (1974) 721): the trapezoid rule in t after a change of variables
@@ -13,14 +14,17 @@ finite [a, b], exp-sinh a half-line, and the whole line is split at 0 into
 two exp-sinh half-lines.  The integrand is called on an ndarray of nodes
 and must return an array of the same shape.
 
-Shooting bisects on the peak value Phi(0) with Phi'(0) = 0: amplitudes that
-bounce (Phi' hits 0 at positive Phi) are too small, amplitudes that drive
-Phi through zero are too large.
+The profile solver is Newton's method on Fourier collocation (Boyd,
+Chebyshev and Fourier Spectral Methods, 2001; J. Yang, Nonlinear Waves in
+Integrable and Nonintegrable Systems, 2010) over even functions, which
+removes the translation kernel of the Jacobian, on a periodic grid that runs
+12 decay lengths past the window.  An RK4 shooting bisection seeds it.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .field import make_grid
 from .solitons import ModelParams, RegionError, SolitonParams, phi_sq
 
 
@@ -39,7 +43,10 @@ _T_MAX = 4.5
 _MIN_LEVELS = 3
 _MAX_LEVELS = 12
 QUAD_TOL = 1e-10  # successive levels agree to max(QUAD_TOL, QUAD_TOL |I|)
-_PEAK_TOL = 1e-15  # shooting bisection stops at a relative bracket of this width
+_SEED_TOL = 1e-3  # the RK4 seed's bisection stops at a relative bracket of this width
+_NEWTON_TOL = 1e-11  # Newton stops at a step of at most this times max Phi
+_NEWTON_MAX = 20
+_PEAK_GUARD = 1e-2  # Newton's peak may move this far, relative, from the seed's
 
 
 def _de_nodes(kind: str, a: float, b: float, t: np.ndarray):
@@ -120,57 +127,62 @@ def momentum_by_quadrature(p: ModelParams, omega: float, c: float) -> float:
     return -0.5 * c * mass_by_quadrature(p, omega, c) + 0.25 * l4_by_quadrature(p, omega, c)
 
 
-def _shoot_once(p: ModelParams, omega: float, c: float, peak: float, half_length: float):
-    """Integrate the profile ODE from x = 0; classify the failure mode.
-
-    Returns (status, sol) with status in {'decay', 'bounce', 'cross'}.
+def _seed(f, rate: float, dx: float, m: int) -> np.ndarray:
+    """Coarse profile at x_j = j dx, j = 0..m: RK4 shots of Phi'' = f(Phi) from
+    Phi(0) = A, Phi'(0) = 0, bisected on A, with the linear tail past the shot's
+    minimum.  Too small: a minimum after a fall (a gamma < 0 shot below the
+    peak may rise first).  Too large: Phi reaches 0 or runs off.
     """
-    from scipy.integrate import solve_ivp
 
-    a2 = omega - 0.25 * c * c
-    a4 = 0.5 * c
-    a6 = -3.0 / 16.0 * p.gamma
+    def shoot(amp):
+        """Samples up to the shot's first minimum, or None if it is too large."""
+        y, v, h, fell = amp, 0.0, 0.5 * dx, False
+        vals = [amp]
+        for _ in range(m):
+            k1, l1 = v, f(y)
+            k2, l2 = v + h * l1, f(y + h * k1)
+            k3, l3 = v + h * l2, f(y + h * k2)
+            k4, l4 = v + dx * l3, f(y + dx * k3)
+            y += dx / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            v += dx / 6.0 * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+            if not 0.0 < y < np.inf:  # also false for nan
+                return None
+            if fell and v >= 0.0:
+                break
+            fell = v < 0.0
+            vals.append(y)
+        return vals
 
-    def rhs(x, y):
-        phi, dphi = y
-        return [dphi, a2 * phi + a4 * phi**3 + a6 * phi**5]
+    lo, hi, amp = None, None, 1.0
+    for _ in range(200):
+        vals = shoot(amp)
+        if vals is None:
+            hi = amp
+        else:
+            lo = amp, vals
+        if lo is not None and hi is not None and hi - lo[0] <= _SEED_TOL * hi:
+            break
+        amp = 2.0 * amp if hi is None else 0.5 * amp if lo is None else 0.5 * (lo[0] + hi)
+    else:
+        raise ShootingError("failed to bracket the peak amplitude")
+    vals = lo[1]
+    return np.append(vals, vals[-1] * np.exp(-rate * dx * np.arange(1, m + 2 - len(vals))))
 
-    def crossed(x, y):
-        return y[0]
 
-    crossed.terminal = True
-    crossed.direction = -1
-
-    def bounced(x, y):
-        # turning point away from the start and away from the axis
-        return y[1] + 1e-15 if x > 1e-6 and y[0] > 1e-8 else -1.0
-
-    bounced.terminal = True
-    bounced.direction = 1
-
-    def exploded(x, y):
-        # gamma <= 0 overshoots run off to +inf instead of crossing zero
-        return abs(y[0]) - 3.0 * peak
-
-    exploded.terminal = True
-    exploded.direction = 1
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, half_length),
-        [peak, 0.0],
-        events=(crossed, bounced, exploded),
-        method="DOP853",
-        rtol=1e-13,
-        atol=1e-16,
-        dense_output=True,
-        max_step=0.1,
-    )
-    if sol.t_events[0].size or sol.t_events[2].size:
-        return "cross", sol
-    if sol.t_events[1].size:
-        return "bounce", sol
-    return "decay", sol
+def _even_d2(dx: float, m: int) -> np.ndarray:
+    """Fourier second derivative on the 2m-point grid of period 2m dx,
+    folded onto even data phi_j = Phi(j dx), j = 0..m."""
+    d = np.arange(m + 1)
+    s = np.empty(m + 1)
+    # the periodic stencil at distance d, in closed form; d <= m keeps the sine
+    # argument away from pi, where it would lose digits
+    s[0] = -(m * m / 3.0 + 1.0 / 6.0)
+    s[1:] = -((-1.0) ** d[1:]) / (2.0 * np.sin(0.5 * np.pi * d[1:] / m) ** 2)
+    s *= (np.pi / (m * dx)) ** 2
+    j, l = d[:, None], d[None, :]
+    op = s[np.abs(j - l)] + s[np.minimum(j + l, 2 * m - j - l)]
+    op[:, [0, m]] *= 0.5  # phi_0 and phi_m each stand for one point, not two
+    return op
 
 
 def ode_profile(
@@ -178,51 +190,34 @@ def ode_profile(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample points and even profile values over [-half_length, half_length).
 
-    Exponential regime only; the algebraic soliton's 1/x decay admits no
-    shooting bracket.
+    Exponential regime only.  ShootingError also means no bracket for the
+    seed, no Newton convergence, or a Newton peak away from the seed's.
     """
-    if omega - 0.25 * c * c <= 0:
+    a2, a4, a6 = omega - 0.25 * c * c, 0.5 * c, -3.0 / 16.0 * p.gamma
+    if a2 <= 0:
         raise ShootingError("algebraic decay not shootable; exponential regime only")
-    # Bisection over [0, L] locks onto the amplitude whose zero crossing sits
-    # exactly at L, which is offset from the true peak by O(exp(-2 rate L)).
-    # Shooting over an extended interval pushes that bias far below the
-    # requested window, leaving only integration error inside [-L, L].
-    rate = np.sqrt(omega - 0.25 * c * c)
-    shoot_length = half_length + 12.0 / rate
-    # bracket the peak: small amplitudes bounce, large ones cross zero
-    lo, hi = 1e-6, None
-    amp = 1.0
-    for _ in range(200):
-        status, _ = _shoot_once(p, omega, c, amp, shoot_length)
-        if status == "cross":
-            hi = amp
-            break
-        lo = amp
-        amp *= 2.0
-    if hi is None:
-        raise ShootingError("failed to bracket the shooting amplitude")
-    while hi - lo > _PEAK_TOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        status, _ = _shoot_once(p, omega, c, mid, shoot_length)
-        if status == "cross":
-            hi = mid
+    g = make_grid(half_length, n)
+    dx = g.dx  # a Python float, so the RK4 shots run in plain floats
+    # Past L the grid runs on for 12 decay lengths, so the periodic image and
+    # the cut-off tail sit far below the requested window.
+    rate = np.sqrt(a2)
+    m = int(np.ceil((half_length + 12.0 / rate) / dx))
+
+    def f(y):
+        return y * (a2 + y * y * (a4 + a6 * y * y))
+
+    op = _even_d2(dx, m)
+    # shots that run off and a diverging Newton overflow; both are caught below
+    with np.errstate(over="ignore", invalid="ignore"):
+        seed = phi = _seed(f, rate, dx, m)
+        for _ in range(_NEWTON_MAX):
+            jac = op - np.diag(a2 + phi * phi * (3.0 * a4 + 5.0 * a6 * phi * phi))
+            step = np.linalg.solve(jac, op @ phi - f(phi))
+            phi = phi - step
+            if np.max(np.abs(step)) <= _NEWTON_TOL * np.max(phi):
+                break
         else:
-            lo = mid
-    peak = 0.5 * (lo + hi)
-    _, sol = _shoot_once(p, omega, c, peak, shoot_length)
-    # The decaying solution is unstable under forward integration: any residual
-    # error grows like exp(rate x).  Past the point where the trajectory
-    # stops decreasing, splice in the exact linearized tail instead.
-    fine = np.linspace(0.0, sol.t[-1], 4096)
-    traj = sol.sol(fine)[0]
-    rising = np.flatnonzero((np.diff(traj) >= 0.0) & (fine[1:] > 1.0) | (traj[1:] <= 0.0))
-    x_cut = fine[rising[0]] if rising.size else sol.t[-1]
-    v_cut = float(sol.sol(x_cut)[0])
-    xs = -half_length + (2.0 * half_length / n) * np.arange(n)
-    ax = np.abs(xs)
-    vals = np.where(
-        ax <= x_cut,
-        sol.sol(np.minimum(ax, sol.t[-1]))[0],
-        v_cut * np.exp(-rate * (ax - x_cut)),
-    )
-    return xs, np.clip(vals, 0.0, None)
+            raise ShootingError(f"Newton did not converge in {_NEWTON_MAX} steps")
+    if abs(phi[0] - seed[0]) > _PEAK_GUARD * seed[0]:
+        raise ShootingError(f"Newton peak {phi[0]:.6g} left the seed's {seed[0]:.6g}")
+    return g.x, phi[np.abs(np.arange(n) - n // 2)]

@@ -96,6 +96,15 @@ def test_data_too_large_for_the_floor_says_so():
     assert traj.phase_s["step"] == 0.0
 
 
+def test_step_budget_stops_before_stepping():
+    # the tuned dt is about 4e-8, some 2.4e7 steps to t_end: too many to take
+    g = make_grid(10.0, 128)
+    f = Field(g, 30.0 * np.exp(-g.x**2, dtype=complex))
+    traj = evolve(f, EvolveConfig(b=0.5, dt=0.05, t_end=1.0))
+    assert (traj.status, traj.reason, traj.n_steps) == ("blow-up", "step-budget", 0)
+    assert traj.times == [0.0] and traj.dt_used < 1.0 / ev.MAX_STEPS
+
+
 def test_richardson_failure_keeps_its_reason(rng, monkeypatch):
     # a tolerance no step size can meet: the test runs, then gives up at the floor
     monkeypatch.setattr(ev, "ADAPT_TOL", 0.0)

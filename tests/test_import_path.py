@@ -3,11 +3,11 @@
 Each case runs `cli.main` in a fresh interpreter and reports which scipy and
 numpy modules got loaded.
 
-scipy stays off the import path of every subcommand but `verify --suite ode`.
-The quadrature suites (`quad`, `mass`, `momentum`) run the numpy
-double-exponential rule and must load none.  `verify --suite ode` is the
-control: the shooting oracle integrates with `solve_ivp`, so it must load
-scipy, which shows that the guard can fail.
+scipy stays off the import path of every subcommand.  The quadrature suites
+(`quad`, `mass`, `momentum`) run the numpy double-exponential rule and
+`verify --suite ode` the numpy Newton profile solver, so they must load none.
+The control is a probe that imports `scipy.integrate` itself and must see
+it, which shows that the guard can fail.
 
 numpy stays off the import path of the package root and of the closed-form
 subcommands `threshold` and `scan`.  `soliton`, which samples a profile on a
@@ -32,6 +32,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 _PROBE = """
 import contextlib, io, json, sys
 from dnls_well import cli
+{preload}
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
 loaded = {pkg: sorted(m for m in sys.modules if m.split(".")[0] == pkg) for pkg in ("scipy", "numpy")}
@@ -61,8 +62,8 @@ def _python(*args):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _run(argv):
-    return _python("-c", _PROBE, json.dumps(argv))
+def _run(argv, preload=""):
+    return _python("-c", _PROBE.replace("{preload}", preload), json.dumps(argv))
 
 
 CASES = {
@@ -83,6 +84,7 @@ CASES = {
     "verify_quad": lambda d, sol, rnd: ["verify", "--suite", "quad"],
     "verify_mass": lambda d, sol, rnd: ["verify", "--suite", "mass"],
     "verify_momentum": lambda d, sol, rnd: ["verify", "--suite", "momentum"],
+    "verify_ode": lambda d, sol, rnd: ["verify", "--suite", "ode"],
 }
 
 
@@ -93,8 +95,8 @@ def test_subcommand_loads_no_scipy(files, name):
     assert res["scipy"] == []
 
 
-def test_guard_sees_scipy_in_shooting_suite():
-    res = _run(["verify", "--suite", "ode"])
+def test_guard_sees_scipy_imported_by_the_probe():
+    res = _run(["threshold", "--b", "0.1"], preload="import scipy.integrate")
     assert res["code"] == 0
     assert "scipy.integrate" in res["scipy"]
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from dnls_well import closedform as cf
+from dnls_well.field import Field, make_grid
+from dnls_well.functionals import invariants
 from dnls_well.oracle import (
     QuadratureError,
     ShootingError,
@@ -13,7 +15,7 @@ from dnls_well.oracle import (
     momentum_by_quadrature,
     ode_profile,
 )
-from dnls_well.solitons import ModelParams, SolitonParams, phi_sq
+from dnls_well.solitons import ModelParams, SolitonParams, phi_sq, suggested_half_length
 
 
 def test_quad_cosh_plus_one():
@@ -91,6 +93,54 @@ def test_shooting_negative_gamma():
     sp = SolitonParams(p, 1.0, -1.9)
     x, phi = ode_profile(p, 1.0, -1.9, half_length=25.0, n=1024)
     assert np.max(np.abs(phi - np.sqrt(phi_sq(sp, x)))) < 1e-6
+
+
+@pytest.mark.parametrize("k", [1, 4, 7])
+@pytest.mark.parametrize("b", [-2.0, -0.6, -0.1, 0.0, 0.1, 2.0])
+def test_ode_profile_across_the_region(b, k):
+    # s = lo + (hi - lo) k/8 over the admissible range, on both sides of
+    # gamma = 0; for gamma < 0 a shot far above the peak rises at first
+    p = ModelParams(b)
+    lo, hi, _ = cf.admissible_s_range(p)
+    c = 2.0 * (lo + (hi - lo) * k / 8.0)
+    sp = SolitonParams(p, 1.0, c)
+    x, phi = ode_profile(p, 1.0, c, half_length=suggested_half_length(sp), n=1024)
+    ref = np.sqrt(phi_sq(sp, x))
+    assert np.max(np.abs(phi - ref)) < 1e-10 * np.max(ref)
+
+
+@pytest.mark.parametrize(
+    "b,omega,c",
+    [
+        (0.0, 1.0, 0.0),
+        (0.1, 1.0, 0.8),
+        (3.0 / 16.0, 1.0, 1.0),
+        (-0.1, 1.0, -0.5),
+        (-0.5, 1.0, -1.9),
+        (-2.0, 1.0, -1.95),
+    ],
+)
+def test_ode_profile_invariants_match_closed_forms(b, omega, c):
+    # checks the closed forms with no use of phi_sq: the ODE profile in the
+    # gauge frame, through the spectral invariants
+    p = ModelParams(b)
+    g = make_grid(suggested_half_length(SolitonParams(p, omega, c)), 1024)
+    x, phi = ode_profile(p, omega, c, half_length=g.L, n=g.N)
+    inv = invariants(Field(g, np.exp(0.5j * c * x) * phi), b, 0.25)
+    m, mom = cf.soliton_mass(p, omega, c), cf.soliton_momentum(p, omega, c)
+    scale = abs(m) + abs(mom)
+    assert abs(inv.mass - m) < 1e-10 * scale
+    assert abs(inv.momentum - mom) < 1e-10 * scale
+    assert abs(inv.energy - cf.soliton_energy(p, omega, c)) < 1e-10 * scale
+
+
+def test_unresolved_spike_raises():
+    # near gamma = 0+ with c > 0 the profile is a spike of height ~1200 and
+    # width ~1e-3, far below dx; no profile comes back for it
+    p = ModelParams(-3.0 / 16.0 + 1e-6)
+    sp = SolitonParams(p, 1.0, 1.96)
+    with pytest.raises(ShootingError):
+        ode_profile(p, 1.0, 1.96, half_length=suggested_half_length(sp), n=1024)
 
 
 def test_algebraic_not_shootable():
