@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .closedform import admissible_s_range, d_value, mass_threshold, s_star
+from .closedform import admissible_s_range, d_value, mass_threshold, turning_point
 from .field import Field
 from .functionals import WELL_A, Frame, Invariants, invariants
 from .gauge import gauge_transform
@@ -189,8 +189,7 @@ def classify_thm17(
             per_s=[route],
         )
 
-    m_star = mass_threshold(p.b)
-    s_dag = s_star(p.b) if p.b > 0 else 1.0
+    s_dag, m_star = turning_point(p.b) if p.b > 0 else (1.0, mass_threshold(p.b))
     scale_e = REL_TOL * max(si.grad_sq, 1e-30)
     scale_p = REL_TOL * max(si.grad_sq + si.l4, 1e-30)
     on_mstar = abs(m - m_star) < REL_TOL * m_star

@@ -112,9 +112,11 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    result = {"M_star": closedform.mass_threshold(args.b)}
     if args.b > 0:
-        result["s_star"] = closedform.s_star(args.b)
+        s, m = closedform.turning_point(args.b)
+        result = {"M_star": m, "s_star": s}
+    else:
+        result = {"M_star": closedform.mass_threshold(args.b)}
     json.dump(result, sys.stdout)
     print()
     return 0

@@ -44,24 +44,31 @@ def s_lower(p: ModelParams) -> float:
     return math.sqrt(-g / (1.0 - g))
 
 
+def _region_rw(p: ModelParams, omega: float, c: float) -> float | None:
+    """2 sqrt(omega) if (omega, c) is admissible (see `existence_region`), else None."""
+    if omega <= 0:
+        raise RegionError(f"omega must be positive, got {omega}")
+    rw = 2.0 * math.sqrt(omega)
+    inside = -rw < c <= rw if p.gamma > 0 else -rw < c < -s_lower(p) * rw
+    return rw if inside else None
+
+
 def existence_region(p: ModelParams, omega: float, c: float) -> bool:
     """Admissibility of (omega, c).
 
     gamma > 0 : -2 sqrt(omega) < c <= 2 sqrt(omega)
     gamma <= 0: -2 sqrt(omega) < c < -2 s_* sqrt(omega)
     """
-    if omega <= 0:
-        raise RegionError(f"omega must be positive, got {omega}")
-    rw = 2.0 * math.sqrt(omega)
-    if p.gamma > 0:
-        return -rw < c <= rw
-    return -rw < c < -s_lower(p) * rw
+    return _region_rw(p, omega, c) is not None
+
+
+def _algebraic_rw(rw: float, c: float) -> bool:
+    return c > 0 and abs(c - rw) <= 1e-13 * rw
 
 
 def is_algebraic(omega: float, c: float) -> bool:
     """c = 2 sqrt(omega) to 1e-13 relative: the algebraic soliton."""
-    rw = 2.0 * math.sqrt(omega)
-    return c > 0 and abs(c - rw) <= 1e-13 * rw
+    return _algebraic_rw(2.0 * math.sqrt(omega), c)
 
 # Eq-2.31's 1/gamma has a finite limit as gamma -> 0; below this threshold
 # the dedicated gamma = 0 formula is used to avoid cancellation.
@@ -107,17 +114,19 @@ def cosh_integral(alpha: float, power: int) -> float:
     return -2.0 / r + 2.0 * alpha * lg / r**1.5
 
 
-def _require_region(p: ModelParams, omega: float, c: float) -> None:
-    if not existence_region(p, omega, c):
+def _require_region(p: ModelParams, omega: float, c: float) -> float:
+    rw = _region_rw(p, omega, c)
+    if rw is None:
         raise RegionError(f"(omega={omega}, c={c}) outside existence region for b={p.b}")
+    return rw
 
 
 def _mass_momentum(p: ModelParams, omega: float, c: float) -> tuple[float, float]:
     """(M, P) of phi_{omega,c}, branchwise in gamma; M is computed once."""
-    _require_region(p, omega, c)
+    rw = _require_region(p, omega, c)
     g = p.gamma
     small = abs(g) < _GAMMA_EPS
-    if g > 0 and is_algebraic(omega, c):
+    if g > 0 and _algebraic_rw(rw, c):
         m = 4.0 * math.pi / math.sqrt(g)
     elif small:
         m = 4.0 * math.sqrt(4.0 * omega - c * c) / (-c)
@@ -128,7 +137,6 @@ def _mass_momentum(p: ModelParams, omega: float, c: float) -> tuple[float, float
     else:
         # acosh(alpha) = log1p(delta + ...), alpha = |c| / r: delta = alpha - 1 is
         # formed without cancelling, which matters for small |g| and for s -> -1
-        rw = 2.0 * math.sqrt(omega)
         q = (rw - c) * (rw + c)
         r = math.sqrt(c * c + g * q)
         delta = -g * q / (r * (abs(c) + r))
@@ -159,59 +167,69 @@ def d_value(p: ModelParams, omega: float, c: float) -> float:
     Computed via 2 d(1, 2s) = M(phi_{1,2s}) + s P(phi_{1,2s}) and the
     scaling d(omega, 2 s sqrt(omega)) = omega d(1, 2s).
     """
-    _require_region(p, omega, c)
-    s = c / (2.0 * math.sqrt(omega))
+    s = c / _require_region(p, omega, c)
     m, mom = _mass_momentum(p, 1.0, 2.0 * s)
     return omega * 0.5 * (m + s * mom)
 
 
-def s_star(b: float) -> float:
-    """Unique zero of s -> P(phi_{1,2s}) in (0, 1) for b > 0.
+def turning_point(b: float) -> tuple[float, float]:
+    """(s*, M*) for b > 0: the zero s* of s -> P(phi_{1,2s}) and M(phi_{1,2s*}).
 
-    P is continuous and strictly decreasing on [0, 1] with P > 0 at s = 0 and
-    P < 0 at the algebraic end s = 1.  Bisection runs until the bracket is
-    two adjacent floats, which also covers tiny b, where the root sits within
-    a few ulp of 1 and P jumps by more than any fixed residual between
-    neighbouring floats.  The sign change across that pair certifies the
-    root; the endpoint with the smaller |P| is returned.
+    P decreases from P(0) = 4/gamma > 0 to P(1) < 0 at the algebraic end.  A
+    secant step from the point of smaller |P| is kept if it lands inside the
+    sign-change bracket and moves less than half the step before last, else
+    the bracket is bisected; a step below an ulp probes the float neighbour
+    across the root.  The search ends on adjacent floats lo < hi with
+    P(lo) > 0 >= P(hi), not on a residual, which tiny b would defeat: there s*
+    is within a few ulp of 1 and P jumps between neighbouring floats.  The one
+    of lo, hi with the smaller |P| is returned, with the mass computed with it.
     """
-    if b <= 0:
-        raise ValueError(f"s* is defined for b > 0, got b={b}")
     p = ModelParams(b)
-
-    def mom(s: float) -> float:
-        return soliton_momentum(p, 1.0, 2.0 * s)
-
-    lo, hi = 1e-6, 1.0
-    p_lo, p_hi = mom(lo), mom(hi)
+    if not (b > 0 and math.isfinite(p.gamma)):
+        raise ValueError(f"s* is defined for b > 0 with gamma finite, got b={b}")
+    (m_lo, p_lo), (m_hi, p_hi) = _mass_momentum(p, 1.0, 0.0), _mass_momentum(p, 1.0, 2.0)
+    lo, hi, x0, f0, x1, f1 = 0.0, 1.0, 1.0, p_hi, 0.0, p_lo
+    step = last_step = math.inf
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        p_mid = mom(mid)
-        if p_mid > 0.0:
-            lo, p_lo = mid, p_mid
+        if abs(f0) < abs(f1):
+            x0, f0, x1, f1 = x1, f1, x0, f0
+        # the ratio first, so that no product of small P and a short step underflows
+        x = x1 - (x1 - x0) * (f1 / (f1 - f0)) if f1 != f0 else lo
+        if x == x1:
+            x = math.nextafter(x1, hi if f1 > 0.0 else lo)
+        if not lo < x < hi or abs(x - x1) > 0.5 * last_step:
+            x = 0.5 * (lo + hi)
+            if x == lo or x == hi:
+                break
+        last_step, step = step, abs(x - x1)
+        m, f = _mass_momentum(p, 1.0, 2.0 * x)
+        if f > 0.0:
+            lo, m_lo, p_lo = x, m, f
         else:
-            hi, p_hi = mid, p_mid
-    # the loop leaves lo, hi adjacent; the sign change across them is the
-    # certificate, and fails only if the initial bracket had no sign change
+            hi, m_hi, p_hi = x, m, f
+        x0, f0, x1, f1 = x1, f1, x, f
+    # lo, hi are adjacent; the sign change across them is the certificate
     if not p_lo > 0.0 >= p_hi:
-        raise RuntimeError(f"momentum has no sign change on [1e-6, 1] at b={b}")
-    return lo if abs(p_lo) < abs(p_hi) else hi
+        raise RuntimeError(f"momentum lost its sign change on [0, 1] at b={b}")
+    return (lo, m_lo) if abs(p_lo) < abs(p_hi) else (hi, m_hi)
+
+
+def s_star(b: float) -> float:
+    """Unique zero of s -> P(phi_{1,2s}) in (0, 1) for b > 0; see `turning_point`."""
+    return turning_point(b)[0]
 
 
 def mass_threshold(b: float) -> float:
     """Turning-point mass M*(b).
 
-    b > 0        : M(phi_{1, 2 s*(b)})
+    b > 0        : M(phi_{1, 2 s*(b)}), from `turning_point`
     b = 0        : 4 pi (limit s* -> 1)
     -3/16 < b < 0: M(phi_{1,2}) + P(phi_{1,2}) = 4 pi / gamma^{3/2}
     """
-    if b <= -3.0 / 16.0:
+    if not b > -3.0 / 16.0:
         raise ValueError(f"mass threshold requires b > -3/16, got {b}")
     if b > 0:
-        p = ModelParams(b)
-        return soliton_mass(p, 1.0, 2.0 * s_star(b))
+        return turning_point(b)[1]
     gamma = 1.0 + (16.0 / 3.0) * b
     return 4.0 * math.pi / gamma**1.5
 

@@ -196,11 +196,12 @@ def _tune_dt(vhat0, g: Grid, p: ModelParams, cfg: EvolveConfig) -> tuple[float, 
     trail = []
     while dt > DT_FLOOR:
         trail.append(dt)
-        coarse = _Stepper(g, dt, p, cfg.gauge_a).step(vhat0)
-        fine = _Stepper(g, 0.5 * dt, p, cfg.gauge_a)
-        vh = fine.step(fine.step(vhat0))
-        # Parseval: ||diff||_L2 from the FFT coefficients directly
+        # a trial step on large data may overflow; a non-finite err rejects it
         with np.errstate(over="ignore", invalid="ignore"):
+            coarse = _Stepper(g, dt, p, cfg.gauge_a).step(vhat0)
+            fine = _Stepper(g, 0.5 * dt, p, cfg.gauge_a)
+            vh = fine.step(fine.step(vhat0))
+            # Parseval: ||diff||_L2 from the FFT coefficients directly
             err = np.sqrt(g.dx / g.N * np.sum(np.abs(coarse - vh) ** 2))
         if np.isfinite(err) and err / scale < ADAPT_TOL:
             return dt, None, trail
