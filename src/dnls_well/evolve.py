@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifier import apriori_bound, k_sign
-from .field import Field, Grid, h1_norm, l2_norm_sq, spectral_derivative
+from .field import Field, Grid, l2_norm_sq, spectral_derivative
 from .functionals import WELL_A, invariants
 from .gauge import gauge_transform
 from .solitons import ModelParams, phi_one_two
@@ -329,6 +329,8 @@ def gauge_consistency(f0: Field, b: float, t_end: float) -> float:
 # --- modulation fit against the algebraic profile --------------------------
 
 _GRAD_SQ_REF = 4.0 * np.pi  # ||d/dx phi_{1,2}||_2^2 in closed form
+FIT_STEP_TOL = 1e-12  # a step of at most this times max |(theta, y, lam)| ends the fit
+FIT_MAX_STEPS = 100  # a fit that takes this many steps without ending raises
 
 
 def _model(g: Grid, theta: float, y: float, lam: float) -> Field:
@@ -336,22 +338,21 @@ def _model(g: Grid, theta: float, y: float, lam: float) -> Field:
     return Field(g, vals)
 
 
-def _h1_resid(f: Field, theta: float, y: float, lam: float) -> float:
-    m = _model(f.grid, theta, y, lam)
-    return h1_norm(Field(f.grid, f.values - m.values))
-
-
 def profile_fit(f: Field) -> dict:
-    """Fit e^{i theta} lam^{-1/2} phi_{1,2}((x - y)/lam) to f in H^1.
+    """Fit m = e^{i theta} lam^{-1/2} phi_{1,2}((x - y)/lam) to f in H^1.
 
-    The scale lam starts from the gradient norm (the family is L^2-critical,
-    so ||f_x|| = lam^{-1} ||phi'_{1,2}||); theta and y come from FFT
-    cross-correlation.  All three are then polished by Nelder-Mead on the
-    H^1 residual — the gradient-ratio estimate alone carries the grid's
-    tail-truncation error, which the polish removes.
+    lam starts from the gradient norm (the family is L^2-critical, so
+    ||f_x|| = lam^{-1} ||phi'_{1,2}||), theta and y from FFT cross-correlation.
+    Gauss-Newton then minimises ||f - m||_{H^1}^2, by Parseval a sum of
+    squares of the weighted Fourier residual, with the analytic Jacobian:
+    for xi = (x - y)/lam and phi'_{1,2} = phi_{1,2} l,
+    l = (-4 xi + i(4 xi^2 - 1))/(4 xi^2 + 1), its columns are i m, -m l/lam
+    and -m (1/2 + xi l)/lam.  A step is halved until the cost does not rise
+    and lam stays positive; a step of at most FIT_STEP_TOL max |(theta, y,
+    lam)| ends the fit, and so does a direction with no descent left.
+    "steps" counts the steps taken.  A fit still moving after FIT_MAX_STEPS
+    steps, or whose centre y ends off the grid [-L, L], raises RuntimeError.
     """
-    from scipy.optimize import minimize
-
     g = f.grid
     grad = l2_norm_sq(spectral_derivative(f))
     if grad < 1e-24:
@@ -367,18 +368,42 @@ def profile_fit(f: Field) -> dict:
     m0 = _model(g, 0.0, y0, lam0)
     theta0 = float(np.angle(np.sum(f.values * np.conj(m0.values))))
 
-    res = minimize(
-        lambda z: _h1_resid(f, z[0], z[1], abs(z[2])),
-        x0=[theta0, y0, lam0],
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-    )
-    theta, y, lam = float(res.x[0]) % (2.0 * np.pi), float(res.x[1]), abs(float(res.x[2]))
+    weight = np.sqrt(g.dx / g.N * (1.0 + np.abs(g.ik) ** 2))
+
+    def cost_of(z) -> float:
+        r = f.values - _model(g, *z).values
+        return float(np.sum(np.abs(weight * np.fft.fft(r)) ** 2))
+
+    z = np.array([theta0, y0, lam0])
+    cost = cost_of(z)
+    for n_steps in range(FIT_MAX_STEPS + 1):
+        theta, y, lam = z
+        xi = (g.x - y) / lam
+        m = _model(g, theta, y, lam).values
+        ell = (-4.0 * xi + 1j * (4.0 * xi * xi - 1.0)) / (4.0 * xi * xi + 1.0)
+        # one FFT of [f - m, dm/dtheta, dm/dy, dm/dlam]; the real view puts the
+        # real and imaginary parts side by side
+        cols = np.stack([f.values - m, 1j * m, -m * ell / lam, -m * (0.5 + xi * ell) / lam])
+        a = (weight * np.fft.fft(cols)).view(float)
+        step = np.linalg.lstsq(a[1:].T, a[0], rcond=None)[0]
+        while np.max(np.abs(step)) > FIT_STEP_TOL * np.max(np.abs(z)):
+            trial = z + step
+            if trial[2] > 0.0:
+                trial_cost = cost_of(trial)
+                if trial_cost <= cost:
+                    break
+            step *= 0.5
+        else:
+            break
+        if n_steps == FIT_MAX_STEPS:
+            raise RuntimeError(f"profile fit still moving after {n_steps} steps")
+        z, cost = trial, trial_cost
+    if abs(y) > g.L:
+        raise RuntimeError(f"profile fit centre y = {y:.3g} ended off the grid after {n_steps} steps")
     return {
-        "theta": theta,
-        "y": y,
-        "lam": lam,
-        "lam_grad_estimate": lam0,
-        "residual_h1": float(res.fun),
-        "ref_h1": h1_norm(_model(g, theta, y, lam)),
+        "theta": float(theta) % (2.0 * np.pi),
+        "y": float(y),
+        "lam": float(lam),
+        "residual_h1": float(np.sqrt(cost)),
+        "steps": n_steps,
     }

@@ -317,13 +317,22 @@ def test_criterion_09_classifier_theorem_suite():
     gv = make_grid(40.0, 1024)
     base = np.exp(-((gv.x / 8.0) ** 2))
     amp = math.sqrt(1.1 * cf.mass_threshold(p.b) / l2_norm_sq(Field(gv, base + 0j)))
-    from scipy.optimize import brentq
 
     def mom_of(beta):
         f = Field(gv, amp * base * np.exp(1j * beta * np.sin(np.pi * gv.x / gv.L)))
         return invariant_summary(f, p, Frame.GAUGE).momentum
 
-    beta0 = brentq(mom_of, -2.0, 2.0, xtol=1e-14)
+    # bisection for the zero of the momentum in beta, to a 1e-14 bracket
+    lo, hi = -2.0, 2.0
+    lo_positive = mom_of(lo) > 0.0
+    assert lo_positive != (mom_of(hi) > 0.0)
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        if (mom_of(mid) > 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    beta0 = 0.5 * (lo + hi)
     fv = Field(gv, amp * base * np.exp(1j * beta0 * np.sin(np.pi * gv.x / gv.L)))
     res = classify_thm17(fv, p, s_grid=np.linspace(-0.8, 0.8, 9))
     assert res.theorem17_case == "v"

@@ -3,11 +3,12 @@
 Each case runs `cli.main` in a fresh interpreter and reports which scipy and
 numpy modules got loaded.
 
-scipy stays off the import path of every subcommand.  The quadrature suites
-(`quad`, `mass`, `momentum`) run the numpy double-exponential rule and
-`verify --suite ode` the numpy Newton profile solver, so they must load none.
-The control is a probe that imports `scipy.integrate` itself and must see
-it, which shows that the guard can fail.
+The package does not use scipy, so no subcommand and no `profile_fit` may
+load it: the quadrature suites (`quad`, `mass`, `momentum`) run the numpy
+double-exponential rule, `verify --suite ode` the numpy Newton profile
+solver and `profile_fit` a numpy Gauss-Newton fit.  The control puts a stub
+module under the name `scipy.integrate` into `sys.modules` and must see it,
+which shows that the guard can fail whether or not scipy is installed.
 
 numpy stays off the import path of the package root and of the closed-form
 subcommands `threshold` and `scan`.  `soliton`, which samples a profile on a
@@ -96,9 +97,24 @@ def test_subcommand_loads_no_scipy(files, name):
 
 
 def test_guard_sees_scipy_imported_by_the_probe():
-    res = _run(["threshold", "--b", "0.1"], preload="import scipy.integrate")
+    stub = "import types; sys.modules['scipy.integrate'] = types.ModuleType('scipy.integrate')"
+    res = _run(["threshold", "--b", "0.1"], preload=stub)
     assert res["code"] == 0
     assert "scipy.integrate" in res["scipy"]
+
+
+def test_profile_fit_loads_no_scipy():
+    res = _python("-c", """
+import json, sys
+from dnls_well.evolve import profile_fit
+from dnls_well.field import Field, make_grid
+from dnls_well.solitons import phi_one_two
+g = make_grid(30.0, 512)
+out = profile_fit(Field(g, phi_one_two(g.x - 1.0)))
+print(json.dumps({"y": out["y"], "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+""")
+    assert abs(res["y"] - 1.0) < 1e-6
+    assert res["scipy"] == []
 
 
 @pytest.mark.parametrize("name", ["scan", "threshold"])
