@@ -26,7 +26,7 @@ import numpy as np
 
 from .classifier import apriori_bound, k_sign
 from .field import Field, Grid, l2_norm_sq, spectral_derivative
-from .functionals import WELL_A, invariants
+from .functionals import WELL_A, integrals, invariants
 from .gauge import gauge_transform
 from .solitons import ModelParams, phi_one_two
 
@@ -62,27 +62,38 @@ class _Stepper:
     """Precomputed Lawson-RK4 data and work arrays for one (grid, dt, a, b).
 
     A step makes four stages of one inverse FFT (v and v_x from a (2, N)
-    stack) and one forward FFT each: 8 FFT calls, 12 transforms.  Every
-    stage writes into the work arrays, so a step allocates only the array
-    it returns; it never writes into its input.
+    stack) and one forward FFT each: 8 FFT calls, 12 transforms.  The
+    constants live in the multipliers, so no transform scales and no stage
+    masks: 1/N (with the dealiasing mask) is folded into `to_v_vx`, which
+    feeds an unnormalised inverse FFT, and the mask into every weight a
+    stage result meets (`h_half`, `h_mid`, `h_full`, `w1`, `w23`, `w4`).
+    Every stage writes into the work arrays, so a step allocates only the
+    array it returns; it never writes into its input.  Between steps,
+    `v_vx` reuses the same arrays to give a record v and v_x of the whole
+    state from one more inverse FFT.
     """
 
     def __init__(self, g: Grid, dt: float, p: ModelParams, a: float):
         n, k = g.N, g.k
         self.dt = dt
+        self.ik = g.ik
         self.re_q = 4.0 * a - 1.0
         self.kap = kappa(p, a)
         kmax = np.max(np.abs(k))
         self.mask = (np.abs(k) <= DEALIAS * kmax).astype(float)
-        # one multiplier turns v-hat into the stack [mask v-hat, mask ik v-hat]
-        self.to_v_vx = np.stack([self.mask, self.mask * g.ik])
+        # one multiplier turns v-hat into the stack [mask v-hat, mask ik v-hat] / N
+        self.to_v_vx = np.stack([self.mask, self.mask * g.ik]) / n
         self.e_half = np.exp(-0.5j * dt * k**2)
         self.e_full = self.e_half**2
-        # the RK4 weights, with their integrating factors folded in
-        self.h_half = 0.5 * dt * self.e_half
-        self.h_full = dt * self.e_half
-        self.w1 = dt / 6.0 * self.e_full
-        self.w23 = dt / 3.0 * self.e_half
+        # the RK4 weights, with their integrating factors and the mask folded in;
+        # the real ones are stored complex, as numpy multiplies two complex
+        # arrays faster than a real by a complex one
+        self.h_half = 0.5 * dt * self.mask * self.e_half
+        self.h_mid = (0.5 * dt * self.mask).astype(complex)
+        self.h_full = dt * self.mask * self.e_half
+        self.w1 = dt / 6.0 * self.mask * self.e_full
+        self.w23 = dt / 3.0 * self.mask * self.e_half
+        self.w4 = (dt / 6.0 * self.mask).astype(complex)
         # work arrays: the stack before and after the inverse FFT, rho and
         # a real scratch row, z, q, the four stages, e_half v-hat and the
         # stage argument
@@ -98,9 +109,11 @@ class _Stepper:
         self._v, self._vx = self._v_vx
 
     def _nhat(self, vhat, out=None):
-        """Dealiased transform of the nonlinearity v q, into out (or a new array)."""
+        """Transform of the nonlinearity v q of the dealiased v-hat, into out
+        (or a new array).  The result itself is not masked: the weights that
+        multiply it are."""
         np.multiply(self.to_v_vx, vhat, out=self._stack)
-        np.fft.ifft(self._stack, out=self._v_vx)
+        np.fft.ifft(self._stack, out=self._v_vx, norm="forward")
         v, vx, rho, tmp, z, q = self._v, self._vx, self._rho, self._tmp, self._z, self._q
         np.multiply(v.real, v.real, out=rho)
         np.multiply(v.imag, v.imag, out=tmp)
@@ -112,9 +125,14 @@ class _Stepper:
         tmp *= self.kap
         np.subtract(tmp, z.imag, out=q.imag)
         q *= v
-        out = np.fft.fft(q, out=out)
-        out *= self.mask
-        return out
+        return np.fft.fft(q, out=out)
+
+    def v_vx(self, vhat):
+        """v and v_x of the whole v-hat, from one inverse FFT: views into a
+        work array, valid until the next call into the stepper."""
+        self._stack[0] = vhat
+        np.multiply(self.ik, vhat, out=self._stack[1])
+        return np.fft.ifft(self._stack, out=self._v_vx)
 
     def step(self, vhat):
         k1, k2, k3, k4 = self._k
@@ -125,7 +143,7 @@ class _Stepper:
         np.multiply(self.h_half, k1, out=arg)
         arg += ehv
         self._nhat(arg, k2)
-        np.multiply(k2, 0.5 * self.dt, out=arg)
+        np.multiply(self.h_mid, k2, out=arg)
         arg += ehv
         self._nhat(arg, k3)
         np.multiply(self.h_full, k3, out=arg)
@@ -136,7 +154,7 @@ class _Stepper:
         k2 += k3
         k2 *= self.w23
         out += k2
-        k4 *= self.dt / 6.0
+        k4 *= self.w4
         out += k4
         return out
 
@@ -209,6 +227,17 @@ def _tune_dt(vhat0, g: Grid, p: ModelParams, cfg: EvolveConfig) -> tuple[float, 
     return DT_FLOOR, "richardson-failed", trail
 
 
+def _clean(vhat) -> bool:
+    """True when v = ifft(v-hat) is surely finite and below AMP_CAP.
+
+    By Parseval for numpy's ifft, max_j |v_j| <= ||v||_2 = sqrt(vdot(v-hat,
+    v-hat) / N), so below N AMP_CAP^2 (with room for rounding) the cap
+    cannot be hit; a nan or inf in v-hat, or an overflowing sum, fails the
+    comparison and leaves the state to the exact check `_blow_up`.
+    """
+    return bool(np.vdot(vhat, vhat).real <= vhat.size * AMP_CAP**2 * (1.0 - 1e-9))
+
+
 def _blow_up(v) -> str | None:
     """Reason a physical-space state is unusable, or None."""
     if not np.all(np.isfinite(v)):
@@ -248,19 +277,14 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
         unusable = "step-budget"
     dt = cfg.t_end / n_steps
     stepper = _Stepper(g, dt, p, a)
-    # |v_j| <= sum_k |v-hat_k| / N <= sum_k (|Re v-hat_k| + |Im v-hat_k|) / N
-    # for numpy's ifft: below this (with room for rounding) the amplitude cap
-    # cannot be hit, and a non-finite v-hat fails the comparison, so only
-    # the other steps need the back-transform
-    clean_l1 = g.N * AMP_CAP * (1.0 - 1e-9)
-    parts = np.empty(2 * g.N)
     phase = {"tune": clock() - t_start, "step": 0.0, "record": 0.0}
 
     def well(f, inv):
         return inv if a == WELL_A else invariants(gauge_transform(f, WELL_A - a), p.b, WELL_A)
 
     traj = Trajectory(dt_used=dt, dt_trail=trail, phase_s=phase)
-    inv0 = invariants(f0, p.b, a)
+    vx0 = spectral_derivative(f0).values
+    inv0 = integrals(f0.values, vx0, g.dx, p.b, a)
     e0, m0, p0 = inv0.energy, inv0.mass, inv0.momentum
     grad0 = inv0.grad_sq
     # solitons can have exactly zero energy or momentum; fall back to the
@@ -270,11 +294,12 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     if monitor is not None:
         traj.apriori_bound = apriori_bound(well(f0, inv0), *monitor)
 
-    def record(i, f) -> float:
-        """Store the state of step i; returns its gradient norm squared."""
+    def record(i, f, vx) -> float:
+        """Store the state f of step i, whose derivative samples are vx;
+        returns its gradient norm squared."""
         t_in = clock()
         t = i * dt
-        inv = invariants(f, p.b, a)
+        inv = integrals(f.values, vx, g.dx, p.b, a)
         drift = {
             "t": t,
             "dE": abs(inv.energy - e0) / scales[0],
@@ -292,7 +317,7 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
         phase["record"] += clock() - t_in
         return inv.grad_sq
 
-    record(0, f0)
+    record(0, f0, vx0)
     if unusable is not None:
         return traj.stop(unusable)
     t_loop, record_before = clock(), phase["record"]
@@ -300,15 +325,16 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     for i in range(1, n_steps + 1):
         vhat = stepper.step(vhat)
         traj.n_steps = i
-        due = i % cfg.record_every == 0 or i == n_steps
-        if not due and np.abs(vhat.view(float), out=parts).sum() <= clean_l1:
+        if not _clean(vhat):
+            reason = _blow_up(np.fft.ifft(vhat))
+            if reason is not None:
+                traj.times.append(i * dt)  # the offending state itself is not storable
+                break
+        if i % cfg.record_every and i < n_steps:
             continue
-        v = np.fft.ifft(vhat)
-        reason = _blow_up(v)
-        if reason is not None:
-            traj.times.append(i * dt)  # the offending state itself is not storable
-            break
-        if due and record(i, Field(g, v)) > GRAD_FACTOR**2 * max(grad0, 1e-30):
+        v, vx = stepper.v_vx(vhat)
+        # the snapshot gets its own copy of v: the stepper reuses the buffer
+        if record(i, Field(g, v.copy()), vx) > GRAD_FACTOR**2 * max(grad0, 1e-30):
             reason = "grad-growth"
             break
     phase["step"] = clock() - t_loop - (phase["record"] - record_before)

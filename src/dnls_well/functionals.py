@@ -7,11 +7,12 @@ the momentum
     P_a = <i v_x, v> + a ||v||_4^4.
 
 a = 0 is the original equation and a = 1/4 the frame where the potential
-wells live; there the sextic coefficient is -gamma/32.  `invariants` takes
-one spectral derivative and returns the six integrals these are built
-from; the action S = E + (omega/2) M + (c/2) P, its dilation derivative K
-(Nehari functional), the quadratic form L and I = S - K/4 are methods of
-that record.  The derivative nonlinearity is evaluated spectrally in
+wells live; there the sextic coefficient is -gamma/32.  `integrals` turns
+samples of a field and of its derivative into the six integrals these are
+built from, and `invariants` feeds it one spectral derivative.  The action
+S = E + (omega/2) M + (c/2) P, its dilation derivative K (Nehari
+functional), the quadratic form L and I = S - K/4 are methods of that
+record.  The derivative nonlinearity is evaluated spectrally in
 physical space, exactly as the definitions read.
 """
 from __future__ import annotations
@@ -114,16 +115,18 @@ class Invariants:
 
 
 def invariants(f: Field, b: float, a: float) -> Invariants:
-    """The integrals of f in gauge frame a, from one spectral derivative.
+    """The integrals of f in gauge frame a, from one spectral derivative."""
+    return integrals(f.values, spectral_derivative(f).values, f.grid.dx, b, a)
 
-    |f|^2 and the integrand of <i f_x, f> are formed from the real and
+
+def integrals(v: np.ndarray, vx: np.ndarray, dx: float, b: float, a: float) -> Invariants:
+    """The integrals in gauge frame a of samples v with derivative samples vx.
+
+    |v|^2 and the integrand of <i v_x, v> are formed from the real and
     imaginary parts; each rectangle-rule integral is a sum or a dot product.
     """
-    dx = f.grid.dx
-    v = f.values
-    vx = spectral_derivative(f).values
     rho = v.real * v.real + v.imag * v.imag
-    w = v.imag * vx.real - v.real * vx.imag  # integrand of <i f_x, f>
+    w = v.imag * vx.real - v.real * vx.imag  # integrand of <i v_x, v>
     rho2 = rho * rho
     vx_parts = vx.view(float)
     return Invariants(

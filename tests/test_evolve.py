@@ -1,4 +1,5 @@
 """Time integration: conservation, soliton propagation, diagnostics."""
+import math
 import time
 
 import numpy as np
@@ -272,6 +273,9 @@ def test_every_snapshot_owns_its_data(rng):
     traj = evolve(f, EvolveConfig(b=p.b, gauge_a=0.25, t_end=0.01, record_every=1))
     assert traj.status == "ok" and len(traj.snapshots) == traj.n_steps + 1 >= 3
     values = [snap.values for _, snap in traj.snapshots]
+    # a record step takes v and v_x from one (2, N) transform; a snapshot
+    # that kept row 0 of it would keep v_x alive too
+    assert all(x.base is None or x.base.size == g.N for x in values)
     for i, x in enumerate(values):
         for y in values[i + 1:]:
             assert not np.shares_memory(x, y)
@@ -282,6 +286,37 @@ def test_every_snapshot_owns_its_data(rng):
     for x in values[1:]:
         vhat = st.step(vhat)
         assert np.array_equal(x, np.fft.ifft(vhat))
+
+
+@pytest.mark.parametrize("a", [0.0, 0.25])
+def test_records_equal_a_recomputation_from_the_snapshots(rng, a):
+    # each record's integrals come from the transform of the state in hand;
+    # recomputing them from the stored snapshot may differ only by rounding,
+    # measured on the natural size of each quantity
+    g = make_grid(20.0, 512)
+    p, monitor = ModelParams(0.1), (1.0, 0.4)
+    f = random_smooth_field(rng, g, amp=0.8)
+    traj = evolve(f, EvolveConfig(b=p.b, gauge_a=a, t_end=0.05, record_every=7), monitor=monitor)
+    assert traj.status == "ok" and len(traj.drift) >= 3
+    inv0 = invariants(f, p.b, a)
+    char = max(inv0.mass + inv0.grad_sq, 1e-30)
+    e0, m0, p0 = inv0.energy, inv0.mass, inv0.momentum
+    scales = [max(abs(q), char) for q in (e0, m0, p0)]
+    for (t, snap), drift, (t_grad, grad) in zip(traj.snapshots, traj.drift, traj.grad_history):
+        assert t == drift["t"] == t_grad
+        inv = invariants(snap, p.b, a)
+        sizes = {
+            "dE": 0.5 * inv.grad_sq
+            + abs(a - 0.25) * math.sqrt(inv.l6 * inv.grad_sq)
+            + abs(0.5 * a * a - 0.25 * a - p.b / 6.0) * inv.l6,
+            "dM": inv.mass,
+            "dP": math.sqrt(inv.mass * inv.grad_sq) + abs(a) * inv.l4,
+        }
+        again = {"dE": inv.energy - e0, "dM": inv.mass - m0, "dP": inv.momentum - p0}
+        for (name, size), scale in zip(sizes.items(), scales):
+            assert abs(drift[name] - abs(again[name]) / scale) <= 1e-13 * size / scale, name
+        well = inv if a == 0.25 else invariants(gauge_transform(snap, 0.25 - a), p.b, 0.25)
+        assert abs(grad - well.grad_sq) <= 1e-13 * well.grad_sq
 
 
 def test_gauge_consistency_small(rng):

@@ -1,4 +1,5 @@
-"""Property tests of the invariant kernel and the classifier's interval algebra."""
+"""Property tests of the invariant kernel, the blow-up screen and the
+classifier's interval algebra."""
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dnls_well.classifier import _k_signs_on, _negative_intervals
+from dnls_well.evolve import AMP_CAP, _blow_up, _clean
 from dnls_well.field import Field, make_grid
 from dnls_well.functionals import Invariants, invariants
 from dnls_well.gauge import gauge_transform
@@ -55,6 +57,36 @@ def test_gauge_change_conserves_mass_energy_momentum(bumps, a, delta, b):
 def test_sextic_coefficient_in_the_well_frame(b):
     sextic_only = Invariants(b, 0.25, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
     assert sextic_only.energy == pytest.approx(-ModelParams(b).gamma / 32.0, abs=1e-15)
+
+
+# magnitudes from far below to far above the cap, and a band of 1e-8 around it
+magnitude = st.one_of(
+    st.floats(-3.0, 300.0).map(lambda e: 10.0**e),
+    st.floats(-1e-8, 1e-8).map(lambda e: AMP_CAP * (1.0 + e)),
+)
+bad_entry = st.one_of(st.none(), st.sampled_from([np.nan, np.inf, -np.inf, complex(np.inf, np.nan)]))
+
+
+@PROPS
+@given(
+    st.sampled_from([512, 4096]),
+    st.sampled_from(["noise", "spike"]),
+    magnitude,
+    bad_entry,
+    st.integers(0, 2**32 - 1),
+)
+def test_screen_never_passes_a_flagged_state(n, shape, amp, bad, seed):
+    # "spike" puts all of the magnitude at one point, where the Parseval
+    # bound max |v| <= ||v||_2 behind the screen is sharp
+    rng = np.random.default_rng(seed)
+    if shape == "noise":
+        vhat = amp * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    else:
+        vhat = amp * np.exp(-2j * np.pi * rng.integers(n) * np.arange(n) / n)
+    if bad is not None:
+        vhat[rng.integers(n)] = bad
+    if _clean(vhat):
+        assert _blow_up(np.fft.ifft(vhat)) is None
 
 
 def _k_signs_by_sampling(intervals, kq) -> set[int]:
