@@ -1,14 +1,21 @@
 """Exact scalar formulas for the soliton family.
 
-`_mass_momentum(p, omega, c)` checks the existence region and reads gamma
-once, computes the mass M once and forms the momentum P from it; mass,
-momentum, energy E = -(c/4) P and d = (M + s P)/2 at (1, 2s) call it.  The
-first matching mass branch applies (q = 4 omega - c^2):
+`_mass_momentum(p, omega, c)` checks the existence region and computes the
+mass M once, with the momentum P formed from it; mass, momentum, energy
+E = -(c/4) P and d = (M + s P)/2 at (1, 2s) call it.  With
+q = (2 sqrt(omega) - c)(2 sqrt(omega) + c) and z = gamma q / c^2 there are
+two formulas and no case of gamma:
 
-  gamma > 0, c = 2 sqrt(omega) : 4 pi / sqrt(gamma), the algebraic soliton
-  |gamma| < _GAMMA_EPS         : 4 sqrt(q) / (-c), the gamma = 0 limit
-  gamma > 0                    : (4 / sqrt(gamma)) acos(-c / sqrt(c^2 + gamma q))
-  gamma < 0                    : (4 / sqrt(-gamma)) acosh(|c| / sqrt(c^2 + gamma q))
+  c < 0, z <= 1 : M = (4 sqrt(q) / |c|) T(z),  P = -c M / 2 + (2 q^{3/2} / c^2) U(z)
+  otherwise     : M = 4 atan2(sqrt(gamma q), -c) / sqrt(gamma),
+                  P = (c/2) (1/gamma - 1) M + 2 sqrt(q) / gamma
+
+T(z) = atan(sqrt z)/sqrt z (atanh for -1 < z < 0), T(0) = 1, U = (1 - T)/z.
+The first has no 1/gamma, so it holds through gamma = 0 and does not cancel
+as s -> -1; the second needs gamma > 0, which z > 1 or c >= 0 implies, and
+covers c = 0 and the algebraic soliton (q = 0, M = 4 pi / sqrt(gamma)).
+`cosh_integral` is the same integral, M = (2 sqrt(q) / r) I_1(-c / r) with
+r = sqrt(c^2 + gamma q), and shares `_t_u`.
 
 The scalar parameter layer (`ModelParams`, `RegionError`, the existence
 region) lives here too, so that this module runs on plain `math` and the
@@ -62,56 +69,41 @@ def existence_region(p: ModelParams, omega: float, c: float) -> bool:
     return _region_rw(p, omega, c) is not None
 
 
-def _algebraic_rw(rw: float, c: float) -> bool:
+def is_algebraic(omega: float, c: float) -> bool:
+    """c = 2 sqrt(omega) to 1e-13 relative: the algebraic soliton."""
+    rw = 2.0 * math.sqrt(omega)
     return c > 0 and abs(c - rw) <= 1e-13 * rw
 
 
-def is_algebraic(omega: float, c: float) -> bool:
-    """c = 2 sqrt(omega) to 1e-13 relative: the algebraic soliton."""
-    return _algebraic_rw(2.0 * math.sqrt(omega), c)
-
-# Eq-2.31's 1/gamma has a finite limit as gamma -> 0; below this threshold
-# the dedicated gamma = 0 formula is used to avoid cancellation.
-_GAMMA_EPS = 1e-8
-
-
-def _half_acos(a: float) -> float:
-    """arctan(sqrt((1-a)/(1+a))) evaluated stably as acos(a)/2."""
-    return 0.5 * math.acos(min(max(a, -1.0), 1.0))
+def _t_u(z: float, zp1: float) -> tuple[float, float]:
+    """T(z) and U(z) of the module docstring for z > -1; zp1 = 1 + z, formed without cancelling."""
+    if abs(z) < 1e-2:
+        # U = sum_k (-z)^k / (2k + 3); the terms left out are below 1e-19
+        u = 1 / 3 - z * (1 / 5 - z * (1 / 7 - z * (1 / 9 - z * (
+            1 / 11 - z * (1 / 13 - z * (1 / 15 - z * (1 / 17 - z / 19)))))))
+        return 1.0 - z * u, u
+    r = math.sqrt(abs(z))
+    if z > 0:
+        t = math.atan(r) / r
+    else:
+        # atanh(r) = log1p(2r / (1 - r)) / 2, with 1 - r = (1 + z) / (1 + r)
+        t = 0.5 * math.log1p(2.0 * r * (1.0 + r) / zp1) / r
+    return t, (1.0 - t) / z
 
 
 def cosh_integral(alpha: float, power: int) -> float:
-    """int_R dy / (cosh y + alpha)^power for power in {1, 2}, alpha > -1."""
+    """int_R dy / (cosh y + alpha)^power for power in {1, 2}, alpha > -1.
+
+    With z = (1 - alpha)/(1 + alpha): I_1 = 2 (1 + z) T(z) and
+    I_2 = (1 + z)^2 (T(z) + U(z)) / 2.
+    """
     if alpha <= -1.0:
         raise ValueError(f"cosh integral requires alpha > -1, got {alpha}")
     if power not in (1, 2):
         raise ValueError(f"power must be 1 or 2, got {power}")
-    if abs(alpha - 1.0) < 1e-3:
-        # substitute u = tanh(y/2): both branches reduce to rational
-        # integrals whose geometric-series expansion in (1-alpha)/(1+alpha)
-        # avoids the catastrophic cancellation of the closed forms here
-        big = 1.0 + alpha
-        ratio = -(1.0 - alpha) / big
-        total, term, k = 0.0, 1.0, 0
-        while abs(term) > 1e-18 * max(abs(total), 1.0):
-            if power == 1:
-                term = ratio**k / (2 * k + 1)
-            else:
-                term = (k + 1) * ratio**k / ((2 * k + 1) * (2 * k + 3))
-            total += term
-            k += 1
-        return 4.0 * total / big if power == 1 else 8.0 * total / (big * big)
-    if abs(alpha) < 1.0:
-        t = _half_acos(alpha)
-        r = 1.0 - alpha * alpha
-        if power == 1:
-            return 4.0 * t / math.sqrt(r)
-        return 2.0 / r - 4.0 * alpha * t / r**1.5
-    lg = math.log(alpha + math.sqrt(alpha * alpha - 1.0))
-    r = alpha * alpha - 1.0
-    if power == 1:
-        return 2.0 * lg / math.sqrt(r)
-    return -2.0 / r + 2.0 * alpha * lg / r**1.5
+    zp1 = 2.0 / (1.0 + alpha)
+    t, u = _t_u((1.0 - alpha) / (1.0 + alpha), zp1)
+    return 2.0 * zp1 * t if power == 1 else 0.5 * zp1 * zp1 * (t + u)
 
 
 def _require_region(p: ModelParams, omega: float, c: float) -> float:
@@ -122,28 +114,32 @@ def _require_region(p: ModelParams, omega: float, c: float) -> float:
 
 
 def _mass_momentum(p: ModelParams, omega: float, c: float) -> tuple[float, float]:
-    """(M, P) of phi_{omega,c}, branchwise in gamma; M is computed once."""
+    """(M, P) of phi_{omega,c} by the two formulas of the module docstring."""
+    c = float(c)  # a numpy scalar would slow every operation below
     rw = _require_region(p, omega, c)
     g = p.gamma
-    small = abs(g) < _GAMMA_EPS
-    if g > 0 and _algebraic_rw(rw, c):
-        m = 4.0 * math.pi / math.sqrt(g)
-    elif small:
-        m = 4.0 * math.sqrt(4.0 * omega - c * c) / (-c)
-    elif g > 0:
-        # (8/sqrt(g)) arctan sqrt((1+beta)/(1-beta)), stable form near beta = 1
-        beta = c / math.sqrt(c * c + g * (4.0 * omega - c * c))
-        m = 8.0 / math.sqrt(g) * _half_acos(-beta)
-    else:
-        # acosh(alpha) = log1p(delta + ...), alpha = |c| / r: delta = alpha - 1 is
-        # formed without cancelling, which matters for small |g| and for s -> -1
-        q = (rw - c) * (rw + c)
-        r = math.sqrt(c * c + g * q)
-        delta = -g * q / (r * (abs(c) + r))
-        m = 4.0 / math.sqrt(-g) * math.log1p(delta + math.sqrt(delta * (2.0 + delta)))
-    if small:
-        return m, -(2.0 * omega + c * c) / (3.0 * c) * m
-    return m, 0.5 * c * (-1.0 + 1.0 / g) * m + 2.0 / g * math.sqrt(max(4.0 * omega - c * c, 0.0))
+    q = (rw - c) * (rw + c)
+    if c < 0:
+        z = g * q / c / c  # not over c * c, which underflows
+        # z > 1 takes the atan2 form, which has no c in a denominator
+        if z <= 1.0:
+            zp1 = 1.0 + z
+            if z < -0.99:
+                # near the gamma < 0 edge: 1 + z = (c^2 + gamma q) / c^2, exactly;
+                # imported only here, as every CLI start would pay for it
+                from fractions import Fraction
+
+                fc, fr = Fraction(c), Fraction(rw)
+                zp1 = float(1 + Fraction(g) * (fr - fc) * (fr + fc) / (fc * fc))
+                if zp1 <= 0.0:
+                    # admitted by the rounded edge, but on or past the exact
+                    # one, where M and P grow without bound
+                    return math.inf, math.inf
+            t, u = _t_u(z, zp1)
+            m = 4.0 * math.sqrt(q) / -c * t
+            return m, -c * m / 2.0 + 2.0 * q * math.sqrt(q) / c / c * u
+    m = 4.0 * math.atan2(math.sqrt(g * q), -c) / math.sqrt(g)
+    return m, 0.5 * c * (1.0 / g - 1.0) * m + 2.0 / g * math.sqrt(q)
 
 
 def soliton_mass(p: ModelParams, omega: float, c: float) -> float:
@@ -152,13 +148,14 @@ def soliton_mass(p: ModelParams, omega: float, c: float) -> float:
 
 
 def soliton_momentum(p: ModelParams, omega: float, c: float) -> float:
-    """P(phi_{omega,c}); the same formula covers gamma > 0 and gamma < 0."""
+    """P(phi_{omega,c})."""
     return _mass_momentum(p, omega, c)[1]
 
 
 def soliton_energy(p: ModelParams, omega: float, c: float) -> float:
     """Pohozaev identity: E = -(c/4) P on the soliton family."""
-    return -0.25 * c * _mass_momentum(p, omega, c)[1]
+    # -c / 4 would underflow to 0 at the smallest c and give 0 * inf = nan
+    return -c * _mass_momentum(p, omega, c)[1] / 4.0
 
 
 def d_value(p: ModelParams, omega: float, c: float) -> float:

@@ -15,7 +15,7 @@ from dnls_well.closedform import (
     soliton_momentum,
 )
 from dnls_well.oracle import mass_by_quadrature, momentum_by_quadrature
-from dnls_well.solitons import ModelParams, RegionError
+from dnls_well.solitons import ModelParams, RegionError, s_lower
 
 
 def test_exact_constants():
@@ -180,3 +180,74 @@ def test_admissible_s_range():
     assert admissible_s_range(ModelParams(0.0)) == (-1.0, 1.0, True)
     lo, hi, closed = admissible_s_range(ModelParams(-0.5))
     assert lo == -1.0 and not closed and -1.0 < hi < 0.0
+
+
+# --- points where the closed forms used to fail --------------------------------
+
+BCRIT = -3.0 / 16.0
+
+
+def test_c_zero_just_above_gamma_zero():
+    # 0 < gamma < 1e-8 once took the gamma = 0 formula, which divides by c
+    p = ModelParams(BCRIT + 1e-10)
+    g = p.gamma
+    assert soliton_mass(p, 1.0, 0.0) == pytest.approx(2.0 * math.pi / math.sqrt(g), rel=1e-15)
+    assert soliton_momentum(p, 1.0, 0.0) == pytest.approx(4.0 / g, rel=1e-15)
+    assert soliton_energy(p, 1.0, 0.0) == 0.0
+    assert d_value(p, 1.0, 0.0) == pytest.approx(math.pi / math.sqrt(g), rel=1e-15)
+
+
+def test_mass_increasing_on_s_positive_just_above_gamma_zero():
+    # the gamma = 0 formula gave M < 0 here for every s > 0
+    p = ModelParams(BCRIT + 1e-10)
+    m = [soliton_mass(p, 1.0, 2.0 * s) for s in np.linspace(0.0, 1.0, 201)[1:]]
+    assert m[0] > 0 and all(m2 > m1 for m1, m2 in zip(m, m[1:]))
+
+
+def _edge_mass_50_digits(p: ModelParams, omega: float, c: float) -> float:
+    """(4/sqrt(-g)) acosh(|c| / sqrt(c^2 + g q)), q from the float 2 sqrt(omega)."""
+    with mpmath.workdps(50):
+        g, c = mpmath.mpf(p.gamma), mpmath.mpf(c)
+        rw = mpmath.mpf(2.0 * math.sqrt(omega))
+        alpha = abs(c) / mpmath.sqrt(c * c + g * (rw - c) * (rw + c))
+        return float(4 / mpmath.sqrt(-g) * mpmath.acosh(alpha))
+
+
+def test_one_float_inside_negative_gamma_edge():
+    # c^2 + gamma q formed in floats was 0 here (ZeroDivisionError)
+    p, omega, c = ModelParams(BCRIT - 1e-6), 0.7, -0.003864356827327688
+    m = soliton_mass(p, omega, c)
+    assert m == pytest.approx(_edge_mass_50_digits(p, omega, c), rel=1e-14)
+    assert all(math.isfinite(f(p, omega, c)) for f in (soliton_momentum, soliton_energy, d_value))
+
+
+def test_64_floats_inside_negative_gamma_edge_are_finite():
+    p, omega = ModelParams(BCRIT - 1e-6), 0.7
+    c = -s_lower(p) * 2.0 * math.sqrt(omega)
+    for _ in range(64):
+        c = math.nextafter(c, -math.inf)
+        m, mom = soliton_mass(p, omega, c), soliton_momentum(p, omega, c)
+        assert math.isfinite(m) and math.isfinite(mom), c
+        assert m == pytest.approx(_edge_mass_50_digits(p, omega, c), rel=1e-14), c
+
+
+def test_subnormal_c_at_gamma_zero_overflows_to_inf():
+    # M ~ 8 / |c| = 1.6e324 overflows; P and E = -(c/4) P overflow too, and
+    # none of them is inf * 0 = nan
+    p, c = ModelParams(BCRIT), -5e-324
+    assert soliton_mass(p, 1.0, c) == math.inf
+    assert soliton_momentum(p, 1.0, c) == math.inf
+    assert soliton_energy(p, 1.0, c) == math.inf
+    # at gamma > 0, z = gamma q / c^2 overflows; the atan2 form takes it
+    p = ModelParams(0.1)
+    assert soliton_mass(p, 1.0, c) == pytest.approx(2.0 * math.pi / math.sqrt(p.gamma), rel=1e-15)
+    assert soliton_momentum(p, 1.0, c) == pytest.approx(4.0 / p.gamma, rel=1e-15)
+
+
+def test_admitted_point_past_the_exact_negative_gamma_edge_is_inf():
+    # the rounded edge -2 s_* sqrt(omega) admits this c, but with these float
+    # inputs c^2 + gamma q is -6e-19 < 0: M and P take their limit +inf at the
+    # edge instead of raising
+    p, omega, c = ModelParams(-0.1885103820748597), 0.5410806657165566, -0.1077050788701073
+    assert soliton_mass(p, omega, c) == math.inf
+    assert soliton_momentum(p, omega, c) == math.inf

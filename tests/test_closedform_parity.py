@@ -1,134 +1,56 @@
-"""The pure-`math` closed forms against the numpy versions they replaced.
+"""The closed forms against 50-digit mpmath evaluations of the same formulas.
 
-The reference functions below are the earlier numpy implementation, kept
-verbatim (numpy ufuncs, `np.isclose` for the algebraic test), except for the
-gamma < 0 mass, which both sides now take in a form that does not cancel.  Both paths
-evaluate the same formulas, so they may differ only by the last-ulp
-differences of the libm calls.  Near gamma = 0 the 1/gamma form of the
-momentum amplifies such differences (3.5e-10 relative at gamma = -5e-7),
-so b with 1e-8 <= |gamma| < 1e-3 is left to the monotonicity and
-criterion checks instead.
+The reference evaluates the module's two formulas for M and P at 50 digits
+from the same floats the code sees: gamma, c, and 2 sqrt(omega) as the region
+test rounds it.  (At the algebraic end c = 2 sqrt(omega), P has an infinite
+slope in c, so an ulp of 2 sqrt(omega) is not resolvable; q is formed from
+the float edge the region test uses.)  Every point of the grid is held to
+1e-13 of |M| + |P|, including b within 1e-10 of -3/16, s -> -1 and both
+region edges.  The test names keep their earlier "numpy_reference", from the
+numpy implementation they first compared against, so that their ids stay
+the same; the reference is mpmath now.
 """
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
 from dnls_well import closedform as cf
-from dnls_well.solitons import ModelParams, RegionError, existence_region
+from dnls_well.solitons import ModelParams
 
-# --- earlier numpy implementation, verbatim ---------------------------------
-
-_GAMMA_EPS = 1e-8
+BCRIT = -3.0 / 16.0
 
 
-def is_algebraic(omega: float, c: float) -> bool:
-    return c > 0 and np.isclose(c, 2.0 * np.sqrt(omega), rtol=1e-13, atol=0.0)
+def _t_u_mp(z):
+    """T(z) and U(z) = (1 - T)/z at the working precision."""
+    if abs(z) < mpmath.mpf("1e-6"):
+        u = mpmath.fsum((-z) ** k / (2 * k + 3) for k in range(12))
+        return 1 - z * u, u
+    r = mpmath.sqrt(abs(z))
+    t = (mpmath.atan(r) if z > 0 else mpmath.atanh(r)) / r
+    return t, (1 - t) / z
 
 
-def _half_acos(a: float) -> float:
-    """arctan(sqrt((1-a)/(1+a))) evaluated stably as acos(a)/2."""
-    return 0.5 * np.arccos(np.clip(a, -1.0, 1.0))
+def _reference(gamma: float, omega: float, c: float):
+    """(M, P) at 50 digits from the float gamma, c and 2 sqrt(omega)."""
+    with mpmath.workdps(50):
+        g, c = mpmath.mpf(gamma), mpmath.mpf(c)
+        rw = mpmath.mpf(2.0 * math.sqrt(omega))
+        q = (rw - c) * (rw + c)
+        if c < 0 and g * q <= c * c:
+            t, u = _t_u_mp(g * q / (c * c))
+            m = 4 * mpmath.sqrt(q) / -c * t
+            return m, -c * m / 2 + 2 * q * mpmath.sqrt(q) / (c * c) * u
+        m = 4 * mpmath.atan2(mpmath.sqrt(g * q), -c) / mpmath.sqrt(g)
+        return m, c / 2 * (1 / g - 1) * m + 2 / g * mpmath.sqrt(q)
 
 
-def cosh_integral(alpha: float, power: int) -> float:
-    """int_R dy / (cosh y + alpha)^power for power in {1, 2}, alpha > -1."""
-    if alpha <= -1.0:
-        raise ValueError(f"cosh integral requires alpha > -1, got {alpha}")
-    if power not in (1, 2):
-        raise ValueError(f"power must be 1 or 2, got {power}")
-    if abs(alpha - 1.0) < 1e-3:
-        # substitute u = tanh(y/2): both branches reduce to rational
-        # integrals whose geometric-series expansion in (1-alpha)/(1+alpha)
-        # avoids the catastrophic cancellation of the closed forms here
-        big = 1.0 + alpha
-        ratio = -(1.0 - alpha) / big
-        total, term, k = 0.0, 1.0, 0
-        while abs(term) > 1e-18 * max(abs(total), 1.0):
-            if power == 1:
-                term = ratio**k / (2 * k + 1)
-            else:
-                term = (k + 1) * ratio**k / ((2 * k + 1) * (2 * k + 3))
-            total += term
-            k += 1
-        return 4.0 * total / big if power == 1 else 8.0 * total / (big * big)
-    if abs(alpha) < 1.0:
-        t = _half_acos(alpha)
-        r = 1.0 - alpha * alpha
-        if power == 1:
-            return 4.0 * t / np.sqrt(r)
-        return 2.0 / r - 4.0 * alpha * t / r**1.5
-    lg = np.log(alpha + np.sqrt(alpha * alpha - 1.0))
-    r = alpha * alpha - 1.0
-    if power == 1:
-        return 2.0 * lg / np.sqrt(r)
-    return -2.0 / r + 2.0 * alpha * lg / r**1.5
-
-
-def curve_beta(p: ModelParams, omega: float, c: float) -> float:
-    """beta(omega, c) = c / sqrt(c^2 + gamma (4 omega - c^2)); alpha = -beta."""
-    return c / np.sqrt(c * c + p.gamma * (4.0 * omega - c * c))
-
-
-def _require_region(p: ModelParams, omega: float, c: float) -> None:
-    if not existence_region(p, omega, c):
-        raise RegionError(
-            f"(omega={omega}, c={c}) outside existence region for b={p.b}"
-        )
-
-
-def soliton_mass(p: ModelParams, omega: float, c: float) -> float:
-    """M(phi_{omega,c}), branchwise in gamma."""
-    _require_region(p, omega, c)
-    g = p.gamma
-    if g > 0 and is_algebraic(omega, c):
-        return 4.0 * np.pi / np.sqrt(g)
-    if abs(g) < _GAMMA_EPS:
-        return 4.0 * np.sqrt(4.0 * omega - c * c) / (-c)
-    beta = curve_beta(p, omega, c)
-    if g > 0:
-        # (8/sqrt(g)) arctan sqrt((1+beta)/(1-beta)), stable form near beta = 1
-        return 8.0 / np.sqrt(g) * _half_acos(-beta)
-    # not verbatim: log(alpha + sqrt(alpha^2 - 1)) cancels as alpha -> 1, so
-    # the reference takes acosh(alpha) = log1p(delta + sqrt(delta (2 + delta)))
-    # with delta = alpha - 1 formed without cancelling, as the code now does
-    q = (2.0 * np.sqrt(omega) - c) * (2.0 * np.sqrt(omega) + c)
-    r = np.sqrt(c * c + g * q)
-    delta = -g * q / (r * (abs(c) + r))
-    return 4.0 / np.sqrt(-g) * np.log1p(delta + np.sqrt(delta * (2.0 + delta)))
-
-
-def soliton_momentum(p: ModelParams, omega: float, c: float) -> float:
-    """P(phi_{omega,c}); the same formula covers gamma > 0 and gamma < 0."""
-    _require_region(p, omega, c)
-    g = p.gamma
-    m = soliton_mass(p, omega, c)
-    if abs(g) < _GAMMA_EPS:
-        return -(2.0 * omega + c * c) / (3.0 * c) * m
-    return 0.5 * c * (-1.0 + 1.0 / g) * m + 2.0 / g * np.sqrt(
-        max(4.0 * omega - c * c, 0.0)
-    )
-
-
-def d_value(p: ModelParams, omega: float, c: float) -> float:
-    """Action value d(omega, c) of the soliton.
-
-    Computed via 2 d(1, 2s) = M(phi_{1,2s}) + s P(phi_{1,2s}) and the
-    scaling d(omega, 2 s sqrt(omega)) = omega d(1, 2s).
-    """
-    _require_region(p, omega, c)
-    s = c / (2.0 * np.sqrt(omega))
-    c1 = 2.0 * s
-    return omega * 0.5 * (soliton_mass(p, 1.0, c1) + s * soliton_momentum(p, 1.0, c1))
-
-
-# --- parity ----------------------------------------------------------------
-
-
-def _s_grid(p: ModelParams) -> np.ndarray:
-    """Dense s points plus lo + 10^-k and hi - 10^-k for k = 2 .. 14."""
+def _s_grid(p: ModelParams, n: int = 1001) -> np.ndarray:
+    """n - 2 dense s points plus lo + 10^-k and hi - 10^-k for k = 2 .. 14."""
     lo, hi, closed = cf.admissible_s_range(p)
     edge = 10.0 ** -np.arange(2.0, 15.0)
-    pts = [np.linspace(lo, hi, 1001)[1:-1], lo + edge, hi - edge]
+    pts = [np.linspace(lo, hi, n)[1:-1], lo + edge, hi - edge]
     if closed:
         pts.append([hi])
     return np.unique(np.concatenate(pts))
@@ -136,25 +58,51 @@ def _s_grid(p: ModelParams) -> np.ndarray:
 
 @pytest.mark.parametrize(
     "b",
-    [0.1, -0.1, -3.0 / 16.0, -3.0 / 16.0 - 1e-10, -0.3, 0.5, -3.0 / 16.0 + 1e-3, -3.0 / 16.0 - 1e-3],
+    [
+        0.1, -0.1, BCRIT, BCRIT - 1e-10, -0.3, 0.5, BCRIT + 1e-3, BCRIT - 1e-3,
+        BCRIT + 1e-10, BCRIT + 1e-6, BCRIT - 1e-6, 1e-9, 3.0, -2.0,
+    ],
 )
 def test_scalar_closed_forms_match_numpy_reference(b):
     p = ModelParams(b)
-    for s in _s_grid(p):
-        c = 2.0 * s
-        m, mom = soliton_mass(p, 1.0, c), soliton_momentum(p, 1.0, c)
-        scale = 1e-13 * (abs(m) + abs(mom))
-        assert abs(cf.soliton_mass(p, 1.0, c) - m) <= scale, s
-        assert abs(cf.soliton_momentum(p, 1.0, c) - mom) <= scale, s
-        assert abs(cf.d_value(p, 1.0, c) - d_value(p, 1.0, c)) <= scale, s
+    # omega = 1 on a dense grid, where d(1, c) = (M + (c/2) P)/2 needs no
+    # rescaling; the edges also at omega = 0.7 and 2.3
+    cases = [(1.0, s) for s in _s_grid(p, 257)]
+    cases += [(omega, s) for omega in (0.7, 2.3) for s in _s_grid(p, 2)]
+    for omega, s in cases:
+        c = float(2.0 * s * math.sqrt(omega))
+        ref_m, ref_p = _reference(p.gamma, omega, c)
+        scale = 1e-13 * float(abs(ref_m) + abs(ref_p))
+        m, mom = cf.soliton_mass(p, omega, c), cf.soliton_momentum(p, omega, c)
+        assert abs(m - ref_m) <= scale, (omega, s, m, ref_m)
+        assert abs(mom - ref_p) <= scale, (omega, s, mom, ref_p)
+        if omega == 1.0:
+            ref_d = (ref_m + mpmath.mpf(c) / 2 * ref_p) / 2
+            assert abs(cf.d_value(p, 1.0, c) - ref_d) <= scale, s
+
+
+def _cosh_integral_mp(alpha: float, power: int):
+    """int_R dy / (cosh y + alpha)^power at 50 digits, in acos/acosh form."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        if a == 1:
+            return mpmath.mpf(2) if power == 1 else mpmath.mpf(2) / 3
+        r = abs(1 - a * a)
+        arc = mpmath.acos(a) if a < 1 else mpmath.acosh(a)
+        if power == 1:
+            return 2 * arc / mpmath.sqrt(r)
+        return (2 - 2 * a * arc / mpmath.sqrt(r)) / (1 - a * a)
 
 
 @pytest.mark.parametrize("power", [1, 2])
 def test_cosh_integral_matches_numpy_reference(power):
-    switch = 1.0 + np.array([-1e-3, 1e-3]) * (1.0 + np.array([[-1e-9], [1e-9]]))
-    alphas = np.concatenate([np.linspace(1.0 - 4e-3, 1.0 + 4e-3, 801), switch.ravel()])
-    for a in alphas:
-        ref = cosh_integral(a, power)
+    # dense across alpha = 1 (and the earlier series band |alpha - 1| < 1e-3),
+    # then from -0.999 to 1e6
+    near = np.concatenate([np.linspace(1.0 - 4e-3, 1.0 + 4e-3, 401), 1.0 + np.array([-1e-3, 1e-3])])
+    far = np.concatenate([np.linspace(-0.999, 0.99, 100), 1.0 + np.logspace(-2.0, 6.0, 100)])
+    for a in np.concatenate([near, far]):
+        a = float(a)
+        ref = _cosh_integral_mp(a, power)
         assert abs(cf.cosh_integral(a, power) - ref) <= 1e-12 * abs(ref), a
 
 
