@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, asdict
 
-import numpy as np
-
 from .closedform import admissible_s_range, d_value, mass_threshold, turning_point
 from .field import Field
 from .functionals import WELL_A, Frame, Invariants, invariants
@@ -71,30 +69,30 @@ def _curve(si: Invariants, s: float, d1: float = 0.0) -> tuple[float, float, flo
     return 0.5 * si.mass - d1, s * si.momentum, si.energy
 
 
+def _sign_changes(a: float, b: float, c: float) -> list[float]:
+    """Ascending real x where a x^2 + b x + c changes sign; a = 0 allowed."""
+    if a == 0.0:
+        return [-c / b] if b != 0.0 else []
+    disc = b * b - 4.0 * a * c
+    if disc <= 0.0:
+        return []
+    # q and c/q avoid the cancellation of -b + sqrt(disc) when |a c| << b^2
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return sorted((q / a, c / q))
+
+
 def _negative_intervals(a: float, b: float, c: float) -> list[tuple[float, float]]:
     """{mu > 0 : a mu^2 + b mu + c < 0} as a list of open intervals."""
     inf = math.inf
-    if a == 0.0:
-        if b == 0.0:
-            return [(0.0, inf)] if c < 0 else []
-        r = -c / b
-        if b > 0:
-            return [(0.0, r)] if r > 0 else []
-        return [(max(r, 0.0), inf)]
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        return [] if a > 0 else [(0.0, inf)]
-    # q and c/q avoid the cancellation of -b + sqrt(disc) when |a c| << b^2
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    r1, r2 = sorted((q / a, c / q))
-    if a > 0:
-        lo, hi = max(r1, 0.0), r2
-        return [(lo, hi)] if hi > lo else []
-    out = []
-    if r1 > 0:
-        out.append((0.0, r1))
-    out.append((max(r2, 0.0), inf))
-    return out
+    roots = _sign_changes(a, b, c)
+    if not roots:  # one sign: that of a, or of c when a = b = 0
+        return [(0.0, inf)] if (a or c) < 0 else []
+    # a linear polynomial is a quadratic with its other root at -inf
+    r1, r2 = roots if len(roots) == 2 else (-inf, roots[0])
+    if (a or b) > 0:
+        lo = max(r1, 0.0)
+        return [(lo, r2)] if r2 > lo else []
+    return ([(0.0, r1)] if r1 > 0 else []) + [(max(r2, 0.0), inf)]
 
 
 def _k_signs_on(intervals, kq) -> set[int]:
@@ -137,16 +135,16 @@ def critical_b_membership(si: Invariants, p: ModelParams) -> dict:
     """b = -3/16 route: every field lands in some A+_s with s in (-1, 0).
 
     d(1, 2s) diverges as s -> 0-, so halving s from -1/2 always reaches
-    2 d(1, 2s) > mass; the verdict then follows from the curve scan.
+    2 d(1, 2s) > M.  There the mu^2 coefficient M/2 - d(1, 2s) of the action
+    gap is negative, so J contains some (r, inf), and that of K is M > 0, so
+    K > 0 far out on J: `scan_curve` at that s says A_plus or both.
     """
     if abs(p.b + 3.0 / 16.0) > 1e-12:
         raise RegionError("universal-membership route applies at b = -3/16 only")
     s = -0.5
     for _ in range(200):
         if 2.0 * d_value(p, 1.0, 2.0 * s) > si.mass:
-            res = scan_curve(si, p, s)
-            if res["verdict"] in ("A_plus", "both"):
-                return {"s": s, "verdict": "A_plus"}
+            return {"s": s, "verdict": "A_plus"}
         s *= 0.5
     return {"s": None, "verdict": "not found"}
 
@@ -251,10 +249,10 @@ def nehari_normalize(si: Invariants, omega: float, c: float) -> float:
     k2, k4, k6 = (
         si.graded(*w).nehari(omega, c) for w in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     )
-    roots = [r.real for r in np.roots([k6, k4, k2]) if abs(r.imag) < 1e-14 and r.real > 0]
+    roots = [r for r in _sign_changes(k6, k4, k2) if r > 0]
     if not roots:
         raise RegionError("no positive Nehari normalization for this field")
-    t = min(roots)
+    t = roots[0]
     resid = t * k2 + t * t * k4 + t**3 * k6
     scale = max(k2, abs(k4) * t, abs(k6) * t * t)
     if abs(resid) > 1e-10 * max(scale * t, 1e-30):

@@ -1,19 +1,24 @@
 """Exact scalar formulas for the soliton family.
 
 `_mass_momentum(p, omega, c)` checks the existence region and computes the
-mass M once, with the momentum P formed from it; mass, momentum, energy
-E = -(c/4) P and d = (M + s P)/2 at (1, 2s) call it.  With
+mass M once, with the momentum P and the action value d formed from it;
+mass, momentum, energy E = -(c/4) P and d call it.  With
 q = (2 sqrt(omega) - c)(2 sqrt(omega) + c) and z = gamma q / c^2 there are
 two formulas and no case of gamma:
 
-  c < 0, z <= 1 : M = (4 sqrt(q) / |c|) T(z),  P = -c M / 2 + (2 q^{3/2} / c^2) U(z)
+  c < 0, z <= 1 : M = (4 sqrt(q) / |c|) T(z),  P = -c M / 2 + (2 q^{3/2} / c^2) U(z),
+                  d = q^{3/2} (T(z) - U(z)) / (2 |c|)
   otherwise     : M = 4 atan2(sqrt(gamma q), -c) / sqrt(gamma),
-                  P = (c/2) (1/gamma - 1) M + 2 sqrt(q) / gamma
+                  P = (c/2) (1/gamma - 1) M + 2 sqrt(q) / gamma,
+                  d = (omega/2) M + (c/4) P
 
 T(z) = atan(sqrt z)/sqrt z (atanh for -1 < z < 0), T(0) = 1, U = (1 - T)/z.
 The first has no 1/gamma, so it holds through gamma = 0 and does not cancel
 as s -> -1; the second needs gamma > 0, which z > 1 or c >= 0 implies, and
 covers c = 0 and the algebraic soliton (q = 0, M = 4 pi / sqrt(gamma)).
+The first d is (omega/2) M + (c/4) P, omega read as q reads it, with the
+cancelling terms taken out by hand: as s -> -1, d ~ q^{3/2} while both
+terms ~ q^{1/2}, so the sum would lose about 1/q of its digits.
 `cosh_integral` is the same integral, M = (2 sqrt(q) / r) I_1(-c / r) with
 r = sqrt(c^2 + gamma q), and shares `_t_u`.
 
@@ -113,8 +118,8 @@ def _require_region(p: ModelParams, omega: float, c: float) -> float:
     return rw
 
 
-def _mass_momentum(p: ModelParams, omega: float, c: float) -> tuple[float, float]:
-    """(M, P) of phi_{omega,c} by the two formulas of the module docstring."""
+def _mass_momentum(p: ModelParams, omega: float, c: float) -> tuple[float, float, float]:
+    """(M, P, d) of phi_{omega,c} by the formulas of the module docstring."""
     c = float(c)  # a numpy scalar would slow every operation below
     rw = _require_region(p, omega, c)
     g = p.gamma
@@ -124,6 +129,7 @@ def _mass_momentum(p: ModelParams, omega: float, c: float) -> tuple[float, float
         # z > 1 takes the atan2 form, which has no c in a denominator
         if z <= 1.0:
             zp1 = 1.0 + z
+            h = q * math.sqrt(q) / -c  # q^{3/2} / |c|
             if z < -0.99:
                 # near the gamma < 0 edge: 1 + z = (c^2 + gamma q) / c^2, exactly;
                 # imported only here, as every CLI start would pay for it
@@ -133,13 +139,14 @@ def _mass_momentum(p: ModelParams, omega: float, c: float) -> tuple[float, float
                 zp1 = float(1 + Fraction(g) * (fr - fc) * (fr + fc) / (fc * fc))
                 if zp1 <= 0.0:
                     # admitted by the rounded edge, but on or past the exact
-                    # one, where M and P grow without bound
-                    return math.inf, math.inf
+                    # one, where M and P grow without bound and T - U -> 1
+                    return math.inf, math.inf, h / 2.0
             t, u = _t_u(z, zp1)
             m = 4.0 * math.sqrt(q) / -c * t
-            return m, -c * m / 2.0 + 2.0 * q * math.sqrt(q) / c / c * u
+            return m, -c * m / 2.0 + 2.0 * h / -c * u, h * (t - u) / 2.0
     m = 4.0 * math.atan2(math.sqrt(g * q), -c) / math.sqrt(g)
-    return m, 0.5 * c * (1.0 / g - 1.0) * m + 2.0 / g * math.sqrt(q)
+    mom = 0.5 * c * (1.0 / g - 1.0) * m + 2.0 / g * math.sqrt(q)
+    return m, mom, omega * m / 2.0 + c * mom / 4.0
 
 
 def soliton_mass(p: ModelParams, omega: float, c: float) -> float:
@@ -159,14 +166,8 @@ def soliton_energy(p: ModelParams, omega: float, c: float) -> float:
 
 
 def d_value(p: ModelParams, omega: float, c: float) -> float:
-    """Action value d(omega, c) of the soliton.
-
-    Computed via 2 d(1, 2s) = M(phi_{1,2s}) + s P(phi_{1,2s}) and the
-    scaling d(omega, 2 s sqrt(omega)) = omega d(1, 2s).
-    """
-    s = c / _require_region(p, omega, c)
-    m, mom = _mass_momentum(p, 1.0, 2.0 * s)
-    return omega * 0.5 * (m + s * mom)
+    """Action value d(omega, c) = (omega/2) M + (c/4) P, in the module docstring's two forms."""
+    return _mass_momentum(p, omega, c)[2]
 
 
 def turning_point(b: float) -> tuple[float, float]:
@@ -184,7 +185,7 @@ def turning_point(b: float) -> tuple[float, float]:
     p = ModelParams(b)
     if not (b > 0 and math.isfinite(p.gamma)):
         raise ValueError(f"s* is defined for b > 0 with gamma finite, got b={b}")
-    (m_lo, p_lo), (m_hi, p_hi) = _mass_momentum(p, 1.0, 0.0), _mass_momentum(p, 1.0, 2.0)
+    (m_lo, p_lo, _), (m_hi, p_hi, _) = _mass_momentum(p, 1.0, 0.0), _mass_momentum(p, 1.0, 2.0)
     lo, hi, x0, f0, x1, f1 = 0.0, 1.0, 1.0, p_hi, 0.0, p_lo
     step = last_step = math.inf
     while True:
@@ -199,7 +200,7 @@ def turning_point(b: float) -> tuple[float, float]:
             if x == lo or x == hi:
                 break
         last_step, step = step, abs(x - x1)
-        m, f = _mass_momentum(p, 1.0, 2.0 * x)
+        m, f, _ = _mass_momentum(p, 1.0, 2.0 * x)
         if f > 0.0:
             lo, m_lo, p_lo = x, m, f
         else:

@@ -196,6 +196,8 @@ def test_critical_b_route_certifies_membership(rng):
     out = critical_b_membership(si, p)
     assert out["verdict"] == "A_plus"
     assert -1.0 < out["s"] < 0.0
+    # the route returns without scanning; the scan at its s must agree
+    assert scan_curve(si, p, out["s"])["verdict"] in ("A_plus", "both")
     res = classify_thm17(f, p)
     assert res.theorem17_case == "critical-b" and res.global_existence
 
@@ -212,6 +214,19 @@ def test_nehari_normalize_soliton_is_identity():
     f, p = _soliton_field(0.05, 1.0, 0.4)
     si = invariant_summary(f, p, Frame.GAUGE)
     assert nehari_normalize(si, 1.0, 0.4) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_nehari_normalize_linear_and_rootless_cases():
+    g = make_grid(30.0, 256)
+    f = Field(g, np.exp(-g.x**2))
+    # b = -3/16: gamma = 0 takes the sextic part K6 out, so t0 = -K2/K4
+    si = invariant_summary(f, ModelParams(-3.0 / 16.0), Frame.GAUGE)
+    lam0 = nehari_normalize(si, 1.0, -1.0)
+    assert abs(si.scaled(lam0).nehari(1.0, -1.0)) <= 1e-12 * si.scaled(lam0).grad_sq
+    # b = -0.3, c = 0: K2 > 0, K4 = 0 and K6 > 0, so K(lam f) > 0 for all lam > 0
+    si = invariant_summary(f, ModelParams(-0.3), Frame.GAUGE)
+    with pytest.raises(RegionError, match="no positive Nehari normalization"):
+        nehari_normalize(si, 1.0, 0.0)
 
 
 def test_nehari_normalized_action_dominates_d(rng):

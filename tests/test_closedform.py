@@ -222,22 +222,26 @@ def test_one_float_inside_negative_gamma_edge():
 
 
 def test_64_floats_inside_negative_gamma_edge_are_finite():
-    p, omega = ModelParams(BCRIT - 1e-6), 0.7
-    c = -s_lower(p) * 2.0 * math.sqrt(omega)
-    for _ in range(64):
-        c = math.nextafter(c, -math.inf)
-        m, mom = soliton_mass(p, omega, c), soliton_momentum(p, omega, c)
-        assert math.isfinite(m) and math.isfinite(mom), c
-        assert m == pytest.approx(_edge_mass_50_digits(p, omega, c), rel=1e-14), c
+    # at omega = 37, d once rescaled to (1, 2s) and rounded s out of the region
+    p = ModelParams(BCRIT - 1e-6)
+    for omega in (0.7, 37.0):
+        c = -s_lower(p) * 2.0 * math.sqrt(omega)
+        for _ in range(64):
+            c = math.nextafter(c, -math.inf)
+            m, mom = soliton_mass(p, omega, c), soliton_momentum(p, omega, c)
+            assert math.isfinite(m) and math.isfinite(mom), (omega, c)
+            assert math.isfinite(d_value(p, omega, c)), (omega, c)
+            assert m == pytest.approx(_edge_mass_50_digits(p, omega, c), rel=1e-14), (omega, c)
 
 
 def test_subnormal_c_at_gamma_zero_overflows_to_inf():
     # M ~ 8 / |c| = 1.6e324 overflows; P and E = -(c/4) P overflow too, and
-    # none of them is inf * 0 = nan
+    # none of them is inf * 0 = nan; so does d ~ q^{3/2} / (3 |c|)
     p, c = ModelParams(BCRIT), -5e-324
     assert soliton_mass(p, 1.0, c) == math.inf
     assert soliton_momentum(p, 1.0, c) == math.inf
     assert soliton_energy(p, 1.0, c) == math.inf
+    assert all(d_value(p, omega, c) == math.inf for omega in (0.7, 1.0, 2.3))
     # at gamma > 0, z = gamma q / c^2 overflows; the atan2 form takes it
     p = ModelParams(0.1)
     assert soliton_mass(p, 1.0, c) == pytest.approx(2.0 * math.pi / math.sqrt(p.gamma), rel=1e-15)
@@ -247,7 +251,21 @@ def test_subnormal_c_at_gamma_zero_overflows_to_inf():
 def test_admitted_point_past_the_exact_negative_gamma_edge_is_inf():
     # the rounded edge -2 s_* sqrt(omega) admits this c, but with these float
     # inputs c^2 + gamma q is -6e-19 < 0: M and P take their limit +inf at the
-    # edge instead of raising
+    # edge instead of raising, and d its finite limit q^{3/2} / (2 |c|)
     p, omega, c = ModelParams(-0.1885103820748597), 0.5410806657165566, -0.1077050788701073
     assert soliton_mass(p, omega, c) == math.inf
     assert soliton_momentum(p, omega, c) == math.inf
+    assert d_value(p, omega, c) == pytest.approx(14.662763486917031, rel=1e-14)
+
+
+def test_d_finite_just_inside_negative_gamma_edge():
+    # the first four floats inside c = -2 s_* sqrt(omega) on random draws,
+    # where d once rescaled s out of the region and raised
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        p = ModelParams(BCRIT - 10.0 ** rng.uniform(-15.0, 2.0))
+        omega = 10.0 ** rng.uniform(-3.0, 3.0)
+        c = -s_lower(p) * 2.0 * math.sqrt(omega)
+        for _ in range(4):
+            c = math.nextafter(c, -math.inf)
+            assert math.isfinite(d_value(p, omega, c)), (p.b, omega, c)

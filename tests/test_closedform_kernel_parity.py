@@ -4,8 +4,8 @@ Mass, momentum, energy and d all call the one kernel `_mass_momentum`.  On a
 dense grid in c, with each region edge and its two float neighbours, every
 admissible point must give M, P, E and d with no exception and no nan (the
 values may be +inf: at c -> 0- with gamma = 0 the true values overflow), and
-`soliton_mass` and `soliton_momentum` must return the kernel's floats
-bit for bit.  Every point outside the region must raise `RegionError` with
+`soliton_mass`, `soliton_momentum` and `d_value` must return the kernel's
+floats bit for bit.  Every point outside the region must raise `RegionError` with
 the message below.
 
 The kernel used to be compared bit for bit with the separate functions it
@@ -63,13 +63,8 @@ def test_kernel_bit_identical_to_separate_functions(b):
                 message = f"(omega={omega}, c={c}) outside existence region for b={b}"
                 assert all(g == ("RegionError", message) for g in got), (omega, c, got)
                 continue
-            if c == -5e-324:
-                # d rescales to (1, 2s) with s = c / (2 sqrt(omega)), which
-                # underflows: to -0, outside the region (omega = 1 and 2.3),
-                # or to -5e-324, where M + s P is inf - inf (omega = 0.7)
-                got = got[:3]
             assert all(isinstance(g, float) and not math.isnan(g) for g in got), (omega, c, got)
-            m, mom = cf._mass_momentum(p, omega, c)
-            assert got[0] == m and got[1] == mom, (omega, c)
+            m, mom, d = cf._mass_momentum(p, omega, c)
+            assert got[0] == m and got[1] == mom and got[3] == d, (omega, c)
     # both edges of every omega lie outside the region on one side
     assert n_outside >= 2 * len(OMEGAS)

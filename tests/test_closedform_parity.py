@@ -5,10 +5,11 @@ from the same floats the code sees: gamma, c, and 2 sqrt(omega) as the region
 test rounds it.  (At the algebraic end c = 2 sqrt(omega), P has an infinite
 slope in c, so an ulp of 2 sqrt(omega) is not resolvable; q is formed from
 the float edge the region test uses.)  Every point of the grid is held to
-1e-13 of |M| + |P|, including b within 1e-10 of -3/16, s -> -1 and both
-region edges.  The test names keep their earlier "numpy_reference", from the
-numpy implementation they first compared against, so that their ids stay
-the same; the reference is mpmath now.
+1e-13 of |M| + |P|, and d = (omega/2) M + (c/4) P to 1e-13 of |d|, including
+b within 1e-10 of -3/16, s -> -1 and both region edges.  The test names
+keep their earlier "numpy_reference", from the numpy implementation they
+first compared against, so that their ids stay the same; the reference is
+mpmath now.
 """
 import math
 
@@ -56,17 +57,16 @@ def _s_grid(p: ModelParams, n: int = 1001) -> np.ndarray:
     return np.unique(np.concatenate(pts))
 
 
-@pytest.mark.parametrize(
-    "b",
-    [
-        0.1, -0.1, BCRIT, BCRIT - 1e-10, -0.3, 0.5, BCRIT + 1e-3, BCRIT - 1e-3,
-        BCRIT + 1e-10, BCRIT + 1e-6, BCRIT - 1e-6, 1e-9, 3.0, -2.0,
-    ],
-)
+B_VALUES = [
+    0.1, -0.1, BCRIT, BCRIT - 1e-10, -0.3, 0.5, BCRIT + 1e-3, BCRIT - 1e-3,
+    BCRIT + 1e-10, BCRIT + 1e-6, BCRIT - 1e-6, 1e-9, 3.0, -2.0,
+]
+
+
+@pytest.mark.parametrize("b", B_VALUES)
 def test_scalar_closed_forms_match_numpy_reference(b):
     p = ModelParams(b)
-    # omega = 1 on a dense grid, where d(1, c) = (M + (c/2) P)/2 needs no
-    # rescaling; the edges also at omega = 0.7 and 2.3
+    # omega = 1 on a dense grid, the edges also at omega = 0.7 and 2.3
     cases = [(1.0, s) for s in _s_grid(p, 257)]
     cases += [(omega, s) for omega in (0.7, 2.3) for s in _s_grid(p, 2)]
     for omega, s in cases:
@@ -76,9 +76,22 @@ def test_scalar_closed_forms_match_numpy_reference(b):
         m, mom = cf.soliton_mass(p, omega, c), cf.soliton_momentum(p, omega, c)
         assert abs(m - ref_m) <= scale, (omega, s, m, ref_m)
         assert abs(mom - ref_p) <= scale, (omega, s, mom, ref_p)
-        if omega == 1.0:
-            ref_d = (ref_m + mpmath.mpf(c) / 2 * ref_p) / 2
-            assert abs(cf.d_value(p, 1.0, c) - ref_d) <= scale, s
+
+
+@pytest.mark.parametrize("b", B_VALUES)
+def test_d_matches_reference_relative_to_d(b):
+    # as s -> -1, d ~ q^{3/2} while (omega/2) M and (c/4) P ~ q^{1/2}: a
+    # bound relative to |M| + |P| would not see that sum cancel
+    p = ModelParams(b)
+    for omega in (0.7, 1.0, 2.3):
+        rw = mpmath.mpf(2.0 * math.sqrt(omega))
+        for s in _s_grid(p, 257):
+            c = float(2.0 * s * math.sqrt(omega))
+            ref_m, ref_p = _reference(p.gamma, omega, c)
+            with mpmath.workdps(50):
+                ref_d = rw * rw / 8 * ref_m + mpmath.mpf(c) / 4 * ref_p
+            d = cf.d_value(p, omega, c)
+            assert abs(d - ref_d) <= 1e-13 * abs(ref_d), (omega, s, d, ref_d)
 
 
 def _cosh_integral_mp(alpha: float, power: int):
