@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, asdict
 
-from .closedform import admissible_s_range, d_value, mass_threshold, turning_point
+from .closedform import admissible_s_range, d_value, mass_threshold
 from .field import Field
 from .functionals import WELL_A, Frame, Invariants, invariants
 from .gauge import gauge_transform
@@ -104,9 +104,12 @@ def _k_signs_on(intervals, kq) -> set[int]:
     neg = _negative_intervals(*kq)
     signs: set[int] = set()
     for lo, hi in intervals:
-        if any(max(lo, n_lo) < min(hi, n_hi) for n_lo, n_hi in neg):
-            signs.add(-1)
-        if not any(n_lo <= lo and hi <= n_hi for n_lo, n_hi in neg):
+        inside = False
+        for n_lo, n_hi in neg:
+            if max(lo, n_lo) < min(hi, n_hi):
+                signs.add(-1)
+            inside = inside or (n_lo <= lo and hi <= n_hi)
+        if not inside:
             signs.add(1)
     return signs
 
@@ -117,12 +120,17 @@ def scan_curve(si: Invariants, p: ModelParams, s: float) -> dict:
     Returns the admissible-mu interval set J_s, the K signs realized on it,
     and the verdict: A_plus / A_minus / both / neither.
     """
+    return _scan(si, si.dilated(), p, s)
+
+
+def _scan(si: Invariants, dil: Invariants, p: ModelParams, s: float) -> dict:
+    """`scan_curve` with dil = si.dilated() given, so that an s loop builds it once."""
     lo, hi, closed = admissible_s_range(p)
     if not (lo < s < hi or (closed and s == hi)):
         raise RegionError(f"s={s} outside admissible range for b={p.b}")
     d1 = d_value(p, 1.0, 2.0 * s)
     j = _negative_intervals(*_curve(si, s, d1))
-    signs = _k_signs_on(j, _curve(si.dilated(), s))
+    signs = _k_signs_on(j, _curve(dil, s))
     return {
         "s": s,
         "verdict": _VERDICTS[1 in signs, -1 in signs],
@@ -187,7 +195,7 @@ def classify_thm17(
             per_s=[route],
         )
 
-    s_dag, m_star = turning_point(p.b) if p.b > 0 else (1.0, mass_threshold(p.b))
+    s_dag, m_star = p.turning if p.b > 0 else (1.0, mass_threshold(p.b))
     scale_e = REL_TOL * max(si.grad_sq, 1e-30)
     scale_p = REL_TOL * max(si.grad_sq + si.l4, 1e-30)
     on_mstar = abs(m - m_star) < REL_TOL * m_star
@@ -207,6 +215,7 @@ def classify_thm17(
     s_values = list(s_grid) if s_grid is not None else []
     if p.b > 0 and s_dag not in s_values:
         s_values.append(s_dag)
+    dil = si.dilated()
     return ClassificationResult(
         mass=m,
         energy=e,
@@ -219,7 +228,7 @@ def classify_thm17(
         witness_omega=omega,
         witness_c=c,
         apriori_bound=None if mu is None else apriori_bound(si, omega, c),
-        per_s=[scan_curve(si, p, s) for s in s_values],
+        per_s=[_scan(si, dil, p, s) for s in s_values],
     )
 
 

@@ -22,9 +22,10 @@ terms ~ q^{1/2}, so the sum would lose about 1/q of its digits.
 `cosh_integral` is the same integral, M = (2 sqrt(q) / r) I_1(-c / r) with
 r = sqrt(c^2 + gamma q), and shares `_t_u`.
 
-The scalar parameter layer (`ModelParams`, `RegionError`, the existence
-region) lives here too, so that this module runs on plain `math` and the
-closed-form subcommands load no numpy.
+The scalar parameter layer lives here too, so that this module runs on
+plain `math` and the closed-form subcommands load no numpy: `RegionError`,
+the existence region and `ModelParams`, whose cached properties compute
+b's constants once (gamma, the s range's upper edge, atan2 terms, s* and M*).
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ class RegionError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Quintic coefficient b and derived gamma = 1 + 16b/3."""
+    """Quintic coefficient b; gamma = 1 + 16b/3 and b's other constants, each computed once."""
 
     b: float
 
@@ -47,13 +48,29 @@ class ModelParams:
     def gamma(self) -> float:
         return 1.0 + (16.0 / 3.0) * self.b
 
+    @cached_property
+    def s_hi(self) -> float:
+        """Upper edge of the admissible s range: 1 for gamma > 0, else -s_*."""
+        g = self.gamma
+        return 1.0 if g > 0 else -math.sqrt(-g / (1.0 - g))
+
+    @cached_property
+    def atan2_terms(self) -> tuple[float, float, float]:
+        """sqrt(gamma), 1/gamma - 1 and 2/gamma, for the atan2 form (gamma > 0)."""
+        g = self.gamma
+        return math.sqrt(g), 1.0 / g - 1.0, 2.0 / g
+
+    @cached_property
+    def turning(self) -> tuple[float, float]:
+        """(s*, M*) = `turning_point(b)`, for b > 0."""
+        return turning_point(self.b)
+
 
 def s_lower(p: ModelParams) -> float:
     """Velocity-parameter bound s_* = sqrt(-gamma/(1-gamma)) for gamma <= 0."""
-    g = p.gamma
-    if g > 0:
+    if p.gamma > 0:
         raise RegionError("s_* is defined only for gamma <= 0 (b <= -3/16)")
-    return math.sqrt(-g / (1.0 - g))
+    return -p.s_hi
 
 
 def _region_rw(p: ModelParams, omega: float, c: float) -> float | None:
@@ -61,7 +78,7 @@ def _region_rw(p: ModelParams, omega: float, c: float) -> float | None:
     if omega <= 0:
         raise RegionError(f"omega must be positive, got {omega}")
     rw = 2.0 * math.sqrt(omega)
-    inside = -rw < c <= rw if p.gamma > 0 else -rw < c < -s_lower(p) * rw
+    inside = -rw < c <= rw if p.gamma > 0 else -rw < c < p.s_hi * rw
     return rw if inside else None
 
 
@@ -111,17 +128,12 @@ def cosh_integral(alpha: float, power: int) -> float:
     return 2.0 * zp1 * t if power == 1 else 0.5 * zp1 * zp1 * (t + u)
 
 
-def _require_region(p: ModelParams, omega: float, c: float) -> float:
-    rw = _region_rw(p, omega, c)
-    if rw is None:
-        raise RegionError(f"(omega={omega}, c={c}) outside existence region for b={p.b}")
-    return rw
-
-
 def _mass_momentum(p: ModelParams, omega: float, c: float) -> tuple[float, float, float]:
     """(M, P, d) of phi_{omega,c} by the formulas of the module docstring."""
     c = float(c)  # a numpy scalar would slow every operation below
-    rw = _require_region(p, omega, c)
+    rw = _region_rw(p, omega, c)
+    if rw is None:
+        raise RegionError(f"(omega={omega}, c={c}) outside existence region for b={p.b}")
     g = p.gamma
     q = (rw - c) * (rw + c)
     if c < 0:
@@ -144,8 +156,9 @@ def _mass_momentum(p: ModelParams, omega: float, c: float) -> tuple[float, float
             t, u = _t_u(z, zp1)
             m = 4.0 * math.sqrt(q) / -c * t
             return m, -c * m / 2.0 + 2.0 * h / -c * u, h * (t - u) / 2.0
-    m = 4.0 * math.atan2(math.sqrt(g * q), -c) / math.sqrt(g)
-    mom = 0.5 * c * (1.0 / g - 1.0) * m + 2.0 / g * math.sqrt(q)
+    rg, k1, k2 = p.atan2_terms
+    m = 4.0 * math.atan2(math.sqrt(g * q), -c) / rg
+    mom = 0.5 * c * k1 * m + k2 * math.sqrt(q)
     return m, mom, omega * m / 2.0 + c * mom / 4.0
 
 
@@ -228,12 +241,9 @@ def mass_threshold(b: float) -> float:
         raise ValueError(f"mass threshold requires b > -3/16, got {b}")
     if b > 0:
         return turning_point(b)[1]
-    gamma = 1.0 + (16.0 / 3.0) * b
-    return 4.0 * math.pi / gamma**1.5
+    return 4.0 * math.pi / ModelParams(b).gamma**1.5
 
 
 def admissible_s_range(p: ModelParams) -> tuple[float, float, bool]:
     """(lo, hi, hi_closed) for the scaling parameter s."""
-    if p.gamma > 0:
-        return -1.0, 1.0, True
-    return -1.0, -s_lower(p), False
+    return -1.0, p.s_hi, p.gamma > 0

@@ -76,9 +76,6 @@ class Field:
             raise GridError("field contains non-finite samples")
         object.__setattr__(self, "values", vals)
 
-    def same_grid(self, other: "Field") -> bool:
-        return self.grid == other.grid
-
 
 def spectral_derivative(f: Field) -> Field:
     """Fourier-collocation d/dx with `Grid.ik`; exact for band-limited data."""
@@ -105,24 +102,8 @@ def cumulative_integral(samples: np.ndarray, grid: Grid) -> np.ndarray:
     return mean * (grid.x + grid.L) + prim - prim[0]
 
 
-def inner_re(v: Field, w: Field) -> float:
-    """Real inner product Re int v * conj(w) dx."""
-    if not v.same_grid(w):
-        raise GridError("inner product requires fields on the same grid")
-    return integrate((v.values * np.conj(w.values)).real, v.grid)
-
-
 def l2_norm_sq(f: Field) -> float:
     return integrate(np.abs(f.values) ** 2, f.grid)
-
-
-def lp_norm_pow(f: Field, p: int) -> float:
-    """||f||_p^p on the grid."""
-    return integrate(np.abs(f.values) ** p, f.grid)
-
-
-def h1_norm(f: Field) -> float:
-    return float(np.sqrt(l2_norm_sq(f) + l2_norm_sq(spectral_derivative(f))))
 
 
 def to_json_dict(f: Field) -> dict:

@@ -188,6 +188,22 @@ def test_classify_per_s_grid_output(rng):
     assert set(d) >= {"mass", "energy", "momentum", "theorem17_case", "per_s"}
 
 
+@pytest.mark.parametrize("b", [0.1, 0.0, -0.1])
+def test_classify_rows_are_scan_curve_rows(rng, b):
+    # classify_thm17 builds the dilated record once for its whole s loop
+    p = ModelParams(b)
+    g = make_grid(20.0, 256)
+    s_grid = np.linspace(-0.8, 0.8, 9)
+    s_values = list(s_grid) + ([s_star(b)] if b > 0 else [])
+    for amp in (0.05, 0.5, 2.0):
+        f = random_smooth_field(rng, g, amp=amp)
+        si = invariant_summary(f, p, Frame.GAUGE)
+        rows = classify_thm17(f, p, s_grid).per_s
+        assert [row["s"] for row in rows] == s_values
+        # repr tells every float apart bit for bit, 0.0 from -0.0 too
+        assert repr(rows) == repr([scan_curve(si, p, s) for s in s_values])
+
+
 def test_critical_b_route_certifies_membership(rng):
     p = ModelParams(-3.0 / 16.0)
     g = make_grid(30.0, 512)

@@ -8,11 +8,13 @@ from dnls_well.closedform import (
     admissible_s_range,
     cosh_integral,
     d_value,
+    existence_region,
     mass_threshold,
     s_star,
     soliton_energy,
     soliton_mass,
     soliton_momentum,
+    turning_point,
 )
 from dnls_well.oracle import mass_by_quadrature, momentum_by_quadrature
 from dnls_well.solitons import ModelParams, RegionError, s_lower
@@ -180,6 +182,52 @@ def test_admissible_s_range():
     assert admissible_s_range(ModelParams(0.0)) == (-1.0, 1.0, True)
     lo, hi, closed = admissible_s_range(ModelParams(-0.5))
     assert lo == -1.0 and not closed and -1.0 < hi < 0.0
+
+
+# --- the per-b constants ModelParams computes once ------------------------------
+
+
+@pytest.mark.parametrize("b", [0.1, -3.0 / 16.0, -3.0 / 16.0 + 1e-10, -3.0 / 16.0 - 1e-10, -0.3])
+def test_cached_constants_equal_fresh_formulas(b):
+    p = ModelParams(b)
+    # the formulas as they read before ModelParams held them
+    g = 1.0 + (16.0 / 3.0) * b
+    if g > 0:
+        assert admissible_s_range(p) == (-1.0, 1.0, True)
+        with pytest.raises(RegionError):
+            s_lower(p)
+        assert p.atan2_terms == (math.sqrt(g), 1.0 / g - 1.0, 2.0 / g)
+    else:
+        sl = math.sqrt(-g / (1.0 - g))
+        assert s_lower(p).hex() == sl.hex()
+        lo, hi, closed = admissible_s_range(p)
+        assert (lo, hi.hex(), closed) == (-1.0, (-sl).hex(), False)
+    for omega in (0.37, 1.0, 2.3):
+        rw = 2.0 * math.sqrt(omega)
+        for edge in (-rw, rw if g > 0 else -sl * rw):
+            for c in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+                fresh = -rw < c <= rw if g > 0 else -rw < c < -sl * rw
+                assert existence_region(p, omega, c) == fresh, (omega, c)
+
+
+@pytest.mark.parametrize("b", [1e-3, 0.1, 5.0])
+def test_cached_turning_point_is_the_search(b):
+    p = ModelParams(b)
+    assert p.turning == turning_point(b)
+    assert p.turning is p.turning
+
+
+@pytest.mark.parametrize("b", [0.1, -3.0 / 16.0, -0.3])
+def test_model_params_equal_after_filling_caches(b):
+    p, q = ModelParams(b), ModelParams(b)
+    d_value(p, 1.0, 2.0 * (admissible_s_range(p)[0] + 1e-3))
+    cached = {"gamma", "s_hi"}
+    if b > 0:
+        d_value(p, 1.0, 1.0)  # the atan2 form
+        assert p.turning
+        cached |= {"atan2_terms", "turning"}
+    assert set(vars(p)) == cached | {"b"} and set(vars(q)) == {"b"}
+    assert p == q and hash(p) == hash(q)
 
 
 # --- points where the closed forms used to fail --------------------------------

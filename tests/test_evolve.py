@@ -18,10 +18,8 @@ from dnls_well.evolve import (
 )
 from dnls_well.field import (
     Field,
-    inner_re,
     integrate,
     l2_norm_sq,
-    lp_norm_pow,
     make_grid,
     spectral_derivative,
 )
@@ -36,7 +34,7 @@ from dnls_well.solitons import (
     suggested_half_length,
 )
 
-from conftest import random_smooth_field
+from conftest import inner_re, lp_norm_pow, random_smooth_field
 
 
 def test_kappa_values():

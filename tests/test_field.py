@@ -9,15 +9,14 @@ from dnls_well.field import (
     GridError,
     cumulative_integral,
     from_json_dict,
-    h1_norm,
-    inner_re,
     integrate,
     l2_norm_sq,
-    lp_norm_pow,
     make_grid,
     spectral_derivative,
     to_json_dict,
 )
+
+from conftest import h1_norm, inner_re, lp_norm_pow
 
 
 def test_grid_validation():

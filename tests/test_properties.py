@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dnls_well.classifier import _k_signs_on, _negative_intervals
 from dnls_well.evolve import AMP_CAP, _blow_up, _clean
@@ -143,3 +143,29 @@ def test_k_signs_interval_algebra_matches_sampling(gap, kq):
     j = _negative_intervals(*gap)
     assume(_separated(j, kq))
     assert _k_signs_on(j, kq) == _k_signs_by_sampling(j, kq)
+
+
+def _k_signs_by_generators(intervals, kq) -> set[int]:
+    """Reference: `_k_signs_on` as it was written, with generator `any()`s."""
+    neg = _negative_intervals(*kq)
+    signs: set[int] = set()
+    for lo, hi in intervals:
+        if any(max(lo, n_lo) < min(hi, n_hi) for n_lo, n_hi in neg):
+            signs.add(-1)
+        if not any(n_lo <= lo and hi <= n_hi for n_lo, n_hi in neg):
+            signs.add(1)
+    return signs
+
+
+end = st.one_of(st.sampled_from([0.0, math.inf, -math.inf]), st.floats(-10.0, 10.0))
+interval = st.one_of(st.tuples(end, end).map(lambda e: tuple(sorted(e))), end.map(lambda e: (e, e)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(st.lists(interval, max_size=3), triple)
+@example([], (1.0, 0.0, -1.0))
+@example([(1.0, 1.0), (0.0, 0.0)], (1.0, 0.0, -1.0))
+@example([(0.0, math.inf)], (1.0, -3.0, 2.0))
+@example([(2.0, math.inf), (-math.inf, 0.5)], (-1.0, 3.0, -2.0))
+def test_k_signs_loops_match_generators(intervals, kq):
+    assert _k_signs_on(intervals, kq) == _k_signs_by_generators(intervals, kq)

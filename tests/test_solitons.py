@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from dnls_well.field import cumulative_integral, l2_norm_sq, lp_norm_pow, make_grid
+from dnls_well.field import cumulative_integral, l2_norm_sq, make_grid
 from dnls_well.solitons import (
     ModelParams,
     RegionError,
