@@ -1,11 +1,11 @@
 """Potential-well membership along the scaling curve (omega, 2 s sqrt(omega)).
 
-Every verdict is taken in the well frame a = 1/4: fields given in another
-frame are gauge-transformed first.  A field belongs to the well A_{omega,c}
-when its action lies below the soliton's action value d(omega, c); the
-split into A+ / A- follows the sign of the dilation functional K.  Along
-the curve c = 2 s mu (mu = sqrt(omega)), d(mu^2, 2 s mu) = mu^2 d(1, 2s), so
-both the action gap
+Every verdict is taken in the well frame a = 1/4, whose invariants
+`invariant_summary` reads from a field given in any frame a.  A field
+belongs to the well A_{omega,c} when its action lies below the soliton's
+action value d(omega, c); the split into A+ / A- follows the sign of the
+dilation functional K.  Along the curve c = 2 s mu (mu = sqrt(omega)),
+d(mu^2, 2 s mu) = mu^2 d(1, 2s), so both the action gap
 
     f_s(mu) = E + (mu^2/2)(M - 2 d(1,2s)) + s mu P
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, asdict
 
-from .closedform import admissible_s_range, d_value, mass_threshold
+from .closedform import admissible_s_range, d_value
 from .field import Field
 from .functionals import WELL_A, Frame, Invariants, invariants
 from .gauge import gauge_transform
@@ -38,9 +38,9 @@ _VERDICTS = {
 }
 
 
-def invariant_summary(f: Field, p: ModelParams, frame: Frame) -> Invariants:
-    """Invariants of f in the well frame a = 1/4; f is given in `frame`."""
-    return invariants(gauge_transform(f, WELL_A - frame.a), p.b, WELL_A)
+def invariant_summary(f: Field, p: ModelParams, a: float) -> Invariants:
+    """Invariants in the well frame a = 1/4 of f, given in frame a (a float or a `Frame`)."""
+    return invariants(gauge_transform(f, WELL_A - a), p.b, WELL_A)
 
 
 def k_sign(si: Invariants, omega: float, c: float) -> int:
@@ -177,9 +177,9 @@ class ClassificationResult:
 
 
 def classify_thm17(
-    f: Field, p: ModelParams, s_grid=None, frame: Frame = Frame.GAUGE
+    f: Field, p: ModelParams, s_grid=None, frame: float = Frame.GAUGE
 ) -> ClassificationResult:
-    """Full mass/energy/momentum case analysis plus per-s curve verdicts."""
+    """Full mass/energy/momentum case analysis plus per-s curve verdicts of f in frame `frame`."""
     si = invariant_summary(f, p, frame)
     e, m, mom = si.energy, si.mass, si.momentum
     if p.b <= -3.0 / 16.0:
@@ -195,7 +195,7 @@ def classify_thm17(
             per_s=[route],
         )
 
-    s_dag, m_star = p.turning if p.b > 0 else (1.0, mass_threshold(p.b))
+    s_star, m_star = p.turning
     scale_e = REL_TOL * max(si.grad_sq, 1e-30)
     scale_p = REL_TOL * max(si.grad_sq + si.l4, 1e-30)
     on_mstar = abs(m - m_star) < REL_TOL * m_star
@@ -210,11 +210,13 @@ def classify_thm17(
     else:
         case = "none"
 
-    mu = _case_ii_witness(si, p, s_dag) if case == "ii" else None
-    omega, c = (mu * mu, 2.0 * s_dag * mu) if mu is not None else (None, None)
+    # with no s* (b <= 0) the witness runs on s = 1, the algebraic curve s* tends to
+    s_w = 1.0 if s_star is None else s_star
+    mu = _case_ii_witness(si, p, s_w) if case == "ii" else None
+    omega, c = (mu * mu, 2.0 * s_w * mu) if mu is not None else (None, None)
     s_values = list(s_grid) if s_grid is not None else []
-    if p.b > 0 and s_dag not in s_values:
-        s_values.append(s_dag)
+    if s_star is not None and s_star not in s_values:
+        s_values.append(s_star)
     dil = si.dilated()
     return ClassificationResult(
         mass=m,
@@ -223,7 +225,7 @@ def classify_thm17(
         theorem17_case=case,
         global_existence=mu is not None,
         m_star=m_star,
-        s_star=s_dag if p.b > 0 else None,
+        s_star=s_star,
         boundary_soliton=case == "vi-a",
         witness_omega=omega,
         witness_c=c,

@@ -50,9 +50,7 @@ def _cmd_report(args) -> int:
     from .functionals import Frame, report
 
     f = load_field(args.field)
-    rep = report(
-        f, ModelParams(args.b), args.omega, args.c, Frame(args.frame)
-    )
+    rep = report(f, ModelParams(args.b), args.omega, args.c, Frame[args.frame.upper()])
     json.dump(rep.to_dict(), sys.stdout)
     print()
     return 0
@@ -112,11 +110,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    if args.b > 0:
-        s, m = closedform.turning_point(args.b)
-        result = {"M_star": m, "s_star": s}
-    else:
-        result = {"M_star": closedform.mass_threshold(args.b)}
+    s, m = ModelParams(args.b).turning
+    result = {"M_star": m} if s is None else {"M_star": m, "s_star": s}
     json.dump(result, sys.stdout)
     print()
     return 0
@@ -136,7 +131,7 @@ def _cmd_classify(args) -> int:
 
     f = load_field(args.field)
     s_grid = _parse_s_grid(args.s_grid) if args.s_grid else None
-    res = classify_thm17(f, ModelParams(args.b), s_grid, Frame(args.frame))
+    res = classify_thm17(f, ModelParams(args.b), s_grid, Frame[args.frame.upper()])
     json.dump(res.to_dict(), sys.stdout)
     print()
     return 0
@@ -242,10 +237,7 @@ def _verify_scalar(name: str, seed: int) -> dict:
     from . import oracle
 
     rng = np.random.default_rng(seed)
-    closed = {
-        "mass": closedform.soliton_mass,
-        "momentum": closedform.soliton_momentum,
-    }[name]
+    closed = _SCAN_FUNCS[name]
     quad = {
         "mass": oracle.mass_by_quadrature,
         "momentum": oracle.momentum_by_quadrature,

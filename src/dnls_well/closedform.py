@@ -24,8 +24,9 @@ r = sqrt(c^2 + gamma q), and shares `_t_u`.
 
 The scalar parameter layer lives here too, so that this module runs on
 plain `math` and the closed-form subcommands load no numpy: `RegionError`,
-the existence region and `ModelParams`, whose cached properties compute
-b's constants once (gamma, the s range's upper edge, atan2 terms, s* and M*).
+the existence region and `ModelParams`, which rejects a non-finite b and
+whose cached properties compute b's constants once (gamma, the s range's
+upper edge, atan2 terms, and (s*, M*), the one place that picks them by b).
 """
 from __future__ import annotations
 
@@ -44,6 +45,10 @@ class ModelParams:
 
     b: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.b):
+            raise ValueError(f"b must be finite, got {self.b}")
+
     @cached_property
     def gamma(self) -> float:
         return 1.0 + (16.0 / 3.0) * self.b
@@ -61,9 +66,14 @@ class ModelParams:
         return math.sqrt(g), 1.0 / g - 1.0, 2.0 / g
 
     @cached_property
-    def turning(self) -> tuple[float, float]:
-        """(s*, M*) = `turning_point(b)`, for b > 0."""
-        return turning_point(self.b)
+    def turning(self) -> tuple[float | None, float]:
+        """(s*, M*): `turning_point(b)` for b > 0; for -3/16 < b <= 0 no s*, and
+        M* = M(phi_{1,2}) + P(phi_{1,2}) = 4 pi / gamma^{3/2}, 4 pi at b = 0 (s* -> 1)."""
+        if self.b > 0:
+            return turning_point(self.b)
+        if not self.b > -3.0 / 16.0:
+            raise ValueError(f"mass threshold requires b > -3/16, got {self.b}")
+        return None, 4.0 * math.pi / self.gamma**1.5
 
 
 def s_lower(p: ModelParams) -> float:
@@ -231,17 +241,8 @@ def s_star(b: float) -> float:
 
 
 def mass_threshold(b: float) -> float:
-    """Turning-point mass M*(b).
-
-    b > 0        : M(phi_{1, 2 s*(b)}), from `turning_point`
-    b = 0        : 4 pi (limit s* -> 1)
-    -3/16 < b < 0: M(phi_{1,2}) + P(phi_{1,2}) = 4 pi / gamma^{3/2}
-    """
-    if not b > -3.0 / 16.0:
-        raise ValueError(f"mass threshold requires b > -3/16, got {b}")
-    if b > 0:
-        return turning_point(b)[1]
-    return 4.0 * math.pi / ModelParams(b).gamma**1.5
+    """Turning-point mass M*(b) for b > -3/16; see `ModelParams.turning`."""
+    return ModelParams(b).turning[1]
 
 
 def admissible_s_range(p: ModelParams) -> tuple[float, float, bool]:

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifier import apriori_bound, k_sign
+from .classifier import apriori_bound, invariant_summary, k_sign
 from .field import Field, Grid, l2_norm_sq, spectral_derivative
-from .functionals import WELL_A, integrals, invariants
+from .functionals import WELL_A, integrals
 from .gauge import gauge_transform
 from .solitons import ModelParams, phi_one_two
 
@@ -54,8 +54,8 @@ class EvolveConfig:
     def __post_init__(self):
         # the chained comparisons are false for nan as well
         finite = 0.0 < self.t_end < math.inf and 0.0 < self.dt < math.inf
-        if not (finite and self.record_every >= 1):
-            raise ValueError(f"need finite t_end, dt > 0 and record_every >= 1: {self}")
+        if not (finite and math.isfinite(self.gauge_a) and self.record_every >= 1):
+            raise ValueError(f"need finite t_end and gauge_a, dt > 0, record_every >= 1: {self}")
 
 
 class _Stepper:
@@ -206,11 +206,15 @@ def _tune_dt(vhat0, g: Grid, p: ModelParams, cfg: EvolveConfig) -> tuple[float, 
     when one does) and every dt tried.  "dt-floor" means the CFL-capped dt
     is already at or below DT_FLOOR (its trail is that dt),
     "richardson-failed" that no dt above the floor meets ADAPT_TOL."""
+
+    def l2(vhat):  # Parseval: ||ifft(vhat)||_L2 from the FFT coefficients directly
+        return np.sqrt(g.dx / g.N * np.sum(np.abs(vhat) ** 2))
+
     v0 = np.fft.ifft(vhat0)
     dt = min(cfg.dt, CFL * g.dx / (1.0 + float(np.max(np.abs(v0)) ** 2)))
     if dt <= DT_FLOOR:
         return DT_FLOOR, "dt-floor", [dt]
-    scale = max(np.sqrt(l2_norm_sq(Field(g, v0))), 1e-30)
+    scale = max(l2(vhat0), 1e-30)
     trail = []
     while dt > DT_FLOOR:
         trail.append(dt)
@@ -219,8 +223,7 @@ def _tune_dt(vhat0, g: Grid, p: ModelParams, cfg: EvolveConfig) -> tuple[float, 
             coarse = _Stepper(g, dt, p, cfg.gauge_a).step(vhat0)
             fine = _Stepper(g, 0.5 * dt, p, cfg.gauge_a)
             vh = fine.step(fine.step(vhat0))
-            # Parseval: ||diff||_L2 from the FFT coefficients directly
-            err = np.sqrt(g.dx / g.N * np.sum(np.abs(coarse - vh) ** 2))
+            err = l2(coarse - vh)
         if np.isfinite(err) and err / scale < ADAPT_TOL:
             return dt, None, trail
         dt *= 0.5
@@ -280,10 +283,10 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     phase = {"tune": clock() - t_start, "step": 0.0, "record": 0.0}
 
     def well(f, inv):
-        return inv if a == WELL_A else invariants(gauge_transform(f, WELL_A - a), p.b, WELL_A)
+        return inv if a == WELL_A else invariant_summary(f, p, a)
 
     traj = Trajectory(dt_used=dt, dt_trail=trail, phase_s=phase)
-    vx0 = spectral_derivative(f0).values
+    vx0 = np.fft.ifft(g.ik * vhat)
     inv0 = integrals(f0.values, vx0, g.dx, p.b, a)
     e0, m0, p0 = inv0.energy, inv0.mass, inv0.momentum
     grad0 = inv0.grad_sq
@@ -343,13 +346,10 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
 
 def gauge_consistency(f0: Field, b: float, t_end: float) -> float:
     """L^2 distance between evolve-then-gauge and gauge-then-evolve."""
-    cfg0 = EvolveConfig(b=b, gauge_a=0.0, t_end=t_end, record_every=10**9)
-    cfg4 = EvolveConfig(b=b, gauge_a=0.25, t_end=t_end, record_every=10**9)
-    u = evolve(f0, cfg0).final
-    path1 = gauge_transform(u, 0.25)
-    v = evolve(gauge_transform(f0, 0.25), cfg4).final
-    diff = path1.values - v.values
-    return float(np.sqrt(np.sum(np.abs(diff) ** 2) * f0.grid.dx))
+    cfg = EvolveConfig(b=b, t_end=t_end, record_every=10**9)
+    path1 = gauge_transform(evolve(f0, cfg).final, WELL_A)
+    path2 = evolve(gauge_transform(f0, WELL_A), replace(cfg, gauge_a=WELL_A)).final
+    return math.sqrt(l2_norm_sq(Field(f0.grid, path1.values - path2.values)))
 
 
 # --- modulation fit against the algebraic profile --------------------------

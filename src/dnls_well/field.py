@@ -1,8 +1,9 @@
 """Uniform periodic grid, complex fields, spectral calculus.
 
 Everything downstream (profiles, functionals, time stepping) works on a
-uniform grid over [-L, L) with FFT-based differentiation and rectangle-rule
-integration, which is spectrally accurate for smooth periodic data.
+uniform grid over [-L, L) with FFT-based differentiation and
+antidifferentiation (both by `Grid.ik`) and rectangle-rule integration,
+which is spectrally accurate for smooth periodic data.
 """
 from __future__ import annotations
 
@@ -90,15 +91,16 @@ def integrate(samples: np.ndarray, grid: Grid) -> float:
 def cumulative_integral(samples: np.ndarray, grid: Grid) -> np.ndarray:
     """Running integral int_{-L}^x of real periodic samples, spectrally accurate.
 
-    The mean contributes a linear ramp; the zero-mean remainder is
-    antidifferentiated in Fourier space.
+    The mean contributes a linear ramp; the other modes of one real FFT are
+    divided by `Grid.ik`, except the Nyquist mode, which has no derivative
+    there and so gets no antiderivative.
     """
-    s = np.asarray(samples, dtype=float)
-    mean = s.mean()
-    shat = np.fft.fft(s - mean)
-    ik = 1j * grid.k
-    ik[0] = 1.0  # dummy; the zero mode of (s - mean) vanishes
-    prim = np.fft.ifft(shat / ik).real
+    n = grid.N
+    shat = np.fft.rfft(np.asarray(samples, dtype=float))
+    mean = shat[0].real / n
+    shat[1 : n // 2] /= grid.ik[1 : n // 2]
+    shat[0] = shat[n // 2] = 0.0
+    prim = np.fft.irfft(shat, n)
     return mean * (grid.x + grid.L) + prim - prim[0]
 
 

@@ -7,13 +7,14 @@ the momentum
     P_a = <i v_x, v> + a ||v||_4^4.
 
 a = 0 is the original equation and a = 1/4 the frame where the potential
-wells live; there the sextic coefficient is -gamma/32.  `integrals` turns
-samples of a field and of its derivative into the six integrals these are
-built from, and `invariants` feeds it one spectral derivative.  The action
+wells live; there the sextic coefficient is -gamma/32.  `Frame` names the
+two, and each member is the float a itself.  `integrals` turns samples of a
+field and of its derivative into the six integrals these are built from,
+and `invariants` feeds it one spectral derivative.  The action
 S = E + (omega/2) M + (c/2) P, its dilation derivative K (Nehari
 functional), the quadratic form L and I = S - K/4 are methods of that
-record.  The derivative nonlinearity is evaluated spectrally in
-physical space, exactly as the definitions read.
+record.  The derivative nonlinearity is evaluated spectrally in physical
+space, exactly as the definitions read.
 """
 from __future__ import annotations
 
@@ -28,15 +29,15 @@ from .solitons import ModelParams
 WELL_A = 0.25
 
 
-class Frame(enum.Enum):
-    """The two named frames; each is just a gauge parameter a."""
+class Frame(float, enum.Enum):
+    """The two named frames; each member is its gauge parameter a."""
 
-    DNLS = "dnls"
-    GAUGE = "gauge"
+    DNLS = 0.0
+    GAUGE = WELL_A
 
     @property
     def a(self) -> float:
-        return 0.0 if self is Frame.DNLS else WELL_A
+        return float(self)
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,7 @@ def report(f: Field, p: ModelParams, omega: float, c: float, frame: Frame) -> Fu
     """Every functional of f at (omega, c), with f given in `frame`."""
     inv = invariants(f, p.b, frame.a)
     return FunctionalReport(
-        frame=frame.value,
+        frame=frame.name.lower(),
         b=p.b,
         omega=omega,
         c=c,

@@ -14,6 +14,7 @@ from dnls_well.classifier import (
     scan_curve,
 )
 from dnls_well.closedform import d_value, mass_threshold, s_star, soliton_energy, soliton_mass, soliton_momentum
+from dnls_well.closedform import turning_point
 from dnls_well.field import Field, make_grid
 from dnls_well.functionals import Frame, invariants
 from dnls_well.gauge import gauge_transform
@@ -254,3 +255,39 @@ def test_nehari_normalized_action_dominates_d(rng):
         lam0 = nehari_normalize(si, 1.0, 0.0)
         s_val = si.scaled(lam0).action(1.0, 0.0)
         assert s_val >= d_value(p, 1.0, 0.0) * (1.0 - 1e-9)
+
+
+def test_invariant_summary_takes_the_gauge_number():
+    p = ModelParams(0.1)
+    sp = SolitonParams(p, 1.0, 0.4)
+    f = sample_phi(sp, make_grid(suggested_half_length(sp), 512))
+    assert invariant_summary(f, p, Frame.DNLS) == invariant_summary(f, p, 0.0)
+    assert invariant_summary(f, p, Frame.GAUGE) == invariant_summary(f, p, 0.25)
+
+
+@pytest.mark.parametrize("b", [1e-9, 0.1])
+def test_turning_is_the_search_for_positive_b(b):
+    assert ModelParams(b).turning == turning_point(b)
+
+
+@pytest.mark.parametrize("b", [0.0, -0.1, -3.0 / 16.0 + 1e-10])
+def test_turning_has_no_s_star_for_b_at_most_zero(b):
+    s, m = ModelParams(b).turning
+    assert s is None
+    assert m.hex() == (4.0 * np.pi / (1.0 + 16.0 / 3.0 * b) ** 1.5).hex()
+
+
+@pytest.mark.parametrize("b", [-3.0 / 16.0, -0.3])
+def test_turning_rejects_b_at_or_below_critical(b):
+    with pytest.raises(ValueError, match="mass threshold requires b > -3/16"):
+        ModelParams(b).turning
+
+
+@pytest.mark.parametrize("b", [1e-9, 0.1, 0.0, -0.1, -3.0 / 16.0 + 1e-10])
+def test_classify_reads_s_star_and_m_star_from_turning(b):
+    p = ModelParams(b)
+    f = random_smooth_field(np.random.default_rng(3), make_grid(20.0, 256), amp=0.3)
+    res = classify_thm17(f, p, [-0.5, 0.5])
+    assert res.m_star == mass_threshold(b)
+    assert res.s_star == (s_star(b) if b > 0 else None)
+    assert [row["s"] for row in res.per_s] == [-0.5, 0.5] + ([s_star(b)] if b > 0 else [])

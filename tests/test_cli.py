@@ -231,3 +231,27 @@ def test_unknown_subcommand_exits_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 64
+
+
+def test_threshold_without_s_star_prints_only_m_star(capsys):
+    assert main(["threshold", "--b", "-0.1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"M_star": ModelParams(-0.1).turning[1]}
+
+
+@pytest.mark.parametrize("b", ["nan", "inf", "-inf"])
+def test_non_finite_b_is_domain_error_in_every_subcommand(tmp_path, capsys, b):
+    path = _soliton_file(tmp_path, n=256)
+    out = tmp_path / "out"
+    runs = {
+        "soliton": ["--omega", "1", "--c", "0", "--L", "20", "--N", "256", "--out", str(out)],
+        "report": ["--field", str(path), "--omega", "1", "--c", "0"],
+        "scan": ["--quantity", "mass", "--s-from", "-0.5", "--s-to", "0.5", "--steps", "3"],
+        "threshold": [],
+        "classify": ["--field", str(path)],
+        "evolve": ["--field", str(path), "--t-end", "0.01", "--out", str(out)],
+    }
+    for cmd, rest in runs.items():
+        assert main([cmd, f"--b={b}", *rest]) == 1, cmd
+        assert capsys.readouterr().out == "", cmd
+        assert not out.exists(), cmd

@@ -317,3 +317,9 @@ def test_d_finite_just_inside_negative_gamma_edge():
         for _ in range(4):
             c = math.nextafter(c, -math.inf)
             assert math.isfinite(d_value(p, omega, c)), (p.b, omega, c)
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+def test_model_params_rejects_non_finite_b(b):
+    with pytest.raises(ValueError, match="b must be finite"):
+        ModelParams(b)

@@ -23,6 +23,7 @@ from dnls_well.field import (
     make_grid,
     spectral_derivative,
 )
+from dnls_well.classifier import apriori_bound, invariant_summary, k_sign
 from dnls_well.functionals import invariants
 from dnls_well.gauge import gauge_transform
 from dnls_well.solitons import (
@@ -380,3 +381,34 @@ def test_profile_fit_step_cap_names_the_count(monkeypatch):
     g = make_grid(60.0, 2048)
     with pytest.raises(RuntimeError, match="after 2 steps"):
         profile_fit(Field(g, np.exp(-(g.x**2)) + 0j))
+
+
+def test_monitor_at_a0_is_the_well_frame_read_bit_for_bit():
+    p = ModelParams(0.1)
+    sp = SolitonParams(p, 1.0, 0.4)
+    g = make_grid(suggested_half_length(sp), 512)
+    u0 = gauge_transform(Field(g, 0.9 * sample_varphi(sp, g).values), -0.25)
+    traj = evolve(u0, EvolveConfig(b=0.1, gauge_a=0.0, t_end=0.1), monitor=(1.0, 0.4))
+    assert traj.status == "ok" and len(traj.snapshots) > 2
+    assert traj.apriori_bound == apriori_bound(invariant_summary(u0, p, 0.0), 1.0, 0.4)
+    for (t, snap), (tg, grad), (tk, sign) in zip(traj.snapshots, traj.grad_history, traj.k_signs):
+        well = invariant_summary(snap, p, 0.0)
+        assert t == tg == tk
+        assert grad == well.grad_sq
+        assert sign == k_sign(well, 1.0, 0.4)
+
+
+@pytest.mark.parametrize("a", [float("nan"), float("inf"), -float("inf")])
+def test_config_rejects_non_finite_gauge_a(a):
+    with pytest.raises(ValueError):
+        EvolveConfig(b=0.0, gauge_a=a)
+
+
+def test_gauge_consistency_is_the_l2_distance_of_the_two_paths():
+    sp = SolitonParams(ModelParams(0.05), 1.0, 0.4)
+    f = sample_phi(sp, make_grid(suggested_half_length(sp), 256))
+    cfg = EvolveConfig(b=0.05, t_end=0.02, record_every=10**9)
+    u = gauge_transform(evolve(f, cfg).final, 0.25)
+    v = evolve(gauge_transform(f, 0.25), EvolveConfig(b=0.05, gauge_a=0.25, t_end=0.02)).final
+    dist = math.sqrt(l2_norm_sq(Field(f.grid, u.values - v.values)))
+    assert gauge_consistency(f, 0.05, t_end=0.02) == dist < 1e-5

@@ -17,6 +17,7 @@ from dnls_well.field import (
 )
 
 from conftest import h1_norm, inner_re, lp_norm_pow
+from conftest import random_smooth_field
 
 
 def test_grid_validation():
@@ -123,3 +124,44 @@ def test_json_round_trip_bit_identical():
     f2 = from_json_dict(d)
     assert np.array_equal(f.values, f2.values)
     assert f.grid == f2.grid
+
+
+def _cumulative_integral_complex_fft(samples, grid):
+    """The running integral by a complex FFT pair with a dummy zero mode, the
+    formula `cumulative_integral` had before it used a real FFT."""
+    s = np.asarray(samples, dtype=float)
+    mean = s.mean()
+    shat = np.fft.fft(s - mean)
+    ik = 1j * grid.k
+    ik[0] = 1.0  # dummy; the zero mode of (s - mean) vanishes
+    prim = np.fft.ifft(shat / ik).real
+    return mean * (grid.x + grid.L) + prim - prim[0]
+
+
+@pytest.mark.parametrize("n", [512, 4096])
+def test_cumulative_integral_exact_for_gaussian_and_sech2(n):
+    g = make_grid(20.0, n)
+    erf = np.vectorize(math.erf)
+    cases = [
+        (np.exp(-(g.x**2)), 0.5 * np.sqrt(np.pi) * (erf(g.x) - erf(-g.L))),
+        (1.0 / np.cosh(g.x) ** 2, np.tanh(g.x) - np.tanh(-g.L)),
+    ]
+    for samples, exact in cases:
+        assert np.max(np.abs(cumulative_integral(samples, g) - exact)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [256, 512, 4096])
+def test_cumulative_integral_agrees_with_complex_fft_formula(rng, n):
+    g = make_grid(20.0, n)
+    draws = [np.abs(rng.standard_normal(n)) ** 2 for _ in range(10)]
+    draws.append(np.abs(random_smooth_field(rng, g, amp=2.0).values) ** 2)
+    for s in draws:
+        ref = _cumulative_integral_complex_fft(s, g)
+        assert np.max(np.abs(cumulative_integral(s, g) - ref)) <= 4e-15 * np.max(np.abs(ref))
+
+
+def test_cumulative_integral_gives_the_nyquist_mode_no_antiderivative():
+    # Grid.ik zeroes the Nyquist mode's derivative; its antiderivative is zero too
+    g = make_grid(3.0, 64)
+    cum = cumulative_integral(1.0 + (-1.0) ** np.arange(g.N), g)
+    assert np.max(np.abs(cum - (g.x + g.L))) < 1e-12

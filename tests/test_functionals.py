@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from dnls_well import closedform as cf
 from dnls_well.field import Field, make_grid
 from dnls_well.functionals import Frame, gn_ratio, invariants, report
+from dnls_well.functionals import WELL_A
 from dnls_well.solitons import (
     ModelParams,
     SolitonParams,
@@ -110,3 +113,20 @@ def test_gn_ratio_zero_field():
     g = make_grid(5.0, 64)
     with pytest.raises(ValueError):
         gn_ratio(Field(g, np.zeros(64)))
+
+
+def test_frame_member_is_its_gauge_number():
+    assert (Frame.DNLS, Frame.GAUGE) == (0.0, WELL_A)
+    for m in Frame:
+        assert isinstance(m, float) and m == m.a and type(m.a) is float
+        assert Frame[m.name] is m
+
+
+def test_report_names_its_frame():
+    sp = SolitonParams(ModelParams(0.1), 1.0, 0.4)
+    f = sample_phi(sp, _grid_for(sp, 512))
+    for frame, name in ((Frame.DNLS, "dnls"), (Frame.GAUGE, "gauge")):
+        rep = report(f, sp.params, 1.0, 0.4, frame)
+        assert rep.frame == name
+        assert json.loads(json.dumps(rep.to_dict()))["frame"] == name
+        assert rep.energy == invariants(f, 0.1, float(frame)).energy
