@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, asdict
 
-from .closedform import admissible_s_range, d_value
+from .closedform import ModelParams, RegionError, admissible_s_range, d_value
 from .field import Field
 from .functionals import WELL_A, Frame, Invariants, invariants
 from .gauge import gauge_transform
-from .solitons import ModelParams, RegionError
 
 # Discretized solitons sit exactly on well boundaries; exact-zero tests are
 # meaningless in floating point, so boundary verdicts use these dead-bands.
@@ -44,8 +43,11 @@ def invariant_summary(f: Field, p: ModelParams, a: float) -> Invariants:
 
 
 def k_sign(si: Invariants, omega: float, c: float) -> int:
-    """Sign of K at (omega, c); 0 inside the dead-band REL_TOL ||f_x||^2."""
+    """Sign of K at (omega, c); 0 inside the dead-band REL_TOL ||f_x||^2.
+    A non-finite K has no sign and raises ValueError."""
     k = si.nehari(omega, c)
+    if not math.isfinite(k):
+        raise ValueError(f"K is not finite at (omega={omega}, c={c}): {k}")
     if abs(k) < REL_TOL * max(si.grad_sq, 1e-30):
         return 0
     return 1 if k > 0 else -1

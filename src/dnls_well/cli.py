@@ -74,13 +74,18 @@ _SCAN_FUNCS = {
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """np.linspace(lo, hi, n) for n >= 2 in plain floats, bit for bit.
+    """np.linspace(lo, hi, n) in plain floats, bit for bit.
 
     Like numpy, point i is i*step + lo, or (i/(n-1))*(hi-lo) + lo when the
-    step rounds to 0, and the last point is hi exactly.
+    step rounds to 0, and the last point is hi exactly; n = 0 gives [], n = 1
+    [0*(hi-lo) + lo], and a negative n is a ValueError.
     """
+    if n < 0:
+        raise ValueError(f"number of samples must be non-negative, got {n}")
     div = n - 1
     delta = hi - lo
+    if div <= 0:
+        return [i * delta + lo for i in range(n)]
     step = delta / div
     if step == 0:
         pts = [i / div * delta + lo for i in range(n)]
@@ -117,11 +122,9 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
-def _parse_s_grid(text: str):
-    import numpy as np
-
+def _parse_s_grid(text: str) -> list[float]:
     lo, hi, n = text.split(":")
-    return np.linspace(float(lo), float(hi), int(n)).tolist()
+    return _linspace(float(lo), float(hi), int(n))
 
 
 def _cmd_classify(args) -> int:

@@ -1,14 +1,16 @@
 """Exact scalar formulas for the soliton family.
 
-`_mass_momentum(p, omega, c)` checks the existence region and computes the
-mass M once, with the momentum P and the action value d formed from it;
-mass, momentum, energy E = -(c/4) P and d call it.  With
+`_mass_momentum(p, omega, c)` is the one place that tests the existence
+region; it forms 2 sqrt(omega) and sqrt(q) once each and computes the mass M
+once, with the momentum P and the action value d formed from it.  Mass,
+momentum, energy E = -(c/4) P and d call it, and `existence_region` reads
+its answer from the same test.  With
 q = (2 sqrt(omega) - c)(2 sqrt(omega) + c) and z = gamma q / c^2 there are
 two formulas and no case of gamma:
 
   c < 0, z <= 1 : M = (4 sqrt(q) / |c|) T(z),  P = -c M / 2 + (2 q^{3/2} / c^2) U(z),
                   d = q^{3/2} (T(z) - U(z)) / (2 |c|)
-  otherwise     : M = 4 atan2(sqrt(gamma q), -c) / sqrt(gamma),
+  otherwise     : M = 4 atan2(sqrt(gamma) sqrt(q), -c) / sqrt(gamma),
                   P = (c/2) (1/gamma - 1) M + 2 sqrt(q) / gamma,
                   d = (omega/2) M + (c/4) P
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from math import atan2, sqrt
 
 
 class RegionError(ValueError):
@@ -83,22 +86,21 @@ def s_lower(p: ModelParams) -> float:
     return -p.s_hi
 
 
-def _region_rw(p: ModelParams, omega: float, c: float) -> float | None:
-    """2 sqrt(omega) if (omega, c) is admissible (see `existence_region`), else None."""
-    if omega <= 0:
-        raise RegionError(f"omega must be positive, got {omega}")
-    rw = 2.0 * math.sqrt(omega)
-    inside = -rw < c <= rw if p.gamma > 0 else -rw < c < p.s_hi * rw
-    return rw if inside else None
-
-
 def existence_region(p: ModelParams, omega: float, c: float) -> bool:
-    """Admissibility of (omega, c).
+    """Admissibility of (omega, c), answered by the kernel's region test.
 
     gamma > 0 : -2 sqrt(omega) < c <= 2 sqrt(omega)
     gamma <= 0: -2 sqrt(omega) < c < -2 s_* sqrt(omega)
+
+    omega <= 0 raises `RegionError`, as the kernel does.
     """
-    return _region_rw(p, omega, c) is not None
+    try:
+        _mass_momentum(p, omega, c)
+    except RegionError:
+        if omega <= 0:
+            raise
+        return False
+    return True
 
 
 def is_algebraic(omega: float, c: float) -> bool:
@@ -141,17 +143,23 @@ def cosh_integral(alpha: float, power: int) -> float:
 def _mass_momentum(p: ModelParams, omega: float, c: float) -> tuple[float, float, float]:
     """(M, P, d) of phi_{omega,c} by the formulas of the module docstring."""
     c = float(c)  # a numpy scalar would slow every operation below
-    rw = _region_rw(p, omega, c)
-    if rw is None:
-        raise RegionError(f"(omega={omega}, c={c}) outside existence region for b={p.b}")
+    if omega <= 0:
+        raise RegionError(f"omega must be positive, got {omega}")
+    rw = 2.0 * sqrt(omega)
     g = p.gamma
+    # the existence region, written only here (see `existence_region`)
+    if not (-rw < c <= rw if g > 0 else -rw < c < p.s_hi * rw):
+        raise RegionError(f"(omega={omega}, c={c}) outside existence region for b={p.b}")
     q = (rw - c) * (rw + c)
+    sq = sqrt(q)
     if c < 0:
         z = g * q / c / c  # not over c * c, which underflows
         # z > 1 takes the atan2 form, which has no c in a denominator
         if z <= 1.0:
             zp1 = 1.0 + z
-            h = q * math.sqrt(q) / -c  # q^{3/2} / |c|
+            # q^{3/2} / |c| as (q sqrt(q)) / |c|: q (sqrt(q) / |c|) would overflow
+            # where sqrt(q) / |c| does and the quotient does not (subnormal c at gamma = 0)
+            h = q * sq / -c
             if z < -0.99:
                 # near the gamma < 0 edge: 1 + z = (c^2 + gamma q) / c^2, exactly;
                 # imported only here, as every CLI start would pay for it
@@ -164,11 +172,11 @@ def _mass_momentum(p: ModelParams, omega: float, c: float) -> tuple[float, float
                     # one, where M and P grow without bound and T - U -> 1
                     return math.inf, math.inf, h / 2.0
             t, u = _t_u(z, zp1)
-            m = 4.0 * math.sqrt(q) / -c * t
+            m = 4.0 * sq / -c * t
             return m, -c * m / 2.0 + 2.0 * h / -c * u, h * (t - u) / 2.0
     rg, k1, k2 = p.atan2_terms
-    m = 4.0 * math.atan2(math.sqrt(g * q), -c) / rg
-    mom = 0.5 * c * k1 * m + k2 * math.sqrt(q)
+    m = 4.0 * atan2(rg * sq, -c) / rg
+    mom = 0.5 * c * k1 * m + k2 * sq
     return m, mom, omega * m / 2.0 + c * mom / 4.0
 
 

@@ -266,8 +266,11 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     The step is the largest dt = t_end / n that is no larger than the tuned
     one.  monitor = (omega, c) additionally tracks, in the well frame
     v = G_{1/4-a}(u), the sign of the dilation functional K and the gradient
-    ||v_x||^2 that the a-priori bound 8 S(v0) + (c^2/2) M(v0) controls.
+    ||v_x||^2 that the a-priori bound 8 S(v0) + (c^2/2) M(v0) controls;
+    its omega and c must be finite.
     """
+    if monitor is not None and not all(map(math.isfinite, monitor)):
+        raise ValueError(f"monitor (omega, c) must be finite, got {monitor}")
     clock = time.perf_counter
     t_start = clock()
     g = f0.grid

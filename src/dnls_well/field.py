@@ -123,8 +123,9 @@ def from_json_dict(d: dict) -> Field:
 
 
 def save_field(f: Field, path) -> None:
+    # one dumps string: json.dump streams through the pure-Python encoder
     with open(path, "w") as fh:
-        json.dump(to_json_dict(f), fh)
+        fh.write(json.dumps(to_json_dict(f)))
 
 
 def load_field(path) -> Field:

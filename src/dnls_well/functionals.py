@@ -19,12 +19,13 @@ space, exactly as the definitions read.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .closedform import ModelParams
 from .field import Field, spectral_derivative
-from .solitons import ModelParams
 
 WELL_A = 0.25
 
@@ -176,6 +177,8 @@ class FunctionalReport:
 
 def report(f: Field, p: ModelParams, omega: float, c: float, frame: Frame) -> FunctionalReport:
     """Every functional of f at (omega, c), with f given in `frame`."""
+    if not (math.isfinite(omega) and math.isfinite(c)):
+        raise ValueError(f"omega and c must be finite, got omega={omega}, c={c}")
     inv = invariants(f, p.b, frame.a)
     return FunctionalReport(
         frame=frame.name.lower(),

@@ -8,6 +8,7 @@ from dnls_well.classifier import (
     _negative_intervals,
     classify_thm17,
     invariant_summary,
+    k_sign,
     member,
     nehari_normalize,
     critical_b_membership,
@@ -291,3 +292,12 @@ def test_classify_reads_s_star_and_m_star_from_turning(b):
     assert res.m_star == mass_threshold(b)
     assert res.s_star == (s_star(b) if b > 0 else None)
     assert [row["s"] for row in res.per_s] == [-0.5, 0.5] + ([s_star(b)] if b > 0 else [])
+
+
+@pytest.mark.parametrize("omega,c", [(np.nan, 0.5), (1.0, np.inf), (-np.inf, 0.0)])
+def test_k_sign_refuses_a_non_finite_k(omega, c):
+    sp = SolitonParams(ModelParams(0.1), 1.0, 0.5)
+    f = sample_varphi(sp, make_grid(suggested_half_length(sp), 256))
+    si = invariants(f, 0.1, 0.25)
+    with pytest.raises(ValueError, match="K is not finite"):
+        k_sign(si, omega, c)

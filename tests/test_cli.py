@@ -255,3 +255,42 @@ def test_non_finite_b_is_domain_error_in_every_subcommand(tmp_path, capsys, b):
         assert main([cmd, f"--b={b}", *rest]) == 1, cmd
         assert capsys.readouterr().out == "", cmd
         assert not out.exists(), cmd
+
+
+@pytest.mark.parametrize("omega, c", [("nan", "0.5"), ("inf", "0.5"), ("1", "nan"), ("1", "inf")])
+def test_report_non_finite_omega_or_c_is_domain_error(tmp_path, capsys, omega, c):
+    path = _soliton_file(tmp_path, n=256)
+    assert main(["report", "--field", str(path), "--b", "0.1",
+                 f"--omega={omega}", f"--c={c}"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("omega, c", [("nan", "0.5"), ("1", "inf"), ("1", "-inf")])
+def test_evolve_non_finite_monitor_is_domain_error(tmp_path, capsys, omega, c):
+    path = _soliton_file(tmp_path, n=256)
+    out = tmp_path / "traj"
+    assert main(["evolve", "--field", str(path), "--b", "0", "--t-end", "0.01",
+                 f"--monitor-omega={omega}", f"--monitor-c={c}", "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9])
+@pytest.mark.parametrize("lo, hi", [(-0.8, 0.8), (-0.3, -0.7), (-0.0, 0.5)])
+def test_classify_s_grid_is_numpy_linspace_bit_for_bit(tmp_path, capsys, n, lo, hi):
+    from dnls_well.classifier import classify_thm17
+    from dnls_well.functionals import Frame
+
+    path = tmp_path / "f.json"
+    save_field(random_smooth_field(np.random.default_rng(7), make_grid(30.0, 256), amp=0.05), path)
+    assert main(["classify", "--field", str(path), "--b", "0.1",
+                 f"--s-grid={lo!r}:{hi!r}:{n}"]) == 0
+    grid = np.linspace(lo, hi, n).tolist()
+    want = classify_thm17(load_field(path), ModelParams(0.1), grid, Frame.GAUGE).to_dict()
+    assert capsys.readouterr().out == json.dumps(want) + "\n"
+
+
+def test_classify_negative_s_grid_count_is_domain_error(tmp_path, capsys):
+    path = _soliton_file(tmp_path, n=256)
+    assert main(["classify", "--field", str(path), "--b", "0.1", "--s-grid=-0.8:0.8:-1"]) == 1
+    assert capsys.readouterr().out == ""

@@ -323,3 +323,73 @@ def test_d_finite_just_inside_negative_gamma_edge():
 def test_model_params_rejects_non_finite_b(b):
     with pytest.raises(ValueError, match="b must be finite"):
         ModelParams(b)
+
+
+def _region_rw(p: ModelParams, omega: float, c: float) -> float | None:
+    """2 sqrt(omega) if (omega, c) is admissible (see `existence_region`), else None."""
+    if omega <= 0:
+        raise RegionError(f"omega must be positive, got {omega}")
+    rw = 2.0 * math.sqrt(omega)
+    inside = -rw < c <= rw if p.gamma > 0 else -rw < c < p.s_hi * rw
+    return rw if inside else None
+
+
+def _existence_region_before(p, omega, c):
+    """The region predicate as it read before the kernel took the test over
+    (`_region_rw` above is the helper of that time, verbatim)."""
+    return _region_rw(p, omega, c) is not None
+
+
+BCRIT = -3.0 / 16.0
+
+
+@pytest.mark.parametrize("b", [0.1, 0.0, -0.1, BCRIT, BCRIT + 1e-10, BCRIT - 1e-10, -0.3])
+def test_existence_region_is_the_predicate_before_at_every_edge(b):
+    p = ModelParams(b)
+    n_in = n_out = 0
+    for omega in (0.37, 1.0, 2.3, 1e-12, 1e12):
+        rw = 2.0 * math.sqrt(omega)
+        edges = (-rw, p.s_hi * rw, rw, 0.0)
+        for edge in edges:
+            for c in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+                want = _existence_region_before(p, omega, c)
+                assert existence_region(p, omega, c) is want, (omega, c)
+                n_in, n_out = n_in + want, n_out + (not want)
+                if not want:
+                    with pytest.raises(RegionError, match="outside existence region"):
+                        d_value(p, omega, c)
+        for c in (-math.inf, math.inf, math.nan):
+            assert existence_region(p, omega, c) is False
+    for omega, c in ((math.nan, 0.0), (math.inf, -1.0)):
+        assert existence_region(p, omega, c) is _existence_region_before(p, omega, c)
+    assert n_in and n_out
+
+
+@pytest.mark.parametrize("b", [0.1, 0.0, -0.1, BCRIT + 1e-10])
+@pytest.mark.parametrize("omega", [0.37, 1.0, 2.3])
+def test_algebraic_endpoint_is_admitted_and_its_mass_is_4pi_over_root_gamma(b, omega):
+    p = ModelParams(b)
+    rw = 2.0 * math.sqrt(omega)
+    assert existence_region(p, omega, rw)
+    assert soliton_mass(p, omega, rw) == 4.0 * math.pi / math.sqrt(p.gamma)
+    assert not existence_region(p, omega, math.nextafter(rw, math.inf))
+
+
+@pytest.mark.parametrize("omega", [0.0, -0.0, -1.0, -math.inf])
+def test_nonpositive_omega_raises_with_its_own_message(omega):
+    for b in (0.1, BCRIT):
+        p = ModelParams(b)
+        for fn in (existence_region, soliton_mass, soliton_momentum, soliton_energy, d_value):
+            with pytest.raises(RegionError) as exc:
+                fn(p, omega, -0.5)
+            assert str(exc.value) == f"omega must be positive, got {omega}"
+
+
+def test_d_at_subnormal_c_and_gamma_zero_stays_finite():
+    # q^{3/2} / |c| is formed as (q sqrt(q)) / |c|: sqrt(q) / |c| alone overflows here
+    p = ModelParams(BCRIT)
+    assert p.gamma == 0.0
+    omega, c = 0.01, -1e-310
+    q = (0.2 - c) * (0.2 + c)
+    # z = 0: T - U = 2/3, so d = q^{3/2} / (3 |c|)
+    assert d_value(p, omega, c) == pytest.approx(q**1.5 / (3.0 * -c), rel=1e-13)

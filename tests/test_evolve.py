@@ -412,3 +412,11 @@ def test_gauge_consistency_is_the_l2_distance_of_the_two_paths():
     v = evolve(gauge_transform(f, 0.25), EvolveConfig(b=0.05, gauge_a=0.25, t_end=0.02)).final
     dist = math.sqrt(l2_norm_sq(Field(f.grid, u.values - v.values)))
     assert gauge_consistency(f, 0.05, t_end=0.02) == dist < 1e-5
+
+
+@pytest.mark.parametrize("monitor", [(math.nan, 0.5), (1.0, math.inf), (-math.inf, 0.5)])
+def test_monitor_rejects_non_finite_omega_and_c(monitor):
+    sp = SolitonParams(ModelParams(0.1), 1.0, 0.5)
+    f = sample_phi(sp, make_grid(suggested_half_length(sp), 256))
+    with pytest.raises(ValueError, match="monitor"):
+        evolve(f, EvolveConfig(b=0.1, t_end=0.01), monitor=monitor)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -11,7 +12,9 @@ from dnls_well.field import (
     from_json_dict,
     integrate,
     l2_norm_sq,
+    load_field,
     make_grid,
+    save_field,
     spectral_derivative,
     to_json_dict,
 )
@@ -165,3 +168,21 @@ def test_cumulative_integral_gives_the_nyquist_mode_no_antiderivative():
     g = make_grid(3.0, 64)
     cum = cumulative_integral(1.0 + (-1.0) ** np.arange(g.N), g)
     assert np.max(np.abs(cum - (g.x + g.L))) < 1e-12
+
+
+def test_save_field_bytes_are_those_of_the_streaming_encoder(tmp_path):
+    # one json.dumps string, byte for byte what json.dump streamed before,
+    # at magnitudes up to 1e+-300 and with signed zeros
+    rng = np.random.default_rng(3)
+    for n in (8, 256, 1024):
+        g = make_grid(12.5, n)
+        mag = 10.0 ** rng.uniform(-300, 300, (2, n))
+        parts = rng.standard_normal((2, n)) * mag
+        parts[:, ::7] = -0.0
+        parts[:, 1::11] = 0.0
+        f = Field(g, parts[0] + 1j * parts[1])
+        save_field(f, tmp_path / "f.json")
+        stream = io.StringIO()
+        json.dump(to_json_dict(f), stream)
+        assert (tmp_path / "f.json").read_bytes() == stream.getvalue().encode()
+        assert np.array_equal(load_field(tmp_path / "f.json").values.view(float), f.values.view(float))

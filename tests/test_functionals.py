@@ -130,3 +130,11 @@ def test_report_names_its_frame():
         assert rep.frame == name
         assert json.loads(json.dumps(rep.to_dict()))["frame"] == name
         assert rep.energy == invariants(f, 0.1, float(frame)).energy
+
+
+@pytest.mark.parametrize("omega,c", [(np.nan, 0.5), (np.inf, 0.5), (1.0, np.nan), (1.0, -np.inf)])
+def test_report_rejects_non_finite_omega_and_c(omega, c):
+    sp = SolitonParams(ModelParams(0.1), 1.0, 0.5)
+    f = sample_phi(sp, _grid_for(sp, 256))
+    with pytest.raises(ValueError, match="omega and c must be finite"):
+        report(f, ModelParams(0.1), omega, c, Frame.DNLS)

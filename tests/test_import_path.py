@@ -12,7 +12,8 @@ which shows that the guard can fail whether or not scipy is installed.
 
 numpy stays off the import path of the package root and of the closed-form
 subcommands `threshold` and `scan`.  `soliton`, which samples a profile on a
-grid, is the control that must load numpy.
+grid, is the control that must load numpy.  `report` takes its names from
+their owners, so it loads neither `solitons` nor `gauge`.
 """
 import json
 import os
@@ -36,7 +37,7 @@ from dnls_well import cli
 {preload}
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
-loaded = {pkg: sorted(m for m in sys.modules if m.split(".")[0] == pkg) for pkg in ("scipy", "numpy")}
+loaded = {pkg: sorted(m for m in sys.modules if m.split(".")[0] == pkg) for pkg in ("scipy", "numpy", "dnls_well")}
 print(json.dumps({"code": code, **loaded}))
 """
 
@@ -134,3 +135,10 @@ def test_guard_sees_numpy_in_soliton(files):
     res = _run(CASES["soliton"](*files))
     assert res["code"] == 0
     assert "numpy" in res["numpy"]
+
+
+def test_report_loads_no_solitons_or_gauge(files):
+    res = _run(CASES["report"](*files))
+    assert res["code"] == 0
+    assert "dnls_well.functionals" in res["dnls_well"]
+    assert not {"dnls_well.solitons", "dnls_well.gauge"} & set(res["dnls_well"])
