@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, asdict
 
-from .closedform import ModelParams, RegionError, admissible_s_range, d_value
+from .closedform import ModelParams, RegionError, d_value
 from .field import Field
 from .functionals import WELL_A, Frame, Invariants, invariants
 from .gauge import gauge_transform
@@ -66,9 +66,15 @@ def member(si: Invariants, p: ModelParams, omega: float, c: float):
     return {"in_A": bool(in_a), "K_sign": k_sign(si, omega, c)}
 
 
-def _curve(si: Invariants, s: float, d1: float = 0.0) -> tuple[float, float, float]:
-    """Coefficients in mu of S(mu^2, 2 s mu) - d1 mu^2."""
-    return 0.5 * si.mass - d1, s * si.momentum, si.energy
+def _coeffs(si: Invariants) -> tuple[float, float, float]:
+    """(M/2, P, E) of a record: S(mu^2, 2 s mu) = (M/2) mu^2 + s P mu + E."""
+    return 0.5 * si.mass, si.momentum, si.energy
+
+
+def _curve(coeffs: tuple[float, float, float], s: float, d1: float = 0.0) -> tuple[float, float, float]:
+    """Coefficients in mu of S(mu^2, 2 s mu) - d1 mu^2, from `_coeffs` of the record."""
+    half_m, mom, e = coeffs
+    return half_m - d1, s * mom, e
 
 
 def _sign_changes(a: float, b: float, c: float) -> list[float]:
@@ -122,17 +128,19 @@ def scan_curve(si: Invariants, p: ModelParams, s: float) -> dict:
     Returns the admissible-mu interval set J_s, the K signs realized on it,
     and the verdict: A_plus / A_minus / both / neither.
     """
-    return _scan(si, si.dilated(), p, s)
+    return _scan(_coeffs(si), _coeffs(si.dilated()), p, s)
 
 
-def _scan(si: Invariants, dil: Invariants, p: ModelParams, s: float) -> dict:
-    """`scan_curve` with dil = si.dilated() given, so that an s loop builds it once."""
-    lo, hi, closed = admissible_s_range(p)
-    if not (lo < s < hi or (closed and s == hi)):
+def _scan(co, dil_co, p: ModelParams, s: float) -> dict:
+    """`scan_curve` from `_coeffs` of the record (co) and of its dilation
+    (dil_co), so that an s loop reads them once."""
+    # the admissible range of `admissible_s_range`: (-1, s_hi), closed at s_hi for gamma > 0
+    hi = p.s_hi
+    if not (-1.0 < s < hi or (s == hi and p.gamma > 0)):
         raise RegionError(f"s={s} outside admissible range for b={p.b}")
     d1 = d_value(p, 1.0, 2.0 * s)
-    j = _negative_intervals(*_curve(si, s, d1))
-    signs = _k_signs_on(j, _curve(dil, s))
+    j = _negative_intervals(*_curve(co, s, d1))
+    signs = _k_signs_on(j, _curve(dil_co, s))
     return {
         "s": s,
         "verdict": _VERDICTS[1 in signs, -1 in signs],
@@ -214,12 +222,13 @@ def classify_thm17(
 
     # with no s* (b <= 0) the witness runs on s = 1, the algebraic curve s* tends to
     s_w = 1.0 if s_star is None else s_star
-    mu = _case_ii_witness(si, p, s_w) if case == "ii" else None
+    dil = si.dilated()
+    mu = _case_ii_witness(si, dil, p, s_w) if case == "ii" else None
     omega, c = (mu * mu, 2.0 * s_w * mu) if mu is not None else (None, None)
     s_values = list(s_grid) if s_grid is not None else []
     if s_star is not None and s_star not in s_values:
         s_values.append(s_star)
-    dil = si.dilated()
+    co, dil_co = _coeffs(si), _coeffs(dil)
     return ClassificationResult(
         mass=m,
         energy=e,
@@ -232,21 +241,22 @@ def classify_thm17(
         witness_omega=omega,
         witness_c=c,
         apriori_bound=None if mu is None else apriori_bound(si, omega, c),
-        per_s=[_scan(si, dil, p, s) for s in s_values],
+        per_s=[_scan(co, dil_co, p, s) for s in s_values],
     )
 
 
-def _case_ii_witness(si: Invariants, p: ModelParams, s: float):
+def _case_ii_witness(si: Invariants, dil: Invariants, p: ModelParams, s: float):
     """Doubling search for mu with action gap < 0 and K > 0 at (mu^2, 2 s mu).
 
-    Such a point certifies membership in A+.  Returns mu, or None if none is
-    found below the cap (never a negative claim).
+    K is read from dil = si.dilated().  Such a point certifies membership in
+    A+.  Returns mu, or None if none is found below the cap (never a
+    negative claim).
     """
     d1 = d_value(p, 1.0, 2.0 * s)
     mu = 1.0
     while mu <= _MU_CAP:
         omega, c = mu * mu, 2.0 * s * mu
-        if si.action(omega, c) < omega * d1 and si.nehari(omega, c) > 0:
+        if si.action(omega, c) < omega * d1 and dil.action(omega, c) > 0:
             return mu
         mu *= 2.0
     return None

@@ -68,15 +68,12 @@ class _Stepper:
     feeds an unnormalised inverse FFT, and the mask into every weight a
     stage result meets (`h_half`, `h_mid`, `h_full`, `w1`, `w23`, `w4`).
     Every stage writes into the work arrays, so a step allocates only the
-    array it returns; it never writes into its input.  Between steps,
-    `v_vx` reuses the same arrays to give a record v and v_x of the whole
-    state from one more inverse FFT.
+    array it returns; it never writes into its input.
     """
 
     def __init__(self, g: Grid, dt: float, p: ModelParams, a: float):
         n, k = g.N, g.k
         self.dt = dt
-        self.ik = g.ik
         self.re_q = 4.0 * a - 1.0
         self.kap = kappa(p, a)
         kmax = np.max(np.abs(k))
@@ -126,13 +123,6 @@ class _Stepper:
         np.subtract(tmp, z.imag, out=q.imag)
         q *= v
         return np.fft.fft(q, out=out)
-
-    def v_vx(self, vhat):
-        """v and v_x of the whole v-hat, from one inverse FFT: views into a
-        work array, valid until the next call into the stepper."""
-        self._stack[0] = vhat
-        np.multiply(self.ik, vhat, out=self._stack[1])
-        return np.fft.ifft(self._stack, out=self._v_vx)
 
     def step(self, vhat):
         k1, k2, k3, k4 = self._k
@@ -289,8 +279,14 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
         return inv if a == WELL_A else invariant_summary(f, p, a)
 
     traj = Trajectory(dt_used=dt, dt_trail=trail, phase_s=phase)
-    vx0 = np.fft.ifft(g.ik * vhat)
-    inv0 = integrals(f0.values, vx0, g.dx, p.b, a)
+
+    def integrals_of(f, vhat):
+        """The integrals of the state f with transform vhat: one more FFT, of rho f."""
+        v = f.values
+        rho = v.real * v.real + v.imag * v.imag
+        return integrals(rho, vhat, np.fft.fft(rho * v), g, p.b, a)
+
+    inv0 = integrals_of(f0, vhat)
     e0, m0, p0 = inv0.energy, inv0.mass, inv0.momentum
     grad0 = inv0.grad_sq
     # solitons can have exactly zero energy or momentum; fall back to the
@@ -300,12 +296,12 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     if monitor is not None:
         traj.apriori_bound = apriori_bound(well(f0, inv0), *monitor)
 
-    def record(i, f, vx) -> float:
-        """Store the state f of step i, whose derivative samples are vx;
-        returns its gradient norm squared."""
+    def record(i, f, vhat) -> float:
+        """Store the state f of step i, whose transform is vhat; returns its
+        gradient norm squared."""
         t_in = clock()
         t = i * dt
-        inv = integrals(f.values, vx, g.dx, p.b, a)
+        inv = integrals_of(f, vhat)
         drift = {
             "t": t,
             "dE": abs(inv.energy - e0) / scales[0],
@@ -323,7 +319,7 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
         phase["record"] += clock() - t_in
         return inv.grad_sq
 
-    record(0, f0, vx0)
+    record(0, f0, vhat)
     if unusable is not None:
         return traj.stop(unusable)
     t_loop, record_before = clock(), phase["record"]
@@ -338,9 +334,7 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
                 break
         if i % cfg.record_every and i < n_steps:
             continue
-        v, vx = stepper.v_vx(vhat)
-        # the snapshot gets its own copy of v: the stepper reuses the buffer
-        if record(i, Field(g, v.copy()), vx) > GRAD_FACTOR**2 * max(grad0, 1e-30):
+        if record(i, Field(g, np.fft.ifft(vhat)), vhat) > GRAD_FACTOR**2 * max(grad0, 1e-30):
             reason = "grad-growth"
             break
     phase["step"] = clock() - t_loop - (phase["record"] - record_before)

@@ -35,9 +35,12 @@ class Grid:
     def dx(self) -> float:
         return 2.0 * self.L / self.N
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return -self.L + self.dx * np.arange(self.N)
+        """Grid points -L + j dx, computed once and read-only."""
+        x = -self.L + self.dx * np.arange(self.N)
+        x.setflags(write=False)
+        return x
 
     @cached_property
     def k(self) -> np.ndarray:

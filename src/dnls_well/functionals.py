@@ -8,13 +8,24 @@ the momentum
 
 a = 0 is the original equation and a = 1/4 the frame where the potential
 wells live; there the sextic coefficient is -gamma/32.  `Frame` names the
-two, and each member is the float a itself.  `integrals` turns samples of a
-field and of its derivative into the six integrals these are built from,
-and `invariants` feeds it one spectral derivative.  The action
+two, and each member is the float a itself.  The action
 S = E + (omega/2) M + (c/2) P, its dilation derivative K (Nehari
-functional), the quadratic form L and I = S - K/4 are methods of that
-record.  The derivative nonlinearity is evaluated spectrally in physical
-space, exactly as the definitions read.
+functional), the quadratic form L and I = S - K/4 are methods of the record
+of six integrals these are built from.
+
+`integrals` is the one formula for that record.  With rho = |v|^2, the
+mass, ||v||_4^4 and ||v||_6^6 are sums over rho in physical space; the three
+integrals with a derivative come by Parseval from the transforms v-hat and
+F(rho v), with ik v-hat (`Grid.ik`, Nyquist mode zeroed) as the transform of
+v_x, and w = dx / N:
+
+    ||v_x||^2            = w ||ik v-hat||^2
+    <i v_x, v>           = -w Im vdot(v-hat, ik v-hat)
+    <i |v|^2 v_x, v>     = -w Im vdot(F(rho v), ik v-hat).
+
+`invariants` takes both transforms from one (2, N) FFT of [v, rho v], and
+the flow's records take F(rho v) from the state's v-hat; no derivative is
+formed in physical space.
 """
 from __future__ import annotations
 
@@ -25,7 +36,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .closedform import ModelParams
-from .field import Field, spectral_derivative
+from .field import Field, Grid, GridError
 
 WELL_A = 0.25
 
@@ -117,29 +128,45 @@ class Invariants:
 
 
 def invariants(f: Field, b: float, a: float) -> Invariants:
-    """The integrals of f in gauge frame a, from one spectral derivative."""
-    return integrals(f.values, spectral_derivative(f).values, f.grid.dx, b, a)
+    """The integrals of f in gauge frame a, from one (2, N) FFT of [f, |f|^2 f].
 
-
-def integrals(v: np.ndarray, vx: np.ndarray, dx: float, b: float, a: float) -> Invariants:
-    """The integrals in gauge frame a of samples v with derivative samples vx.
-
-    |v|^2 and the integrand of <i v_x, v> are formed from the real and
-    imaginary parts; each rectangle-rule integral is a sum or a dot product.
+    A field whose integrals overflow is refused with GridError; numpy's
+    overflow warnings are silenced here, so that the refusal is the error.
     """
-    rho = v.real * v.real + v.imag * v.imag
-    w = v.imag * vx.real - v.real * vx.imag  # integrand of <i v_x, v>
+    v = f.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = v.real * v.real + v.imag * v.imag
+        vv = np.empty((2, v.size), complex)
+        vv[0] = v
+        np.multiply(rho, v, out=vv[1])
+        vhat, rvhat = np.fft.fft(vv, out=vv)
+        inv = integrals(rho, vhat, rvhat, f.grid, b, a)
+    if not all(map(math.isfinite, (inv.grad_sq, inv.mass, inv.p_lin, inv.l4, inv.l6, inv.inter))):
+        raise GridError(f"the integrals of the field are not finite: {inv}")
+    return inv
+
+
+def integrals(
+    rho: np.ndarray, vhat: np.ndarray, rvhat: np.ndarray, g: Grid, b: float, a: float
+) -> Invariants:
+    """The integrals in gauge frame a of samples v on g, from rho = |v|^2,
+    vhat = fft(v) and rvhat = fft(rho v), by the formulas of the module
+    docstring; each is a sum or a dot product.
+    """
+    dx = g.dx
+    w = dx / g.N
+    ikv = g.ik * vhat
+    ikv_parts = ikv.view(float)
     rho2 = rho * rho
-    vx_parts = vx.view(float)
     return Invariants(
         b=b,
         a=a,
-        grad_sq=dx * float(vx_parts @ vx_parts),
+        grad_sq=w * float(ikv_parts @ ikv_parts),
         mass=dx * float(rho.sum()),
-        p_lin=dx * float(w.sum()),
+        p_lin=-w * float(np.vdot(vhat, ikv).imag),
         l4=dx * float(rho @ rho),
         l6=dx * float(rho2 @ rho),
-        inter=dx * float(rho @ w),
+        inter=-w * float(np.vdot(rvhat, ikv).imag),
     )
 
 
@@ -180,6 +207,7 @@ def report(f: Field, p: ModelParams, omega: float, c: float, frame: Frame) -> Fu
     if not (math.isfinite(omega) and math.isfinite(c)):
         raise ValueError(f"omega and c must be finite, got omega={omega}, c={c}")
     inv = invariants(f, p.b, frame.a)
+    action, nehari = inv.action(omega, c), inv.nehari(omega, c)
     return FunctionalReport(
         frame=frame.name.lower(),
         b=p.b,
@@ -188,10 +216,10 @@ def report(f: Field, p: ModelParams, omega: float, c: float, frame: Frame) -> Fu
         energy=inv.energy,
         mass=inv.mass,
         momentum=inv.momentum,
-        action=inv.action(omega, c),
-        nehari=inv.nehari(omega, c),
+        action=action,
+        nehari=nehari,
         ell=inv.ell(omega, c),
-        ii=inv.ii(omega, c),
+        ii=action - 0.25 * nehari,
         l4=inv.l4,
         l6=inv.l6,
         grad_sq=inv.grad_sq,

@@ -1,4 +1,6 @@
 """Well-membership machinery: invariants, K/action algebra, curve scans."""
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from dnls_well.classifier import (
     scan_curve,
 )
 from dnls_well.closedform import d_value, mass_threshold, s_star, soliton_energy, soliton_mass, soliton_momentum
-from dnls_well.closedform import turning_point
+from dnls_well.closedform import admissible_s_range, turning_point
 from dnls_well.field import Field, make_grid
 from dnls_well.functionals import Frame, invariants
 from dnls_well.gauge import gauge_transform
@@ -136,12 +138,26 @@ def test_scan_curve_rejects_inadmissible_s():
         scan_curve(si, p, 0.5)
 
 
+@pytest.mark.parametrize("b", [0.1, 0.0, -0.1, -3.0 / 16.0, -0.3])
+def test_scan_curve_admits_exactly_the_admissible_s_range(b):
+    # (-1, s_hi), closed at s_hi for gamma > 0: the range admissible_s_range states
+    p = ModelParams(b)
+    lo, hi, closed = admissible_s_range(p)
+    g = make_grid(30.0, 256)
+    si = invariant_summary(Field(g, np.exp(-g.x**2)), p, Frame.GAUGE)
+    for s in (lo, math.nextafter(hi, math.inf), math.nan) + (() if closed else (hi,)):
+        with pytest.raises(RegionError, match="outside admissible range"):
+            scan_curve(si, p, s)
+    for s in (math.nextafter(lo, 0.0), math.nextafter(hi, -math.inf)) + ((hi,) if closed else ()):
+        assert scan_curve(si, p, s)["s"] == s
+
+
 def test_case_ii_witness_on_small_data(rng):
     g = make_grid(30.0, 512)
     p = ModelParams(0.0)
     f = random_smooth_field(rng, g, amp=0.05)
     si = invariant_summary(f, p, Frame.GAUGE)
-    mu = _case_ii_witness(si, p, s=1.0)
+    mu = _case_ii_witness(si, si.dilated(), p, s=1.0)
     assert mu is not None
     d1 = d_value(p, 1.0, 2.0)
     gap = si.energy + 0.5 * mu * mu * (si.mass - 2.0 * d1) + mu * si.momentum

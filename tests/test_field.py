@@ -49,6 +49,17 @@ def test_grid_wavenumbers_cached_and_read_only():
     assert make_grid(10.0, 64) == g  # the cache is not part of equality
 
 
+def test_grid_points_cached_and_read_only():
+    g = make_grid(10.0, 64)
+    x = g.x
+    assert g.x is x
+    assert not x.flags.writeable
+    np.testing.assert_array_equal(x, -g.L + g.dx * np.arange(g.N))
+    with pytest.raises(ValueError):
+        x[0] = 1.0
+    assert make_grid(10.0, 64) == g
+
+
 def test_grid_derivative_multiplier_cached_and_read_only():
     g = make_grid(10.0, 64)
     ik = g.ik
