@@ -23,7 +23,8 @@ from .functionals import WELL_A, Frame, Invariants, invariants
 from .gauge import gauge_transform
 
 # Discretized solitons sit exactly on well boundaries; exact-zero tests are
-# meaningless in floating point, so boundary verdicts use these dead-bands.
+# meaningless in floating point, so every boundary verdict takes its sign
+# from `_sign`, whose dead-band is REL_TOL relative to a size.
 REL_TOL = 1e-6
 
 _MU_CAP = float(2**30)
@@ -42,15 +43,21 @@ def invariant_summary(f: Field, p: ModelParams, a: float) -> Invariants:
     return invariants(gauge_transform(f, WELL_A - a), p.b, WELL_A)
 
 
+def _sign(x: float, size: float) -> int:
+    """Sign of x; 0 inside the dead-band |x| < REL_TOL max(size, 1e-30), and
+    for a nan x, which has no sign."""
+    if abs(x) < REL_TOL * max(size, 1e-30):
+        return 0
+    return (x > 0) - (x < 0)
+
+
 def k_sign(si: Invariants, omega: float, c: float) -> int:
     """Sign of K at (omega, c); 0 inside the dead-band REL_TOL ||f_x||^2.
     A non-finite K has no sign and raises ValueError."""
     k = si.nehari(omega, c)
     if not math.isfinite(k):
         raise ValueError(f"K is not finite at (omega={omega}, c={c}): {k}")
-    if abs(k) < REL_TOL * max(si.grad_sq, 1e-30):
-        return 0
-    return 1 if k > 0 else -1
+    return _sign(k, si.grad_sq)
 
 
 def apriori_bound(si: Invariants, omega: float, c: float) -> float:
@@ -62,8 +69,7 @@ def member(si: Invariants, p: ModelParams, omega: float, c: float):
     """Well membership and K sign at one (omega, c), with dead-bands."""
     d = d_value(p, omega, c)
     s = si.action(omega, c)
-    in_a = s < d - REL_TOL * (abs(s) + d)
-    return {"in_A": bool(in_a), "K_sign": k_sign(si, omega, c)}
+    return {"in_A": _sign(s - d, abs(s) + d) < 0, "K_sign": k_sign(si, omega, c)}
 
 
 def _coeffs(si: Invariants) -> tuple[float, float, float]:
@@ -142,7 +148,7 @@ def _scan(co, dil_co, p: ModelParams, s: float) -> dict:
     j = _negative_intervals(*_curve(co, s, d1))
     signs = _k_signs_on(j, _curve(dil_co, s))
     return {
-        "s": s,
+        "s": float(s),
         "verdict": _VERDICTS[1 in signs, -1 in signs],
         "J": [[float(lo), float(hi) if math.isfinite(hi) else None] for lo, hi in j],
         "k_signs": sorted(signs),
@@ -206,16 +212,16 @@ def classify_thm17(
         )
 
     s_star, m_star = p.turning
-    scale_e = REL_TOL * max(si.grad_sq, 1e-30)
-    scale_p = REL_TOL * max(si.grad_sq + si.l4, 1e-30)
-    on_mstar = abs(m - m_star) < REL_TOL * m_star
-    if p.b >= 0 and on_mstar and abs(e) < scale_e and abs(mom) < scale_p:
+    sign_m = _sign(m - m_star, m_star)
+    sign_e = _sign(e, si.grad_sq)
+    sign_p = _sign(mom, si.grad_sq + si.l4)
+    if p.b >= 0 and sign_m == sign_e == sign_p == 0:
         case = "vi-a"
-    elif m < m_star * (1.0 - REL_TOL) or (on_mstar and mom < -scale_p):
+    elif sign_m < 0 or (sign_m == 0 and sign_p < 0):
         case = "ii"
-    elif e < -scale_e:
+    elif sign_e < 0:
         case = "iv"
-    elif e >= 0 and m >= m_star * (1.0 - REL_TOL) and abs(mom) < scale_p:
+    elif e >= 0 and sign_m >= 0 and sign_p == 0:
         case = "v"
     else:
         case = "none"

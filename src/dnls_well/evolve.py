@@ -26,7 +26,7 @@ import numpy as np
 
 from .classifier import apriori_bound, invariant_summary, k_sign
 from .field import Field, Grid, l2_norm_sq, spectral_derivative
-from .functionals import WELL_A, integrals
+from .functionals import WELL_A, invariants
 from .gauge import gauge_transform
 from .solitons import ModelParams, phi_one_two
 
@@ -73,7 +73,6 @@ class _Stepper:
 
     def __init__(self, g: Grid, dt: float, p: ModelParams, a: float):
         n, k = g.N, g.k
-        self.dt = dt
         self.re_q = 4.0 * a - 1.0
         self.kap = kappa(p, a)
         kmax = np.max(np.abs(k))
@@ -279,14 +278,7 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
         return inv if a == WELL_A else invariant_summary(f, p, a)
 
     traj = Trajectory(dt_used=dt, dt_trail=trail, phase_s=phase)
-
-    def integrals_of(f, vhat):
-        """The integrals of the state f with transform vhat: one more FFT, of rho f."""
-        v = f.values
-        rho = v.real * v.real + v.imag * v.imag
-        return integrals(rho, vhat, np.fft.fft(rho * v), g, p.b, a)
-
-    inv0 = integrals_of(f0, vhat)
+    inv0 = invariants(f0, p.b, a)
     e0, m0, p0 = inv0.energy, inv0.mass, inv0.momentum
     grad0 = inv0.grad_sq
     # solitons can have exactly zero energy or momentum; fall back to the
@@ -296,12 +288,13 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     if monitor is not None:
         traj.apriori_bound = apriori_bound(well(f0, inv0), *monitor)
 
-    def record(i, f, vhat) -> float:
-        """Store the state f of step i, whose transform is vhat; returns its
-        gradient norm squared."""
+    def record(i, f, inv=None) -> float:
+        """Store the state f of step i, whose integrals inv are read here
+        unless given; returns its gradient norm squared."""
         t_in = clock()
         t = i * dt
-        inv = integrals_of(f, vhat)
+        if inv is None:
+            inv = invariants(f, p.b, a)
         drift = {
             "t": t,
             "dE": abs(inv.energy - e0) / scales[0],
@@ -319,7 +312,7 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
         phase["record"] += clock() - t_in
         return inv.grad_sq
 
-    record(0, f0, vhat)
+    record(0, f0, inv0)
     if unusable is not None:
         return traj.stop(unusable)
     t_loop, record_before = clock(), phase["record"]
@@ -334,7 +327,7 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
                 break
         if i % cfg.record_every and i < n_steps:
             continue
-        if record(i, Field(g, np.fft.ifft(vhat)), vhat) > GRAD_FACTOR**2 * max(grad0, 1e-30):
+        if record(i, Field(g, np.fft.ifft(vhat))) > GRAD_FACTOR**2 * max(grad0, 1e-30):
             reason = "grad-growth"
             break
     phase["step"] = clock() - t_loop - (phase["record"] - record_before)

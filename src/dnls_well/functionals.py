@@ -13,7 +13,7 @@ S = E + (omega/2) M + (c/2) P, its dilation derivative K (Nehari
 functional), the quadratic form L and I = S - K/4 are methods of the record
 of six integrals these are built from.
 
-`integrals` is the one formula for that record.  With rho = |v|^2, the
+`invariants` is the one formula for that record.  With rho = |v|^2, the
 mass, ||v||_4^4 and ||v||_6^6 are sums over rho in physical space; the three
 integrals with a derivative come by Parseval from the transforms v-hat and
 F(rho v), with ik v-hat (`Grid.ik`, Nyquist mode zeroed) as the transform of
@@ -23,9 +23,9 @@ v_x, and w = dx / N:
     <i v_x, v>           = -w Im vdot(v-hat, ik v-hat)
     <i |v|^2 v_x, v>     = -w Im vdot(F(rho v), ik v-hat).
 
-`invariants` takes both transforms from one (2, N) FFT of [v, rho v], and
-the flow's records take F(rho v) from the state's v-hat; no derivative is
-formed in physical space.
+`invariants` takes both transforms from one (2, N) FFT of [v, rho v]; no
+derivative is formed in physical space.  Each record of the flow is the
+`invariants` of its snapshot.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .closedform import ModelParams
-from .field import Field, Grid, GridError
+from .field import Field, GridError
 
 WELL_A = 0.25
 
@@ -128,46 +128,37 @@ class Invariants:
 
 
 def invariants(f: Field, b: float, a: float) -> Invariants:
-    """The integrals of f in gauge frame a, from one (2, N) FFT of [f, |f|^2 f].
+    """The integrals of f in gauge frame a, from one (2, N) FFT of [f, |f|^2 f]
+    by the formulas of the module docstring; each is a sum or a dot product.
 
     A field whose integrals overflow is refused with GridError; numpy's
     overflow warnings are silenced here, so that the refusal is the error.
     """
-    v = f.values
+    g, v = f.grid, f.values
+    dx = g.dx
+    w = dx / g.N
     with np.errstate(over="ignore", invalid="ignore"):
         rho = v.real * v.real + v.imag * v.imag
         vv = np.empty((2, v.size), complex)
         vv[0] = v
         np.multiply(rho, v, out=vv[1])
         vhat, rvhat = np.fft.fft(vv, out=vv)
-        inv = integrals(rho, vhat, rvhat, f.grid, b, a)
+        ikv = g.ik * vhat
+        ikv_parts = ikv.view(float)
+        rho2 = rho * rho
+        inv = Invariants(
+            b=b,
+            a=a,
+            grad_sq=w * float(ikv_parts @ ikv_parts),
+            mass=dx * float(rho.sum()),
+            p_lin=-w * float(np.vdot(vhat, ikv).imag),
+            l4=dx * float(rho @ rho),
+            l6=dx * float(rho2 @ rho),
+            inter=-w * float(np.vdot(rvhat, ikv).imag),
+        )
     if not all(map(math.isfinite, (inv.grad_sq, inv.mass, inv.p_lin, inv.l4, inv.l6, inv.inter))):
         raise GridError(f"the integrals of the field are not finite: {inv}")
     return inv
-
-
-def integrals(
-    rho: np.ndarray, vhat: np.ndarray, rvhat: np.ndarray, g: Grid, b: float, a: float
-) -> Invariants:
-    """The integrals in gauge frame a of samples v on g, from rho = |v|^2,
-    vhat = fft(v) and rvhat = fft(rho v), by the formulas of the module
-    docstring; each is a sum or a dot product.
-    """
-    dx = g.dx
-    w = dx / g.N
-    ikv = g.ik * vhat
-    ikv_parts = ikv.view(float)
-    rho2 = rho * rho
-    return Invariants(
-        b=b,
-        a=a,
-        grad_sq=w * float(ikv_parts @ ikv_parts),
-        mass=dx * float(rho.sum()),
-        p_lin=-w * float(np.vdot(vhat, ikv).imag),
-        l4=dx * float(rho @ rho),
-        l6=dx * float(rho2 @ rho),
-        inter=-w * float(np.vdot(rvhat, ikv).imag),
-    )
 
 
 def gn_ratio(f: Field) -> float:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from dnls_well.classifier import (
+    REL_TOL,
     _case_ii_witness,
     _k_signs_on,
     _negative_intervals,
+    _sign,
     classify_thm17,
     invariant_summary,
     k_sign,
@@ -308,6 +310,59 @@ def test_classify_reads_s_star_and_m_star_from_turning(b):
     assert res.m_star == mass_threshold(b)
     assert res.s_star == (s_star(b) if b > 0 else None)
     assert [row["s"] for row in res.per_s] == [-0.5, 0.5] + ([s_star(b)] if b > 0 else [])
+
+
+def test_classify_rows_carry_python_floats_from_a_numpy_grid():
+    f = random_smooth_field(np.random.default_rng(3), make_grid(20.0, 256), amp=0.3)
+    res = classify_thm17(f, ModelParams(0.1), np.linspace(-0.8, 0.8, 9))
+    assert len(res.per_s) == 10
+    assert all(type(row["s"]) is float for row in res.per_s)
+
+
+@pytest.mark.parametrize(
+    "size,band",
+    [(1.0, REL_TOL), (3.5e4, 3.5e4 * REL_TOL), (2e-7, 2e-7 * REL_TOL), (0.0, REL_TOL * 1e-30)],
+)
+def test_sign_dead_band_edges(size, band):
+    # inside half the band there is no sign, at twice the band the sign of x;
+    # a zero size leaves the band at its floor REL_TOL * 1e-30
+    assert _sign(0.5 * band, size) == _sign(-0.5 * band, size) == _sign(0.0, size) == 0
+    assert _sign(2.0 * band, size) == 1
+    assert _sign(-2.0 * band, size) == -1
+
+
+def test_sign_of_nan_is_zero():
+    # a nan action gap must not read as "below d"
+    assert _sign(math.nan, 1.0) == 0
+
+
+@pytest.mark.parametrize("shift,case", [(0.0, "v"), (0.1, "ii")])
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 3.0])
+def test_on_m_star_the_momentum_sign_decides(sigma, shift, case):
+    # a Gaussian of mass M* with carrier e^{i kappa x}: P = l4/4 - kappa M,
+    # zero to rounding at kappa = l4/(4M), negative beyond it; E > 0 here
+    p = ModelParams(0.1)
+    m_star = p.turning[1]
+    g = make_grid(40.0, 1024)
+    gauss = np.exp(-g.x**2 / (2.0 * sigma**2)).astype(complex)
+    gauss *= math.sqrt(m_star / invariants(Field(g, gauss), p.b, 0.25).mass)
+    inv = invariants(Field(g, gauss), p.b, 0.25)
+    kappa = inv.l4 / (4.0 * inv.mass) + shift
+    res = classify_thm17(Field(g, gauss * np.exp(1j * kappa * g.x)), p)
+    assert res.energy > 0
+    assert res.theorem17_case == case
+
+
+def test_k_sign_is_the_dead_band_sign_of_k():
+    f, p = _soliton_field(0.1, 1.0, 0.8, n=512)
+    signs = set()
+    for lam in (0.5, 0.9, 1.0, 1.2, 2.0):
+        si = invariant_summary(Field(f.grid, lam * f.values), p, Frame.GAUGE)
+        for omega, c in ((1.0, 0.8), (2.0, -0.3)):
+            want = _sign(si.nehari(omega, c), si.grad_sq)
+            assert k_sign(si, omega, c) == want
+            signs.add(want)
+    assert signs == {-1, 0, 1}
 
 
 @pytest.mark.parametrize("omega,c", [(np.nan, 0.5), (1.0, np.inf), (-np.inf, 0.0)])
