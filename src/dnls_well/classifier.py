@@ -29,12 +29,12 @@ REL_TOL = 1e-6
 
 _MU_CAP = float(2**30)
 
-# (K > 0 somewhere on J, K < 0 somewhere on J) -> curve verdict
+# (K > 0 somewhere on J, K < 0 somewhere on J) -> (curve verdict, K signs)
 _VERDICTS = {
-    (True, True): "both",
-    (True, False): "A_plus",
-    (False, True): "A_minus",
-    (False, False): "neither",
+    (True, True): ("both", (-1, 1)),
+    (True, False): ("A_plus", (1,)),
+    (False, True): ("A_minus", (-1,)),
+    (False, False): ("neither", ()),
 }
 
 
@@ -73,26 +73,23 @@ def member(si: Invariants, p: ModelParams, omega: float, c: float):
 
 
 def _coeffs(si: Invariants) -> tuple[float, float, float]:
-    """(M/2, P, E) of a record: S(mu^2, 2 s mu) = (M/2) mu^2 + s P mu + E."""
-    return 0.5 * si.mass, si.momentum, si.energy
+    """(M/2, P, E) of a record in floats: S(mu^2, 2 s mu) = (M/2) mu^2 + s P mu + E."""
+    return float(0.5 * si.mass), float(si.momentum), float(si.energy)
 
 
-def _curve(coeffs: tuple[float, float, float], s: float, d1: float = 0.0) -> tuple[float, float, float]:
-    """Coefficients in mu of S(mu^2, 2 s mu) - d1 mu^2, from `_coeffs` of the record."""
-    half_m, mom, e = coeffs
-    return half_m - d1, s * mom, e
-
-
-def _sign_changes(a: float, b: float, c: float) -> list[float]:
-    """Ascending real x where a x^2 + b x + c changes sign; a = 0 allowed."""
+def _sign_changes(a: float, b: float, c: float) -> tuple[float, ...]:
+    """Real x where a x^2 + b x + c changes sign, as an ascending pair, or ()
+    when there is none; a linear polynomial (a = 0) is a quadratic with its
+    other root at -inf."""
     if a == 0.0:
-        return [-c / b] if b != 0.0 else []
+        return (-math.inf, -c / b) if b != 0.0 else ()
     disc = b * b - 4.0 * a * c
     if disc <= 0.0:
-        return []
+        return ()
     # q and c/q avoid the cancellation of -b + sqrt(disc) when |a c| << b^2
     q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    return sorted((q / a, c / q))
+    r1, r2 = q / a, c / q
+    return (r2, r1) if r2 < r1 else (r1, r2)
 
 
 def _negative_intervals(a: float, b: float, c: float) -> list[tuple[float, float]]:
@@ -101,31 +98,11 @@ def _negative_intervals(a: float, b: float, c: float) -> list[tuple[float, float
     roots = _sign_changes(a, b, c)
     if not roots:  # one sign: that of a, or of c when a = b = 0
         return [(0.0, inf)] if (a or c) < 0 else []
-    # a linear polynomial is a quadratic with its other root at -inf
-    r1, r2 = roots if len(roots) == 2 else (-inf, roots[0])
+    r1, r2 = roots
     if (a or b) > 0:
         lo = max(r1, 0.0)
         return [(lo, r2)] if r2 > lo else []
     return ([(0.0, r1)] if r1 > 0 else []) + [(max(r2, 0.0), inf)]
-
-
-def _k_signs_on(intervals, kq) -> set[int]:
-    """Signs the quadratic kq takes over a union of open intervals of mu > 0.
-
-    -1 where the union meets {kq < 0}, +1 where it is not contained in it
-    (a zero of kq counts as +1).
-    """
-    neg = _negative_intervals(*kq)
-    signs: set[int] = set()
-    for lo, hi in intervals:
-        inside = False
-        for n_lo, n_hi in neg:
-            if max(lo, n_lo) < min(hi, n_hi):
-                signs.add(-1)
-            inside = inside or (n_lo <= lo and hi <= n_hi)
-        if not inside:
-            signs.add(1)
-    return signs
 
 
 def scan_curve(si: Invariants, p: ModelParams, s: float) -> dict:
@@ -134,24 +111,40 @@ def scan_curve(si: Invariants, p: ModelParams, s: float) -> dict:
     Returns the admissible-mu interval set J_s, the K signs realized on it,
     and the verdict: A_plus / A_minus / both / neither.
     """
-    return _scan(_coeffs(si), _coeffs(si.dilated()), p, s)
+    return _scan(_coeffs(si), _coeffs(si.dilated()), p, float(s))
 
 
 def _scan(co, dil_co, p: ModelParams, s: float) -> dict:
-    """`scan_curve` from `_coeffs` of the record (co) and of its dilation
-    (dil_co), so that an s loop reads them once."""
+    """`scan_curve` at a float s from `_coeffs` of the record (co) and of its
+    dilation (dil_co), so that an s loop reads them once.
+
+    J is where the action gap (M/2 - d(1, 2s)) mu^2 + s P mu + E is negative,
+    and K is the quadratic of dil_co; K < 0 on J where an interval of J meets
+    {K < 0}, and K >= 0 on J unless each interval of J lies inside one of
+    {K < 0} (a zero of K counts as K > 0).
+    """
     # the admissible range of `admissible_s_range`: (-1, s_hi), closed at s_hi for gamma > 0
-    hi = p.s_hi
-    if not (-1.0 < s < hi or (s == hi and p.gamma > 0)):
+    s_hi = p.s_hi
+    if not (-1.0 < s < s_hi or (s == s_hi and p.gamma > 0)):
         raise RegionError(f"s={s} outside admissible range for b={p.b}")
-    d1 = d_value(p, 1.0, 2.0 * s)
-    j = _negative_intervals(*_curve(co, s, d1))
-    signs = _k_signs_on(j, _curve(dil_co, s))
+    half_m, mom, e = co
+    j = _negative_intervals(half_m - d_value(p, 1.0, 2.0 * s), s * mom, e)
+    half_m, mom, e = dil_co
+    neg = _negative_intervals(half_m, s * mom, e)
+    plus = minus = False
+    for lo, hi in j:
+        inside = False
+        for n_lo, n_hi in neg:
+            if max(lo, n_lo) < min(hi, n_hi):
+                minus = True
+            inside = inside or (n_lo <= lo and hi <= n_hi)
+        plus = plus or not inside
+    verdict, signs = _VERDICTS[plus, minus]
     return {
-        "s": float(s),
-        "verdict": _VERDICTS[1 in signs, -1 in signs],
-        "J": [[float(lo), float(hi) if math.isfinite(hi) else None] for lo, hi in j],
-        "k_signs": sorted(signs),
+        "s": s,
+        "verdict": verdict,
+        "J": [[lo, hi if math.isfinite(hi) else None] for lo, hi in j],
+        "k_signs": list(signs),
     }
 
 
@@ -231,7 +224,7 @@ def classify_thm17(
     dil = si.dilated()
     mu = _case_ii_witness(si, dil, p, s_w) if case == "ii" else None
     omega, c = (mu * mu, 2.0 * s_w * mu) if mu is not None else (None, None)
-    s_values = list(s_grid) if s_grid is not None else []
+    s_values = [float(s) for s in s_grid] if s_grid is not None else []
     if s_star is not None and s_star not in s_values:
         s_values.append(s_star)
     co, dil_co = _coeffs(si), _coeffs(dil)

@@ -54,8 +54,11 @@ class EvolveConfig:
     def __post_init__(self):
         # the chained comparisons are false for nan as well
         finite = 0.0 < self.t_end < math.inf and 0.0 < self.dt < math.inf
-        if not (finite and math.isfinite(self.gauge_a) and self.record_every >= 1):
-            raise ValueError(f"need finite t_end and gauge_a, dt > 0, record_every >= 1: {self}")
+        # an int, not a bool or a float: i % 2.5 would record every 5th step
+        every = self.record_every
+        counted = isinstance(every, int) and not isinstance(every, bool) and every >= 1
+        if not (finite and math.isfinite(self.gauge_a) and counted):
+            raise ValueError(f"need finite t_end and gauge_a, dt > 0, an int record_every >= 1: {self}")
 
 
 class _Stepper:

@@ -193,10 +193,12 @@ class FunctionalReport:
         return asdict(self)
 
 
-def report(f: Field, p: ModelParams, omega: float, c: float, frame: Frame) -> FunctionalReport:
-    """Every functional of f at (omega, c), with f given in `frame`."""
+def report(f: Field, p: ModelParams, omega: float, c: float, frame: float) -> FunctionalReport:
+    """Every functional of f at (omega, c), with f given in `frame` (a `Frame`
+    or its gauge number a; any other a is a ValueError)."""
     if not (math.isfinite(omega) and math.isfinite(c)):
         raise ValueError(f"omega and c must be finite, got omega={omega}, c={c}")
+    frame = Frame(frame)
     inv = invariants(f, p.b, frame.a)
     action, nehari = inv.action(omega, c), inv.nehari(omega, c)
     return FunctionalReport(

@@ -1,14 +1,21 @@
-"""Well-membership machinery: invariants, K/action algebra, curve scans."""
+"""Well-membership machinery: invariants, K/action algebra, curve scans.
+
+The `_seed_*` functions at the end are the per-s row kernel as it was before
+it was fused into `_scan`, kept verbatim (renamed) as the reference: the
+fused kernel does the same float operations, so its rows must be equal to
+the bit, 0.0 and -0.0 apart included.
+"""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dnls_well.classifier import (
     REL_TOL,
     _case_ii_witness,
-    _k_signs_on,
     _negative_intervals,
+    _scan,
     _sign,
     classify_thm17,
     invariant_summary,
@@ -117,9 +124,15 @@ def test_negative_intervals_quadratic_cases():
     assert _negative_intervals(0.0, 0.0, 1.0) == []
     # a tiny leading coefficient keeps the root near -c/b
     assert _negative_intervals(1e-297, 1.0, -1.0) == [(0.0, 1.0)]
-    assert _k_signs_on([(0.0, np.inf)], (-1e-116, -1.0, 1.0)) == {-1, 1}
+    # K signs on J through the row kernel: at s = 1 the gap is (M/2 - d1, P, E)
+    # and K the dilated record's (M/2, P, E) unchanged
+    p = ModelParams(0.1)
+    d1 = d_value(p, 1.0, 2.0)
+    row = _scan((d1, 0.0, -1.0), (-1e-116, -1.0, 1.0), p, 1.0)
+    assert row["J"] == [[0.0, None]] and row["k_signs"] == [-1, 1]
     # K = 1 - mu is negative only beyond the end of J = (0, 1)
-    assert _k_signs_on([(0.0, 1.0)], (0.0, -1.0, 1.0)) == {1}
+    row = _scan((d1, 1.0, -1.0), (0.0, -1.0, 1.0), p, 1.0)
+    assert row["J"] == [[0.0, 1.0]] and row["k_signs"] == [1]
 
 
 def test_scan_curve_small_field_is_a_plus(rng):
@@ -314,9 +327,14 @@ def test_classify_reads_s_star_and_m_star_from_turning(b):
 
 def test_classify_rows_carry_python_floats_from_a_numpy_grid():
     f = random_smooth_field(np.random.default_rng(3), make_grid(20.0, 256), amp=0.3)
-    res = classify_thm17(f, ModelParams(0.1), np.linspace(-0.8, 0.8, 9))
-    assert len(res.per_s) == 10
-    assert all(type(row["s"]) is float for row in res.per_s)
+    p = ModelParams(0.1)
+    grid = np.linspace(-0.8, 0.8, 9)
+    res = classify_thm17(f, p, grid).to_dict()
+    assert len(res["per_s"]) == 10
+    assert res == classify_thm17(f, p, grid.tolist()).to_dict()
+    for row in res["per_s"]:
+        assert type(row["s"]) is float
+        assert all(type(x) is float or x is None for iv in row["J"] for x in iv)
 
 
 @pytest.mark.parametrize(
@@ -372,3 +390,136 @@ def test_k_sign_refuses_a_non_finite_k(omega, c):
     si = invariants(f, 0.1, 0.25)
     with pytest.raises(ValueError, match="K is not finite"):
         k_sign(si, omega, c)
+
+
+# --- the row kernel before it was fused, verbatim ------------------------------
+
+_SEED_VERDICTS = {
+    (True, True): "both",
+    (True, False): "A_plus",
+    (False, True): "A_minus",
+    (False, False): "neither",
+}
+
+
+def _seed_curve(coeffs: tuple[float, float, float], s: float, d1: float = 0.0) -> tuple[float, float, float]:
+    """Coefficients in mu of S(mu^2, 2 s mu) - d1 mu^2, from `_coeffs` of the record."""
+    half_m, mom, e = coeffs
+    return half_m - d1, s * mom, e
+
+
+def _seed_sign_changes(a: float, b: float, c: float) -> list[float]:
+    """Ascending real x where a x^2 + b x + c changes sign; a = 0 allowed."""
+    if a == 0.0:
+        return [-c / b] if b != 0.0 else []
+    disc = b * b - 4.0 * a * c
+    if disc <= 0.0:
+        return []
+    # q and c/q avoid the cancellation of -b + sqrt(disc) when |a c| << b^2
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return sorted((q / a, c / q))
+
+
+def _seed_negative_intervals(a: float, b: float, c: float) -> list[tuple[float, float]]:
+    """{mu > 0 : a mu^2 + b mu + c < 0} as a list of open intervals."""
+    inf = math.inf
+    roots = _seed_sign_changes(a, b, c)
+    if not roots:  # one sign: that of a, or of c when a = b = 0
+        return [(0.0, inf)] if (a or c) < 0 else []
+    # a linear polynomial is a quadratic with its other root at -inf
+    r1, r2 = roots if len(roots) == 2 else (-inf, roots[0])
+    if (a or b) > 0:
+        lo = max(r1, 0.0)
+        return [(lo, r2)] if r2 > lo else []
+    return ([(0.0, r1)] if r1 > 0 else []) + [(max(r2, 0.0), inf)]
+
+
+def _seed_k_signs_on(intervals, kq) -> set[int]:
+    """Signs the quadratic kq takes over a union of open intervals of mu > 0.
+
+    -1 where the union meets {kq < 0}, +1 where it is not contained in it
+    (a zero of kq counts as +1).
+    """
+    neg = _seed_negative_intervals(*kq)
+    signs: set[int] = set()
+    for lo, hi in intervals:
+        inside = False
+        for n_lo, n_hi in neg:
+            if max(lo, n_lo) < min(hi, n_hi):
+                signs.add(-1)
+            inside = inside or (n_lo <= lo and hi <= n_hi)
+        if not inside:
+            signs.add(1)
+    return signs
+
+
+def _seed_scan(co, dil_co, p: ModelParams, s: float) -> dict:
+    """`scan_curve` from `_coeffs` of the record (co) and of its dilation
+    (dil_co), so that an s loop reads them once."""
+    # the admissible range of `admissible_s_range`: (-1, s_hi), closed at s_hi for gamma > 0
+    hi = p.s_hi
+    if not (-1.0 < s < hi or (s == hi and p.gamma > 0)):
+        raise RegionError(f"s={s} outside admissible range for b={p.b}")
+    d1 = d_value(p, 1.0, 2.0 * s)
+    j = _seed_negative_intervals(*_seed_curve(co, s, d1))
+    signs = _seed_k_signs_on(j, _seed_curve(dil_co, s))
+    return {
+        "s": float(s),
+        "verdict": _SEED_VERDICTS[1 in signs, -1 in signs],
+        "J": [[float(lo), float(hi) if math.isfinite(hi) else None] for lo, hi in j],
+        "k_signs": sorted(signs),
+    }
+
+
+# --- parity -------------------------------------------------------------------
+
+# b = 0.1 and 0.0 close the s range at s_hi = 1; b = -0.3 (gamma < 0) leaves it open
+_S_HI_OPEN = ModelParams(-0.3).s_hi
+coefficient = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-297, -1e-297, 1.0, -1.0]),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+record = st.tuples(coefficient, coefficient, coefficient)
+s_value = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.0, -0.0, _S_HI_OPEN, math.nextafter(_S_HI_OPEN, -1.0)]),
+    st.floats(-1.0, 1.0),
+)
+
+
+def _row_or_refusal(scan, co, dil_co, p, s) -> str:
+    try:
+        return repr(scan(co, dil_co, p, s))
+    except RegionError as exc:
+        return repr(exc)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=600)
+@given(st.sampled_from([0.1, 0.0, -0.3]), s_value, record, record, st.booleans())
+# action gap linear (a = 0), K linear too
+@example(0.1, 0.3, (0.5, 1.0, -1.0), (0.0, 1.0, -2.0), True)
+# s = 0 and s = -0.0: both middle coefficients b vanish
+@example(0.1, 0.0, (1.0, 5.0, -1.0), (-1.0, 3.0, 2.0), False)
+@example(0.0, -0.0, (9.0, 5.0, -1.0), (1.0, 3.0, -2.0), False)
+# a tiny leading coefficient of K, and a tiny downward one
+@example(0.1, 1.0, (0.0, 1.0, -1.0), (1e-297, 1.0, -1.0), True)
+@example(0.1, 1.0, (0.0, 0.0, -1.0), (-1e-116, -1.0, 1.0), True)
+# roots at +-0.0: J = [(-0.0, r)], from max(-0.0, 0.0) = -0.0
+@example(0.1, 0.5, (10.0, -1.0, -0.0), (1.0, -2.0, -0.0), False)
+@example(0.1, 0.5, (10.0, 1.0, 0.0), (1.0, 2.0, 0.0), False)
+# disc <= 0 on both quadratics
+@example(0.1, 0.3, (10.0, 0.0, 1.0), (1.0, 0.0, 1.0), False)
+@example(0.1, 0.3, (-10.0, 0.0, -1.0), (-1.0, 2.0, -1.0), False)
+# the s = s_hi edges: admitted for gamma > 0, refused for gamma < 0
+@example(0.1, 1.0, (10.0, -8.0, 1.0), (20.0, -30.0, 2.0), False)
+@example(-0.3, _S_HI_OPEN, (10.0, -8.0, 1.0), (20.0, -30.0, 2.0), False)
+def test_scan_matches_seed_row(b, s, co, dil_co, gap_linear):
+    p = ModelParams(b)
+    if gap_linear:  # M/2 = d(1, 2s) exactly: the action gap has no mu^2 term
+        try:
+            co = (d_value(p, 1.0, 2.0 * s),) + co[1:]
+        except RegionError:
+            pass
+    # repr tells every float apart bit for bit, 0.0 from -0.0 too, and a nan
+    # end of J (from overflowing coefficients) equals itself
+    assert _row_or_refusal(_scan, co, dil_co, p, s) == _row_or_refusal(_seed_scan, co, dil_co, p, s)

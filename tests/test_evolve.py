@@ -220,6 +220,9 @@ def test_evolve_lands_on_t_end(rng, t_end):
         {"dt": float("nan")},
         {"record_every": 0},  # would divide by zero
         {"record_every": -1},
+        {"record_every": 2.5},  # i % 2.5 would record every 5th step
+        {"record_every": 1.0},
+        {"record_every": True},
     ],
 )
 def test_config_rejects_impossible_runs(bad):

@@ -132,6 +132,15 @@ def test_report_names_its_frame():
         assert rep.energy == invariants(f, 0.1, float(frame)).energy
 
 
+def test_report_takes_the_gauge_number():
+    sp = SolitonParams(ModelParams(0.1), 1.0, 0.4)
+    f = sample_phi(sp, _grid_for(sp, 256))
+    assert report(f, sp.params, 1.0, 0.0, 0.25) == report(f, sp.params, 1.0, 0.0, Frame.GAUGE)
+    assert report(f, sp.params, 1.0, 0.0, 0.0) == report(f, sp.params, 1.0, 0.0, Frame.DNLS)
+    with pytest.raises(ValueError):
+        report(f, sp.params, 1.0, 0.0, 0.3)
+
+
 @pytest.mark.parametrize("omega,c", [(np.nan, 0.5), (np.inf, 0.5), (1.0, np.nan), (1.0, -np.inf)])
 def test_report_rejects_non_finite_omega_and_c(omega, c):
     sp = SolitonParams(ModelParams(0.1), 1.0, 0.5)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dnls_well.classifier import _k_signs_on, _negative_intervals
+from dnls_well.classifier import _scan
+from dnls_well.closedform import d_value
 from dnls_well.evolve import AMP_CAP, _blow_up, _clean
 from dnls_well.field import Field, make_grid
 from dnls_well.functionals import Invariants, invariants
@@ -137,35 +138,18 @@ moderate = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3
 triple = st.tuples(moderate, moderate, moderate)
 
 
+# at s = 1 (admitted for b = 0.1) the row's action gap is (M/2 - d1, P, E) and
+# its K quadratic the dilated record's (M/2, P, E) as they are
+_P = ModelParams(0.1)
+_D1 = d_value(_P, 1.0, 2.0)
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=400)
 @given(triple, triple)
 def test_k_signs_interval_algebra_matches_sampling(gap, kq):
-    j = _negative_intervals(*gap)
+    # M/2 = gap[0] + d1 gives a gap of leading coefficient gap[0] to rounding,
+    # and exactly 0 when gap[0] is
+    row = _scan((gap[0] + _D1,) + gap[1:], kq, _P, 1.0)
+    j = [(lo, math.inf if hi is None else hi) for lo, hi in row["J"]]
     assume(_separated(j, kq))
-    assert _k_signs_on(j, kq) == _k_signs_by_sampling(j, kq)
-
-
-def _k_signs_by_generators(intervals, kq) -> set[int]:
-    """Reference: `_k_signs_on` as it was written, with generator `any()`s."""
-    neg = _negative_intervals(*kq)
-    signs: set[int] = set()
-    for lo, hi in intervals:
-        if any(max(lo, n_lo) < min(hi, n_hi) for n_lo, n_hi in neg):
-            signs.add(-1)
-        if not any(n_lo <= lo and hi <= n_hi for n_lo, n_hi in neg):
-            signs.add(1)
-    return signs
-
-
-end = st.one_of(st.sampled_from([0.0, math.inf, -math.inf]), st.floats(-10.0, 10.0))
-interval = st.one_of(st.tuples(end, end).map(lambda e: tuple(sorted(e))), end.map(lambda e: (e, e)))
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=400)
-@given(st.lists(interval, max_size=3), triple)
-@example([], (1.0, 0.0, -1.0))
-@example([(1.0, 1.0), (0.0, 0.0)], (1.0, 0.0, -1.0))
-@example([(0.0, math.inf)], (1.0, -3.0, 2.0))
-@example([(2.0, math.inf), (-math.inf, 0.5)], (-1.0, 3.0, -2.0))
-def test_k_signs_loops_match_generators(intervals, kq):
-    assert _k_signs_on(intervals, kq) == _k_signs_by_generators(intervals, kq)
+    assert set(row["k_signs"]) == _k_signs_by_sampling(j, kq)
