@@ -55,8 +55,7 @@ class EvolveConfig:
         # the chained comparisons are false for nan as well
         finite = 0.0 < self.t_end < math.inf and 0.0 < self.dt < math.inf
         # an int, not a bool or a float: i % 2.5 would record every 5th step
-        every = self.record_every
-        counted = isinstance(every, int) and not isinstance(every, bool) and every >= 1
+        counted = type(self.record_every) is int and self.record_every >= 1
         if not (finite and math.isfinite(self.gauge_a) and counted):
             raise ValueError(f"need finite t_end and gauge_a, dt > 0, an int record_every >= 1: {self}")
 
