@@ -1,7 +1,7 @@
 """dnls-well: one executable for profiles, reports, scans, and verification.
 
-Exit codes: 0 success, 1 domain error (bad parameters), 2 numerical failure,
-64 usage error.
+Exit codes: 0 success, 1 domain error (bad parameters or an unusable path),
+2 numerical failure, 64 usage error.
 
 Each subcommand imports the modules it runs when it runs, so `threshold` and
 `scan`, which need only the closed forms, start without numpy.
@@ -369,7 +369,7 @@ def main(argv=None) -> int:
     # ShootingError RuntimeError, so the subcommands' own errors land here
     try:
         return args.fn(args)
-    except (FileNotFoundError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"dnls-well: domain error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, ArithmeticError) as exc:

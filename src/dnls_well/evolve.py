@@ -35,8 +35,7 @@ GRAD_FACTOR = 1e4
 DEALIAS = 2.0 / 3.0  # the 2/3 rule: modes above DEALIAS * k_max are zeroed
 CFL = 0.5  # dt <= CFL dx / (1 + max |v0|^2)
 ADAPT_TOL = 1e-9  # Richardson tolerance, relative L^2
-DT_FLOOR = 1e-8  # no dt at or below this is stepped
-MAX_STEPS = 10**6  # no run that needs more steps than this is stepped
+MAX_STEPS = 10**6  # no dt below t_end / MAX_STEPS is tried or stepped
 
 
 def kappa(p: ModelParams, a: float) -> float:
@@ -155,18 +154,17 @@ class Trajectory:
     """What a run stored, why it stopped and where its time went.
 
     status is "ok" or "blow-up"; reason names the stop of a blow-up run:
-    "dt-floor" (the CFL-capped dt is already at or below the floor, so no
-    Richardson test ran), "richardson-failed" (no dt above the floor meets the
-    tolerance at t = 0), "step-budget" (the tuned dt needs more than MAX_STEPS
-    steps, so none is taken), "non-finite" or "amp-cap" (the state after a
-    step), or "grad-growth" (a recorded gradient grew past GRAD_FACTOR^2 times
-    the initial one).  n_steps counts the steps taken and dt_trail the step
-    sizes _tune_dt tried (for "dt-floor", the capped dt); dt_used, the dt
-    stepped, is t_end over a whole number of steps.  peak_drift is the largest
-    dE, dM or dP over the records, and phase_s the seconds spent in "tune" (dt
-    tuning and stepper set-up), "step" (the stepping loop and its blow-up
-    checks, records excluded) and "record" (every record, the t = 0 one
-    included).
+    "step-budget" (no dt from the CFL-capped one down to t_end / MAX_STEPS
+    passes the Richardson test at t = 0, so no step is taken), "non-finite"
+    or "amp-cap" (the state after a step), or "grad-growth" (a recorded
+    gradient grew past GRAD_FACTOR^2 times the initial one).  n_steps counts
+    the steps taken and dt_trail the step sizes _tune_dt tried, none when the
+    CFL-capped dt is already below the budget.  dt_used, the dt stepped, is
+    t_end over a whole number of steps; for "step-budget" it is the first dt
+    below the budget.  peak_drift is the largest dE, dM or dP over the
+    records, and phase_s the seconds spent in "tune" (dt tuning and stepper
+    set-up), "step" (the stepping loop and its blow-up checks, records
+    excluded) and "record" (every record, the t = 0 one included).
     """
 
     times: list = field(default_factory=list)
@@ -194,20 +192,19 @@ class Trajectory:
 
 def _tune_dt(vhat0, g: Grid, p: ModelParams, cfg: EvolveConfig) -> tuple[float, str | None, list]:
     """Pick the step size; return it, the reason no usable dt exists (None
-    when one does) and every dt tried.  "dt-floor" means the CFL-capped dt
-    is already at or below DT_FLOOR (its trail is that dt),
-    "richardson-failed" that no dt above the floor meets ADAPT_TOL."""
+    when one does) and every dt tried.  The CFL-capped dt halves until it
+    meets ADAPT_TOL; "step-budget" means none down to t_end / MAX_STEPS
+    does, and the dt returned is then the first one below that budget."""
 
     def l2(vhat):  # Parseval: ||ifft(vhat)||_L2 from the FFT coefficients directly
         return np.sqrt(g.dx / g.N * np.sum(np.abs(vhat) ** 2))
 
     v0 = np.fft.ifft(vhat0)
     dt = min(cfg.dt, CFL * g.dx / (1.0 + float(np.max(np.abs(v0)) ** 2)))
-    if dt <= DT_FLOOR:
-        return DT_FLOOR, "dt-floor", [dt]
     scale = max(l2(vhat0), 1e-30)
     trail = []
-    while dt > DT_FLOOR:
+    # dt >= t_end / MAX_STEPS, multiplied out: a dt of 0 fails it, as t_end > 0
+    while dt * MAX_STEPS >= cfg.t_end:
         trail.append(dt)
         # a trial step on large data may overflow; a non-finite err rejects it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -218,7 +215,7 @@ def _tune_dt(vhat0, g: Grid, p: ModelParams, cfg: EvolveConfig) -> tuple[float, 
         if np.isfinite(err) and err / scale < ADAPT_TOL:
             return dt, None, trail
         dt *= 0.5
-    return DT_FLOOR, "richardson-failed", trail
+    return dt, "step-budget", trail
 
 
 def _clean(vhat) -> bool:
@@ -262,17 +259,20 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     """
     if monitor is not None and not all(map(math.isfinite, monitor)):
         raise ValueError(f"monitor (omega, c) must be finite, got {monitor}")
-    clock = time.perf_counter
-    t_start = clock()
     g = f0.grid
     p = ModelParams(cfg.b)
     a = cfg.gauge_a
+    # data whose integrals overflow is refused here, before the CFL cap squares it
+    inv0 = invariants(f0, p.b, a)
+    clock = time.perf_counter
+    t_start = clock()
     vhat = np.fft.fft(f0.values)
-    dt_tuned, unusable, trail = _tune_dt(vhat, g, p, cfg)
-    n_steps = max(1, math.ceil(cfg.t_end / dt_tuned))
-    if unusable is None and n_steps > MAX_STEPS:
-        unusable = "step-budget"
-    dt = cfg.t_end / n_steps
+    dt, unusable, trail = _tune_dt(vhat, g, p, cfg)
+    n_steps = 0
+    if unusable is None:
+        # dt >= t_end / MAX_STEPS bounds the quotient; it is 0 only if it underflows
+        n_steps = max(1, math.ceil(cfg.t_end / dt))
+        dt = cfg.t_end / n_steps
     stepper = _Stepper(g, dt, p, a)
     phase = {"tune": clock() - t_start, "step": 0.0, "record": 0.0}
 
@@ -280,7 +280,6 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
         return inv if a == WELL_A else invariant_summary(f, p, a)
 
     traj = Trajectory(dt_used=dt, dt_trail=trail, phase_s=phase)
-    inv0 = invariants(f0, p.b, a)
     e0, m0, p0 = inv0.energy, inv0.mass, inv0.momentum
     grad0 = inv0.grad_sq
     # solitons can have exactly zero energy or momentum; fall back to the

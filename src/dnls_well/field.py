@@ -26,8 +26,8 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise GridError(f"half-length must be positive, got {self.L}")
+        if not 0.0 < self.L < np.inf:  # false for nan as well
+            raise GridError(f"half-length must be finite and positive, got {self.L}")
         if self.N % 2 != 0 or self.N < 8:
             raise GridError(f"point count must be even and >= 8, got {self.N}")
 

@@ -164,7 +164,7 @@ def test_evolve_blow_up_exits_2(tmp_path):
     g = make_grid(10.0, 128)
     from dnls_well.field import Field
 
-    # amplitude so large that no step size above the floor is stable
+    # amplitude so large that the CFL cap alone is below t_end / MAX_STEPS
     f = Field(g, 9e5 * np.exp(-g.x**2, dtype=complex))
     path = tmp_path / "big.json"
     save_field(f, path)
@@ -174,10 +174,44 @@ def test_evolve_blow_up_exits_2(tmp_path):
     assert code == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "blow-up"
-    # the CFL step for this amplitude is already below the dt floor
-    assert summary["reason"] == "dt-floor"
-    assert summary["n_steps"] == 0 and len(summary["dt_trail"]) == 1
-    assert summary["dt_trail"][0] <= 1e-8
+    # so no step size is tried at all
+    assert summary["reason"] == "step-budget"
+    assert summary["n_steps"] == 0 and summary["dt_trail"] == []
+
+
+def test_evolve_past_any_step_budget_exits_2_with_a_summary(tmp_path, capsys):
+    path = _soliton_file(tmp_path, b=0.1, n=256)
+    out = tmp_path / "traj"
+    assert main(["evolve", "--field", str(path), "--b", "0.1",
+                 "--t-end", "1e306", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["status"], summary["reason"], summary["n_steps"]) == ("blow-up", "step-budget", 0)
+    assert summary["dt_trail"] == [] and 0.0 < summary["dt_used"] <= 1e-3
+    assert summary["t_final"] == 0.0
+
+
+def test_soliton_with_an_infinite_half_length_is_domain_error(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    code = main(["soliton", "--b", "0", "--omega", "1", "--c", "0",
+                 "--L", "inf", "--N", "256", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "half-length" in err and "RuntimeWarning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["report", "scan"])
+def test_a_directory_for_a_file_is_one_domain_error_line(tmp_path, capsys, cmd):
+    argv = {
+        "report": ["report", "--field", str(tmp_path), "--b", "0", "--omega", "1", "--c", "0"],
+        "scan": ["scan", "--b", "0", "--quantity", "d", "--s-from", "-0.5",
+                 "--s-to", "0.5", "--steps", "3", "--out", str(tmp_path)],
+    }[cmd]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dnls-well: domain error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_evolve_negative_t_end_is_domain_error(tmp_path):

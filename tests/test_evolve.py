@@ -18,6 +18,7 @@ from dnls_well.evolve import (
 )
 from dnls_well.field import (
     Field,
+    GridError,
     integrate,
     l2_norm_sq,
     make_grid,
@@ -87,17 +88,20 @@ def test_peak_drift_and_phase_times(rng):
 
 
 def test_data_too_large_for_the_floor_says_so():
+    # the CFL cap alone is below t_end / MAX_STEPS: no Richardson test runs
     g = make_grid(10.0, 128)
     f = Field(g, 9e5 * np.exp(-g.x**2, dtype=complex))
     traj = evolve(f, EvolveConfig(b=0.5, dt=0.05, t_end=1.0))
     cap = 0.5 * g.dx / (1.0 + np.max(np.abs(f.values)) ** 2)
-    assert (traj.status, traj.reason, traj.n_steps) == ("blow-up", "dt-floor", 0)
-    assert traj.dt_trail == [pytest.approx(cap, rel=1e-12)] and cap <= 1e-8
+    assert (traj.status, traj.reason, traj.n_steps) == ("blow-up", "step-budget", 0)
+    assert traj.dt_trail == [] and traj.dt_used == pytest.approx(cap, rel=1e-12)
+    assert cap * ev.MAX_STEPS < 1.0
     assert traj.phase_s["step"] == 0.0
 
 
 def test_step_budget_stops_before_stepping():
-    # the tuned dt is about 4e-8, some 2.4e7 steps to t_end: too many to take
+    # no dt from the CFL cap 8.7e-5 down to t_end / MAX_STEPS = 1e-6 passes the
+    # Richardson test (only one near 4e-8 would, some 2.4e7 steps to t_end)
     g = make_grid(10.0, 128)
     f = Field(g, 30.0 * np.exp(-g.x**2, dtype=complex))
     traj = evolve(f, EvolveConfig(b=0.5, dt=0.05, t_end=1.0))
@@ -106,14 +110,16 @@ def test_step_budget_stops_before_stepping():
 
 
 def test_richardson_failure_keeps_its_reason(rng, monkeypatch):
-    # a tolerance no step size can meet: the test runs, then gives up at the floor
+    # a tolerance no step size can meet: the test runs, then gives up at the
+    # budget t_end / MAX_STEPS = 1e-4
     monkeypatch.setattr(ev, "ADAPT_TOL", 0.0)
-    monkeypatch.setattr(ev, "DT_FLOOR", 1e-4)
+    monkeypatch.setattr(ev, "MAX_STEPS", 1000)
     g = make_grid(20.0, 256)
     f = random_smooth_field(rng, g, amp=0.5)
     traj = evolve(f, EvolveConfig(b=0.1, t_end=0.1))
-    assert (traj.status, traj.reason, traj.n_steps) == ("blow-up", "richardson-failed", 0)
-    assert len(traj.dt_trail) >= 1 and traj.dt_trail[-1] > 1e-4
+    assert (traj.status, traj.reason, traj.n_steps) == ("blow-up", "step-budget", 0)
+    assert traj.dt_trail == [1e-3, 5e-4, 2.5e-4, 1.25e-4]
+    assert traj.dt_used == 6.25e-5
 
 
 def test_standing_wave_rotates_in_place():
@@ -154,8 +160,8 @@ def _cfl_dt_only(vhat0, g, p, cfg):
 
 
 def test_blow_up_is_reported_not_raised(monkeypatch):
-    # the Richardson test would settle on dt ~ 4e-8 here, some 2e7 steps;
-    # step with the CFL-capped dt instead, which meets the blow-up at once
+    # the step budget stops this run before its first step (see above); step
+    # with the CFL-capped dt instead, which meets the blow-up at once
     monkeypatch.setattr(ev, "_tune_dt", _cfl_dt_only)
     g = make_grid(10.0, 128)
     f = Field(g, 30.0 * np.exp(-g.x**2, dtype=complex))
@@ -198,6 +204,33 @@ def test_monitor_records_well_frame_gradient_at_a0():
     assert all(grad <= traj.apriori_bound * (1 + 1e-4) for _, grad in traj.grad_history)
 
 
+def test_t_end_past_any_step_budget_stops_without_a_step_count(rng):
+    # t_end / dt overflows to inf here; no step count is formed from it
+    g = make_grid(20.0, 256)
+    f = random_smooth_field(rng, g, amp=0.5)
+    traj = evolve(f, EvolveConfig(b=0.1, t_end=1e306))
+    assert (traj.status, traj.reason, traj.n_steps) == ("blow-up", "step-budget", 0)
+    assert traj.dt_trail == [] and traj.dt_used == 1e-3
+    assert traj.times == [0.0]
+
+
+def test_step_longer_than_the_run_by_more_than_a_float_still_takes_one_step():
+    # t_end / dt = 1e-30 / 1.25e299 underflows to 0: still one step, of t_end
+    g = make_grid(1e300, 8)
+    traj = evolve(Field(g, np.zeros(8, complex)), EvolveConfig(b=0.0, dt=1e300, t_end=1e-30))
+    assert (traj.status, traj.n_steps, traj.dt_used) == ("ok", 1, 1e-30)
+    assert traj.dt_trail == [0.5 * g.dx]
+
+
+@pytest.mark.parametrize("amp", [1e60, 1e200])
+def test_data_whose_integrals_overflow_is_refused_before_tuning(amp):
+    # at 1e200 the CFL cap's max |v0|^2 would overflow first
+    g = make_grid(10.0, 128)
+    f = Field(g, amp * np.exp(-g.x**2, dtype=complex))
+    with pytest.raises(GridError, match="not finite"):
+        evolve(f, EvolveConfig(b=0.5, dt=0.05, t_end=1.0))
+
+
 @pytest.mark.parametrize("t_end", [1e-5, 0.0105])
 def test_evolve_lands_on_t_end(rng, t_end):
     g = make_grid(20.0, 256)
@@ -215,7 +248,7 @@ def test_evolve_lands_on_t_end(rng, t_end):
         {"t_end": 0.0},  # would take one step of size 0
         {"t_end": float("inf")},
         {"t_end": float("nan")},
-        {"dt": 0.0},  # would be reported as a dt-floor blow-up
+        {"dt": 0.0},  # would be reported as a step-budget blow-up
         {"dt": -1e-3},
         {"dt": float("nan")},
         {"record_every": 0},  # would divide by zero

@@ -32,6 +32,17 @@ def test_grid_validation():
         make_grid(10.0, 4)
 
 
+@pytest.mark.parametrize("L", [math.nan, math.inf])
+def test_grid_refuses_a_half_length_that_is_not_finite_and_positive(L):
+    with pytest.raises(GridError, match="half-length must be finite and positive"):
+        make_grid(L, 8)
+
+
+def test_field_file_with_a_nan_half_length_is_refused_on_load():
+    with pytest.raises(GridError, match="half-length"):
+        from_json_dict({"grid": {"L": math.nan, "N": 8}, "re": [0.0] * 8, "im": [0.0] * 8})
+
+
 def test_grid_geometry():
     g = make_grid(10.0, 64)
     assert g.dx == pytest.approx(20.0 / 64)
