@@ -153,7 +153,8 @@ class _Stepper:
 class Trajectory:
     """What a run stored, why it stopped and where its time went.
 
-    status is "ok" or "blow-up"; reason names the stop of a blow-up run:
+    reason is None for a run that reached t_end, else the stop of a blow-up
+    run, and status, read from it, is "ok" or "blow-up".  The reasons are
     "step-budget" (no dt from the CFL-capped one down to t_end / MAX_STEPS
     passes the Richardson test at t = 0, so no step is taken), "non-finite"
     or "amp-cap" (the state after a step), or "grad-growth" (a recorded
@@ -172,7 +173,6 @@ class Trajectory:
     drift: list = field(default_factory=list)
     k_signs: list = field(default_factory=list)
     grad_history: list = field(default_factory=list)
-    status: str = "ok"
     reason: str | None = None
     n_steps: int = 0
     dt_used: float = 0.0
@@ -182,12 +182,12 @@ class Trajectory:
     phase_s: dict = field(default_factory=dict)
 
     @property
+    def status(self) -> str:
+        return "ok" if self.reason is None else "blow-up"
+
+    @property
     def final(self) -> Field:
         return self.snapshots[-1][1]
-
-    def stop(self, reason: str) -> Trajectory:
-        self.status, self.reason = "blow-up", reason
-        return self
 
 
 def _tune_dt(vhat0, g: Grid, p: ModelParams, cfg: EvolveConfig) -> tuple[float, str | None, list]:
@@ -279,7 +279,7 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     def well(f, inv):
         return inv if a == WELL_A else invariant_summary(f, p, a)
 
-    traj = Trajectory(dt_used=dt, dt_trail=trail, phase_s=phase)
+    traj = Trajectory(reason=unusable, dt_used=dt, dt_trail=trail, phase_s=phase)
     e0, m0, p0 = inv0.energy, inv0.mass, inv0.momentum
     grad0 = inv0.grad_sq
     # solitons can have exactly zero energy or momentum; fall back to the
@@ -315,24 +315,23 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
 
     record(0, f0, inv0)
     if unusable is not None:
-        return traj.stop(unusable)
+        return traj
     t_loop, record_before = clock(), phase["record"]
-    reason = None
     for i in range(1, n_steps + 1):
         vhat = stepper.step(vhat)
         traj.n_steps = i
         if not _clean(vhat):
-            reason = _blow_up(np.fft.ifft(vhat))
-            if reason is not None:
+            traj.reason = _blow_up(np.fft.ifft(vhat))
+            if traj.reason is not None:
                 traj.times.append(i * dt)  # the offending state itself is not storable
                 break
         if i % cfg.record_every and i < n_steps:
             continue
         if record(i, Field(g, np.fft.ifft(vhat))) > GRAD_FACTOR**2 * max(grad0, 1e-30):
-            reason = "grad-growth"
+            traj.reason = "grad-growth"
             break
     phase["step"] = clock() - t_loop - (phase["record"] - record_before)
-    return traj if reason is None else traj.stop(reason)
+    return traj
 
 
 def gauge_consistency(f0: Field, b: float, t_end: float) -> float:

@@ -120,9 +120,17 @@ def to_json_dict(f: Field) -> dict:
 
 
 def from_json_dict(d: dict) -> Field:
-    g = make_grid(d["grid"]["L"], d["grid"]["N"])
-    vals = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-    return Field(g, vals)
+    """The field of a `to_json_dict` record.  N must be an int, not a float to
+    truncate or a bool, and re and im must each hold N numbers, not a shape
+    that broadcasts."""
+    n = d["grid"]["N"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise GridError(f"point count must be an int, got {n!r}")
+    g = make_grid(d["grid"]["L"], n)
+    re, im = np.asarray(d["re"], dtype=float), np.asarray(d["im"], dtype=float)
+    if re.shape != (n,) or im.shape != (n,):
+        raise GridError(f"re and im must each have shape ({n},), got {re.shape} and {im.shape}")
+    return Field(g, re + 1j * im)
 
 
 def save_field(f: Field, path) -> None:

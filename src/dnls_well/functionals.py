@@ -120,11 +120,11 @@ class Invariants:
         return self.action(omega, c) - 0.25 * self.nehari(omega, c)
 
     @property
-    def gn_ratio(self) -> float:
-        """||f||_6^6 / ((4/pi^2) ||f||_2^4 ||f_x||^2), at most 1; inf for a
-        vanishing denominator."""
+    def gn_ratio(self) -> float | None:
+        """||f||_6^6 / ((4/pi^2) ||f||_2^4 ||f_x||^2), at most 1; None for a
+        vanishing denominator (a constant or zero field)."""
         den = 4.0 / np.pi**2 * self.mass * self.mass * self.grad_sq
-        return self.l6 / den if den else np.inf
+        return self.l6 / den if den else None
 
 
 def invariants(f: Field, b: float, a: float) -> Invariants:
@@ -163,10 +163,10 @@ def invariants(f: Field, b: float, a: float) -> Invariants:
 
 def gn_ratio(f: Field) -> float:
     """Sextic Gagliardo-Nirenberg ratio of f, <= 1."""
-    inv = invariants(f, 0.0, 0.0)
-    if inv.mass == 0.0:
-        raise ValueError("GN ratio is undefined for the zero field")
-    return inv.gn_ratio
+    ratio = invariants(f, 0.0, 0.0).gn_ratio
+    if ratio is None:
+        raise ValueError("GN ratio is undefined for a constant or zero field")
+    return ratio
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ class FunctionalReport:
     l4: float
     l6: float
     grad_sq: float
-    gn_ratio: float
+    gn_ratio: float | None  # None for a constant or zero field
 
     def to_dict(self) -> dict:
         return asdict(self)

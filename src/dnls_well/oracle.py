@@ -18,9 +18,12 @@ The profile solver is Newton's method on Fourier collocation (Boyd,
 Chebyshev and Fourier Spectral Methods, 2001; J. Yang, Nonlinear Waves in
 Integrable and Nonintegrable Systems, 2010) over even functions, which
 removes the translation kernel of the Jacobian, on a periodic grid that runs
-12 decay lengths past the window.  An RK4 shooting bisection seeds it.
+12 decay lengths past the window.  Its seed is one RK4 shot from the peak,
+which the ODE's first integral gives in closed form.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -43,10 +46,9 @@ _T_MAX = 4.5
 _MIN_LEVELS = 3
 _MAX_LEVELS = 12
 QUAD_TOL = 1e-10  # successive levels agree to max(QUAD_TOL, QUAD_TOL |I|)
-_SEED_TOL = 1e-3  # the RK4 seed's bisection stops at a relative bracket of this width
 _NEWTON_TOL = 1e-11  # Newton stops at a step of at most this times max Phi
 _NEWTON_MAX = 20
-_PEAK_GUARD = 1e-2  # Newton's peak may move this far, relative, from the seed's
+_PEAK_GUARD = 1e-2  # Newton's peak may move this far, relative, from the first integral's
 
 
 def _de_nodes(kind: str, a: float, b: float, t: np.ndarray):
@@ -127,45 +129,25 @@ def momentum_by_quadrature(p: ModelParams, omega: float, c: float) -> float:
     return -0.5 * c * mass_by_quadrature(p, omega, c) + 0.25 * l4_by_quadrature(p, omega, c)
 
 
-def _seed(f, rate: float, dx: float, m: int) -> np.ndarray:
-    """Coarse profile at x_j = j dx, j = 0..m: RK4 shots of Phi'' = f(Phi) from
-    Phi(0) = A, Phi'(0) = 0, bisected on A, with the linear tail past the shot's
-    minimum.  Too small: a minimum after a fall (a gamma < 0 shot below the
-    peak may rise first).  Too large: Phi reaches 0 or runs off.
+def _seed(f, amp: float, rate: float, dx: float, m: int) -> np.ndarray:
+    """Coarse profile at x_j = j dx, j = 0..m: one RK4 shot of Phi'' = f(Phi)
+    from the peak Phi(0) = amp, Phi'(0) = 0, kept up to its first minimum after
+    a fall or up to where it would leave (0, inf), then the linearised ODE's
+    tail exp(-rate x).
     """
-
-    def shoot(amp):
-        """Samples up to the shot's first minimum, or None if it is too large."""
-        y, v, h, fell = amp, 0.0, 0.5 * dx, False
-        vals = [amp]
-        for _ in range(m):
-            k1, l1 = v, f(y)
-            k2, l2 = v + h * l1, f(y + h * k1)
-            k3, l3 = v + h * l2, f(y + h * k2)
-            k4, l4 = v + dx * l3, f(y + dx * k3)
-            y += dx / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            v += dx / 6.0 * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-            if not 0.0 < y < np.inf:  # also false for nan
-                return None
-            if fell and v >= 0.0:
-                break
-            fell = v < 0.0
-            vals.append(y)
-        return vals
-
-    lo, hi, amp = None, None, 1.0
-    for _ in range(200):
-        vals = shoot(amp)
-        if vals is None:
-            hi = amp
-        else:
-            lo = amp, vals
-        if lo is not None and hi is not None and hi - lo[0] <= _SEED_TOL * hi:
+    y, v, h, fell = amp, 0.0, 0.5 * dx, False
+    vals = [amp]
+    for _ in range(m):
+        k1, l1 = v, f(y)
+        k2, l2 = v + h * l1, f(y + h * k1)
+        k3, l3 = v + h * l2, f(y + h * k2)
+        k4, l4 = v + dx * l3, f(y + dx * k3)
+        y += dx / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        v += dx / 6.0 * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+        if not 0.0 < y < np.inf or fell and v >= 0.0:  # the first test is false for nan
             break
-        amp = 2.0 * amp if hi is None else 0.5 * amp if lo is None else 0.5 * (lo[0] + hi)
-    else:
-        raise ShootingError("failed to bracket the peak amplitude")
-    vals = lo[1]
+        fell = v < 0.0
+        vals.append(y)
     return np.append(vals, vals[-1] * np.exp(-rate * dx * np.arange(1, m + 2 - len(vals))))
 
 
@@ -190,14 +172,24 @@ def ode_profile(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample points and even profile values over [-half_length, half_length).
 
-    Exponential regime only.  ShootingError also means no bracket for the
-    seed, no Newton convergence, or a Newton peak away from the seed's.
+    Exponential regime only.  ShootingError also means no soliton (the first
+    integral has no positive zero), no Newton convergence, or a Newton peak
+    away from the first integral's.
     """
     a2, a4, a6 = omega - 0.25 * c * c, 0.5 * c, -3.0 / 16.0 * p.gamma
     if a2 <= 0:
         raise ShootingError("algebraic decay not shootable; exponential regime only")
+    # The first integral Phi'^2/2 = a2 Phi^2/2 + a4 Phi^4/4 + a6 Phi^6/6 vanishes
+    # at the peak A, its first positive zero.  The radicand is r^2/16 with
+    # r^2 = c^2 + gamma q, and den = (r - c)/4 > 0 is the existence region read
+    # from the ODE alone: for gamma <= 0 it is c < 0 with z > -1.
+    rad = 0.25 * a4 * a4 - 4.0 / 3.0 * a2 * a6
+    den = math.sqrt(rad) - 0.5 * a4 if rad > 0 else 0.0
+    amp = math.sqrt(2.0 * a2 / den) if den > 0 else 0.0
+    if not 0.0 < amp < math.inf:
+        raise ShootingError("the first integral has no positive zero: no soliton")
     g = make_grid(half_length, n)
-    dx = g.dx  # a Python float, so the RK4 shots run in plain floats
+    dx = g.dx  # a Python float, so the RK4 shot runs in plain floats
     # Past L the grid runs on for 12 decay lengths, so the periodic image and
     # the cut-off tail sit far below the requested window.
     rate = np.sqrt(a2)
@@ -207,9 +199,9 @@ def ode_profile(
         return y * (a2 + y * y * (a4 + a6 * y * y))
 
     op = _even_d2(dx, m)
-    # shots that run off and a diverging Newton overflow; both are caught below
+    # a shot that runs off and a diverging Newton overflow; both are caught below
     with np.errstate(over="ignore", invalid="ignore"):
-        seed = phi = _seed(f, rate, dx, m)
+        phi = _seed(f, amp, rate, dx, m)
         for _ in range(_NEWTON_MAX):
             jac = op - np.diag(a2 + phi * phi * (3.0 * a4 + 5.0 * a6 * phi * phi))
             step = np.linalg.solve(jac, op @ phi - f(phi))
@@ -218,6 +210,6 @@ def ode_profile(
                 break
         else:
             raise ShootingError(f"Newton did not converge in {_NEWTON_MAX} steps")
-    if abs(phi[0] - seed[0]) > _PEAK_GUARD * seed[0]:
-        raise ShootingError(f"Newton peak {phi[0]:.6g} left the seed's {seed[0]:.6g}")
+    if abs(phi[0] - amp) > _PEAK_GUARD * amp:
+        raise ShootingError(f"Newton peak {phi[0]:.6g} left the first integral's {amp:.6g}")
     return g.x, phi[np.abs(np.arange(n) - n // 2)]

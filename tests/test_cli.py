@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dnls_well.cli import main
-from dnls_well.field import load_field, make_grid, save_field
+from dnls_well.field import Field, load_field, make_grid, save_field
 from dnls_well.solitons import ModelParams, SolitonParams, sample_phi, suggested_half_length
 
 from conftest import random_smooth_field
@@ -328,3 +328,34 @@ def test_classify_negative_s_grid_count_is_domain_error(tmp_path, capsys):
     path = _soliton_file(tmp_path, n=256)
     assert main(["classify", "--field", str(path), "--b", "0.1", "--s-grid=-0.8:0.8:-1"]) == 1
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"grid": {"L": 3.0, "N": 8}, "re": [0.1 * j for j in range(8)], "im": [0.5]},
+        {"grid": {"L": 3.0, "N": 8}, "re": 1.0, "im": [0.0] * 8},
+        {"grid": {"L": 3.0, "N": 8.7}, "re": [0.1 * j for j in range(8)], "im": [0.0] * 8},
+    ],
+    ids=["im-one-entry", "re-scalar", "N-float"],
+)
+def test_report_on_a_malformed_field_file_is_one_domain_error_line(tmp_path, capsys, record):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    assert main(["report", "--field", str(path), "--b", "0", "--omega", "1", "--c", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("dnls-well: domain error: ") and err.count("\n") == 1
+
+
+def _no_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@pytest.mark.parametrize("value", [0.0, 0.7 - 0.2j])
+def test_report_on_a_constant_field_is_strict_json(tmp_path, capsys, value):
+    path = tmp_path / "flat.json"
+    save_field(Field(make_grid(3.0, 8), np.full(8, value, dtype=complex)), path)
+    assert main(["report", "--field", str(path), "--b", "0.1", "--omega", "1", "--c", "0.5"]) == 0
+    rep = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert rep["gn_ratio"] is None and rep["grad_sq"] == 0.0

@@ -61,6 +61,15 @@ def test_conserved_quantities_match_functionals(rng):
     assert gauge.momentum == pytest.approx(p_lin + 0.25 * l4, rel=1e-12)
 
 
+def test_status_is_read_from_the_reason():
+    traj = Trajectory()
+    assert (traj.status, traj.reason) == ("ok", None)
+    traj.reason = "amp-cap"
+    assert traj.status == "blow-up"
+    with pytest.raises(AttributeError):
+        traj.status = "ok"
+
+
 def test_drift_small_on_smooth_data(rng):
     g = make_grid(20.0, 256)
     f = random_smooth_field(rng, g, amp=0.5)

@@ -43,6 +43,27 @@ def test_field_file_with_a_nan_half_length_is_refused_on_load():
         from_json_dict({"grid": {"L": math.nan, "N": 8}, "re": [0.0] * 8, "im": [0.0] * 8})
 
 
+_RE8 = [0.1 * j for j in range(8)]
+
+
+@pytest.mark.parametrize(
+    "grid, re, im",
+    [
+        ({"L": 3.0, "N": 8}, _RE8, [0.5]),  # would broadcast as a constant imaginary part
+        ({"L": 3.0, "N": 8}, 1.0, [0.0] * 8),  # a scalar re would broadcast too
+        ({"L": 3.0, "N": 8}, _RE8, [0.0] * 7),
+        ({"L": 3.0, "N": 8}, [_RE8], [[0.0] * 8]),
+        ({"L": 3.0, "N": 8.7}, _RE8, [0.0] * 8),  # int() would truncate it to 8
+        ({"L": 3.0, "N": 8.0}, _RE8, [0.0] * 8),
+        ({"L": 3.0, "N": True}, [1.0], [0.0]),
+    ],
+    ids=["im-one-entry", "re-scalar", "im-short", "two-d", "N-float", "N-integral-float", "N-bool"],
+)
+def test_field_file_whose_values_do_not_match_an_int_n_is_refused(grid, re, im):
+    with pytest.raises(GridError):
+        from_json_dict({"grid": grid, "re": re, "im": im})
+
+
 def test_grid_geometry():
     g = make_grid(10.0, 64)
     assert g.dx == pytest.approx(20.0 / 64)

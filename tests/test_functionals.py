@@ -115,6 +115,14 @@ def test_gn_ratio_zero_field():
         gn_ratio(Field(g, np.zeros(64)))
 
 
+def test_gn_ratio_constant_field():
+    g = make_grid(5.0, 64)
+    f = Field(g, np.full(64, 0.3 + 0.4j))
+    assert invariants(f, 0.0, 0.0).gn_ratio is None
+    with pytest.raises(ValueError, match="constant"):
+        gn_ratio(f)
+
+
 def test_frame_member_is_its_gauge_number():
     assert (Frame.DNLS, Frame.GAUGE) == (0.0, WELL_A)
     for m in Frame:

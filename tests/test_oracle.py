@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dnls_well import closedform as cf
 from dnls_well.field import Field, make_grid
@@ -132,6 +133,53 @@ def test_ode_profile_invariants_match_closed_forms(b, omega, c):
     assert abs(inv.mass - m) < 1e-10 * scale
     assert abs(inv.momentum - mom) < 1e-10 * scale
     assert abs(inv.energy - cf.soliton_energy(p, omega, c)) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("d", [1e-3, 1e-4])
+def test_ode_profile_near_the_gamma_negative_edge(d):
+    # s -> -s_* from inside: the profile widens into a plateau at the
+    # first integral's peak, and one shot from that peak still seeds Newton
+    p = ModelParams(-0.3)
+    c = 2.0 * (-cf.s_lower(p) - d)
+    sp = SolitonParams(p, 1.0, c)
+    x, phi = ode_profile(p, 1.0, c, half_length=suggested_half_length(sp), n=1024)
+    ref = np.sqrt(phi_sq(sp, x))
+    assert np.max(np.abs(phi - ref)) < 3e-10 * np.max(ref)
+
+
+def _no_solve(*args):
+    raise AssertionError("no linear solve may run without a soliton")
+
+
+def _refused_by_the_first_integral(p, omega, c):
+    assert not cf.existence_region(p, omega, c)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", _no_solve)
+        with pytest.raises(ShootingError, match="first integral"):
+            ode_profile(p, omega, c, half_length=20.0, n=256)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    b=st.one_of(st.just(-3.0 / 16.0), st.floats(-2.0, -3.0 / 16.0)),
+    omega=st.floats(0.1, 10.0),
+    frac=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_no_soliton_is_found_by_the_first_integral(b, omega, frac):
+    # gamma <= 0 and s from -s_* + 1e-9 to 1: outside the existence region
+    # with omega > c^2/4.  s = -s_* itself is left out, where the radicand
+    # is of rounding size and its sign is a matter of rounding.
+    p = ModelParams(b)
+    lo = -cf.s_lower(p) + 1e-9
+    c = 2.0 * (lo + (1.0 - lo) * frac) * math.sqrt(omega)
+    assume(omega - 0.25 * c * c > 0.0)
+    _refused_by_the_first_integral(p, omega, c)
+
+
+def test_no_soliton_at_gamma_zero_and_zero_speed():
+    # b = -3/16, s = 0: a4 = a6 = 0, so the radicand and the root's denominator
+    # are exactly 0, and no division by zero may escape
+    _refused_by_the_first_integral(ModelParams(-3.0 / 16.0), 1.0, 0.0)
 
 
 def test_unresolved_spike_raises():
