@@ -123,12 +123,11 @@ def _scan(co, dil_co, p: ModelParams, s: float) -> dict:
     {K < 0}, and K >= 0 on J unless each interval of J lies inside one of
     {K < 0} (a zero of K counts as K > 0).
     """
-    # the admissible range of `admissible_s_range`: (-1, s_hi), closed at s_hi for gamma > 0
-    s_hi = p.s_hi
-    if not (-1.0 < s < s_hi or (s == s_hi and p.gamma > 0)):
-        raise RegionError(f"s={s} outside admissible range for b={p.b}")
     half_m, mom, e = co
-    j = _negative_intervals(half_m - d_value(p, 1.0, 2.0 * s), s * mom, e)
+    try:  # at (1, 2s) the kernel's region test is exactly the admissible s range
+        j = _negative_intervals(half_m - d_value(p, 1.0, 2.0 * s), s * mom, e)
+    except RegionError:
+        raise RegionError(f"s={s} outside admissible range for b={p.b}") from None
     half_m, mom, e = dil_co
     neg = _negative_intervals(half_m, s * mom, e)
     plus = minus = False
@@ -214,7 +213,7 @@ def classify_thm17(
         case = "ii"
     elif sign_e < 0:
         case = "iv"
-    elif e >= 0 and sign_m >= 0 and sign_p == 0:
+    elif sign_p == 0:
         case = "v"
     else:
         case = "none"

@@ -31,11 +31,11 @@ def _fmt(v: float) -> str:
 
 
 def _cmd_soliton(args) -> int:
-    from .field import make_grid, save_field
+    from .field import Grid, save_field
     from .solitons import SolitonParams, sample_capital_phi, sample_phi, sample_varphi
 
     sp = SolitonParams(ModelParams(args.b), args.omega, args.c)
-    g = make_grid(args.L, args.N)
+    g = Grid(args.L, args.N)
     sampler = {
         "Phi": sample_capital_phi,
         "varphi": sample_varphi,
@@ -258,13 +258,11 @@ def _verify_scalar(name: str, seed: int) -> dict:
 
 def _verify_gauge() -> dict:
     from .evolve import gauge_consistency
-    from .field import make_grid
+    from .field import Grid
     from .solitons import SolitonParams, sample_phi, suggested_half_length
 
     sp = SolitonParams(ModelParams(0.05), 1.0, 0.4)
-    L = suggested_half_length(sp)
-    g = make_grid(L, 512)
-    f = sample_phi(sp, g)
+    f = sample_phi(sp, Grid(suggested_half_length(sp), 512))
     dist = gauge_consistency(f, 0.05, t_end=0.05)
     return _verdict("gauge", [{"name": "cross-check L2", "error": dist, "tol": 1e-5}])
 
@@ -279,15 +277,18 @@ def _verdict(suite: str, checks: list) -> dict:
     }
 
 
+# suite name -> its checks, given the seed that only the scalar suites draw from
+_VERIFY_SUITES = {
+    "quad": lambda seed: _verify_quad(),
+    "ode": lambda seed: _verify_ode(),
+    "mass": lambda seed: _verify_scalar("mass", seed),
+    "momentum": lambda seed: _verify_scalar("momentum", seed),
+    "gauge": lambda seed: _verify_gauge(),
+}
+
+
 def _cmd_verify(args) -> int:
-    if args.suite == "quad":
-        res = _verify_quad()
-    elif args.suite == "ode":
-        res = _verify_ode()
-    elif args.suite in ("mass", "momentum"):
-        res = _verify_scalar(args.suite, args.seed)
-    else:
-        res = _verify_gauge()
+    res = _VERIFY_SUITES[args.suite](args.seed)
     json.dump(res, sys.stdout)
     print()
     return 0 if res["pass"] else 2
@@ -297,7 +298,7 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="dnls-well", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("soliton", parents=[], help="sample a soliton profile")
+    sp = sub.add_parser("soliton", help="sample a soliton profile")
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--omega", type=float, required=True)
     sp.add_argument("--c", type=float, required=True)
@@ -353,7 +354,7 @@ def _build_parser() -> _Parser:
     ev.set_defaults(fn=_cmd_evolve)
 
     vf = sub.add_parser("verify", help="oracle self-checks")
-    vf.add_argument("--suite", choices=["quad", "ode", "mass", "momentum", "gauge"], required=True)
+    vf.add_argument("--suite", choices=list(_VERIFY_SUITES), required=True)
     vf.add_argument("--seed", type=int, default=12345)
     vf.set_defaults(fn=_cmd_verify)
 

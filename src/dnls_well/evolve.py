@@ -275,10 +275,6 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
         dt = cfg.t_end / n_steps
     stepper = _Stepper(g, dt, p, a)
     phase = {"tune": clock() - t_start, "step": 0.0, "record": 0.0}
-
-    def well(f, inv):
-        return inv if a == WELL_A else invariant_summary(f, p, a)
-
     traj = Trajectory(reason=unusable, dt_used=dt, dt_trail=trail, phase_s=phase)
     e0, m0, p0 = inv0.energy, inv0.mass, inv0.momentum
     grad0 = inv0.grad_sq
@@ -286,8 +282,6 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     # H^1 size of the data so "relative drift" stays meaningful
     char = max(m0 + grad0, 1e-30)
     scales = [max(abs(q), char) for q in (e0, m0, p0)]
-    if monitor is not None:
-        traj.apriori_bound = apriori_bound(well(f0, inv0), *monitor)
 
     def record(i, f, inv=None) -> float:
         """Store the state f of step i, whose integrals inv are read here
@@ -307,7 +301,9 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
         traj.drift.append(drift)
         traj.peak_drift = max(traj.peak_drift, drift["dE"], drift["dM"], drift["dP"])
         if monitor is not None:
-            w = well(f, inv)
+            w = inv if a == WELL_A else invariant_summary(f, p, a)
+            if i == 0:  # the bound and the first K sign read one well-frame record
+                traj.apriori_bound = apriori_bound(w, *monitor)
             traj.k_signs.append((t, k_sign(w, *monitor)))
             traj.grad_history.append((t, w.grad_sq))
         phase["record"] += clock() - t_in

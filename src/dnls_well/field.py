@@ -8,6 +8,7 @@ which is spectrally accurate for smooth periodic data.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,10 +27,16 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        if not 0.0 < self.L < np.inf:  # false for nan as well
-            raise GridError(f"half-length must be finite and positive, got {self.L}")
-        if self.N % 2 != 0 or self.N < 8:
-            raise GridError(f"point count must be even and >= 8, got {self.N}")
+        L, n = self.L, self.N
+        # false for nan as well
+        if isinstance(L, bool) or not isinstance(L, numbers.Real) or not 0.0 < L < np.inf:
+            raise GridError(f"half-length must be finite and positive, got {L!r}")
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise GridError(f"point count must be an int, got {n!r}")
+        if n % 2 != 0 or n < 8:
+            raise GridError(f"point count must be even and >= 8, got {n}")
+        object.__setattr__(self, "L", float(L))
+        object.__setattr__(self, "N", int(n))
 
     @property
     def dx(self) -> float:
@@ -59,8 +66,7 @@ class Grid:
         return ik
 
 
-def make_grid(L: float, N: int) -> Grid:
-    return Grid(float(L), int(N))
+make_grid = Grid
 
 
 @dataclass(frozen=True)
@@ -120,16 +126,14 @@ def to_json_dict(f: Field) -> dict:
 
 
 def from_json_dict(d: dict) -> Field:
-    """The field of a `to_json_dict` record.  N must be an int, not a float to
-    truncate or a bool, and re and im must each hold N numbers, not a shape
-    that broadcasts."""
-    n = d["grid"]["N"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise GridError(f"point count must be an int, got {n!r}")
-    g = make_grid(d["grid"]["L"], n)
-    re, im = np.asarray(d["re"], dtype=float), np.asarray(d["im"], dtype=float)
-    if re.shape != (n,) or im.shape != (n,):
-        raise GridError(f"re and im must each have shape ({n},), got {re.shape} and {im.shape}")
+    """The field of a `to_json_dict` record.  `Grid` checks L and N; re and im
+    must each hold N numbers, not strings or bools, nor a shape that broadcasts."""
+    g = Grid(d["grid"]["L"], d["grid"]["N"])
+    re, im = np.asarray(d["re"]), np.asarray(d["im"])
+    if not (re.shape == im.shape == (g.N,) and {re.dtype.kind, im.dtype.kind} <= {"i", "u", "f"}):
+        raise GridError(
+            f"re and im must each hold {g.N} numbers, got {re.dtype} {re.shape} and {im.dtype} {im.shape}"
+        )
     return Field(g, re + 1j * im)
 
 

@@ -200,7 +200,6 @@ def report(f: Field, p: ModelParams, omega: float, c: float, frame: float) -> Fu
         raise ValueError(f"omega and c must be finite, got omega={omega}, c={c}")
     frame = Frame(frame)
     inv = invariants(f, p.b, frame.a)
-    action, nehari = inv.action(omega, c), inv.nehari(omega, c)
     return FunctionalReport(
         frame=frame.name.lower(),
         b=p.b,
@@ -209,10 +208,10 @@ def report(f: Field, p: ModelParams, omega: float, c: float, frame: float) -> Fu
         energy=inv.energy,
         mass=inv.mass,
         momentum=inv.momentum,
-        action=action,
-        nehari=nehari,
+        action=inv.action(omega, c),
+        nehari=inv.nehari(omega, c),
         ell=inv.ell(omega, c),
-        ii=action - 0.25 * nehari,
+        ii=inv.ii(omega, c),
         l4=inv.l4,
         l6=inv.l6,
         grad_sq=inv.grad_sq,

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .field import make_grid
+from .field import Grid
 from .solitons import ModelParams, RegionError, SolitonParams, phi_sq
 
 
@@ -47,6 +47,7 @@ _MIN_LEVELS = 3
 _MAX_LEVELS = 12
 QUAD_TOL = 1e-10  # successive levels agree to max(QUAD_TOL, QUAD_TOL |I|)
 _NEWTON_TOL = 1e-11  # Newton stops at a step of at most this times max Phi
+_NEWTON_FLOOR = 1e-8  # or before a step below this times max Phi that does not halve
 _NEWTON_MAX = 20
 _PEAK_GUARD = 1e-2  # Newton's peak may move this far, relative, from the first integral's
 
@@ -188,7 +189,7 @@ def ode_profile(
     amp = math.sqrt(2.0 * a2 / den) if den > 0 else 0.0
     if not 0.0 < amp < math.inf:
         raise ShootingError("the first integral has no positive zero: no soliton")
-    g = make_grid(half_length, n)
+    g = Grid(half_length, n)
     dx = g.dx  # a Python float, so the RK4 shot runs in plain floats
     # Past L the grid runs on for 12 decay lengths, so the periodic image and
     # the cut-off tail sit far below the requested window.
@@ -201,12 +202,15 @@ def ode_profile(
     op = _even_d2(dx, m)
     # a shot that runs off and a diverging Newton overflow; both are caught below
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = _seed(f, amp, rate, dx, m)
+        phi, last = _seed(f, amp, rate, dx, m), math.inf
         for _ in range(_NEWTON_MAX):
             jac = op - np.diag(a2 + phi * phi * (3.0 * a4 + 5.0 * a6 * phi * phi))
             step = np.linalg.solve(jac, op @ phi - f(phi))
-            phi = phi - step
-            if np.max(np.abs(step)) <= _NEWTON_TOL * np.max(phi):
+            size = np.max(np.abs(step))
+            if 0.5 * last < size < _NEWTON_FLOOR * np.max(phi):
+                break  # a step at rounding level that no longer shrinks is not taken
+            phi, last = phi - step, size
+            if size <= _NEWTON_TOL * np.max(phi):
                 break
         else:
             raise ShootingError(f"Newton did not converge in {_NEWTON_MAX} steps")

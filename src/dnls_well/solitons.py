@@ -12,7 +12,6 @@ c = 2*sqrt(omega) ("algebraic", only for gamma > 0).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .gauge import gauge_transform
 
 @dataclass(frozen=True)
 class SolitonParams:
-    """(omega, c) soliton parameters with the scaling coordinate s = c/(2 sqrt(omega))."""
+    """(omega, c) soliton parameters in the existence region."""
 
     params: ModelParams
     omega: float
@@ -37,10 +36,6 @@ class SolitonParams:
                 f"(omega={self.omega}, c={self.c}) outside existence region "
                 f"for b={self.params.b} (gamma={self.params.gamma})"
             )
-
-    @property
-    def s(self) -> float:
-        return self.c / (2.0 * math.sqrt(self.omega))
 
     @property
     def algebraic(self) -> bool:

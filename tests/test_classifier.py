@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dnls_well import classifier
 from dnls_well.classifier import (
     REL_TOL,
     _case_ii_witness,
@@ -28,7 +29,7 @@ from dnls_well.classifier import (
 from dnls_well.closedform import d_value, mass_threshold, s_star, soliton_energy, soliton_mass, soliton_momentum
 from dnls_well.closedform import admissible_s_range, turning_point
 from dnls_well.field import Field, make_grid
-from dnls_well.functionals import Frame, invariants
+from dnls_well.functionals import Frame, Invariants, invariants
 from dnls_well.gauge import gauge_transform
 from dnls_well.solitons import (
     ModelParams,
@@ -523,3 +524,35 @@ def test_scan_matches_seed_row(b, s, co, dil_co, gap_linear):
     # repr tells every float apart bit for bit, 0.0 from -0.0 too, and a nan
     # end of J (from overflowing coefficients) equals itself
     assert _row_or_refusal(_scan, co, dil_co, p, s) == _row_or_refusal(_seed_scan, co, dil_co, p, s)
+
+
+# --- the case table on records built by hand ------------------------------------
+
+
+def _record(b, mass, energy, momentum):
+    """A well-frame record with ||v_x||^2 = 1, ||v||_4^4 = 1 and the given M, E, P."""
+    sextic = 1.0 / 32.0 + b / 6.0  # E = ||v_x||^2 / 2 - sextic ||v||_6^6 at a = 1/4
+    return Invariants(b, 0.25, 1.0, mass, momentum - 0.25, 1.0, (0.5 - energy) / sextic, 0.0)
+
+
+@pytest.mark.parametrize(
+    "mass_over_m_star,energy,momentum,case",
+    [
+        (2.0, 0.1, 0.5, "none"),
+        (2.0, 1e-9, 0.0, "v"),
+        (2.0, -1e-9, 0.0, "v"),  # E inside the dead-band: its sign is 0, not that of its rounding
+    ],
+)
+def test_case_table_reads_only_the_dead_band_signs(monkeypatch, mass_over_m_star, energy, momentum, case):
+    p = ModelParams(0.1)
+    rec = _record(p.b, mass_over_m_star * p.turning[1], energy, momentum)
+    assert math.isclose(rec.energy, energy, rel_tol=1e-6) and rec.momentum == momentum
+    monkeypatch.setattr(classifier, "invariant_summary", lambda f, p, a: rec)
+    g = make_grid(20.0, 64)
+    assert classify_thm17(Field(g, np.exp(-g.x**2)), p).theorem17_case == case
+
+
+def test_classify_refuses_b_below_critical():
+    g = make_grid(20.0, 256)
+    with pytest.raises(RegionError, match="b >= -3/16"):
+        classify_thm17(Field(g, np.exp(-g.x**2)), ModelParams(-0.2))

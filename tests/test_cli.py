@@ -336,8 +336,12 @@ def test_classify_negative_s_grid_count_is_domain_error(tmp_path, capsys):
         {"grid": {"L": 3.0, "N": 8}, "re": [0.1 * j for j in range(8)], "im": [0.5]},
         {"grid": {"L": 3.0, "N": 8}, "re": 1.0, "im": [0.0] * 8},
         {"grid": {"L": 3.0, "N": 8.7}, "re": [0.1 * j for j in range(8)], "im": [0.0] * 8},
+        {"grid": {"L": 3.0, "N": 8}, "re": [str(0.1 * j) for j in range(8)], "im": [0.0] * 8},
+        {"grid": {"L": 3.0, "N": 8}, "re": [True] * 8, "im": [0.0] * 8},
+        {"grid": {"L": "3", "N": 8}, "re": [0.1 * j for j in range(8)], "im": [0.0] * 8},
+        {"grid": {"L": True, "N": 8}, "re": [0.1 * j for j in range(8)], "im": [0.0] * 8},
     ],
-    ids=["im-one-entry", "re-scalar", "N-float"],
+    ids=["im-one-entry", "re-scalar", "N-float", "re-strings", "re-bools", "L-str", "L-bool"],
 )
 def test_report_on_a_malformed_field_file_is_one_domain_error_line(tmp_path, capsys, record):
     path = tmp_path / "bad.json"
@@ -359,3 +363,10 @@ def test_report_on_a_constant_field_is_strict_json(tmp_path, capsys, value):
     assert main(["report", "--field", str(path), "--b", "0.1", "--omega", "1", "--c", "0.5"]) == 0
     rep = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
     assert rep["gn_ratio"] is None and rep["grad_sq"] == 0.0
+
+
+def test_classify_below_critical_b_is_domain_error(tmp_path, capsys):
+    path = _soliton_file(tmp_path)
+    assert main(["classify", "--field", str(path), "--b", "-0.2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("dnls-well: domain error: ")

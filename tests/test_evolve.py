@@ -460,3 +460,21 @@ def test_monitor_rejects_non_finite_omega_and_c(monitor):
     f = sample_phi(sp, make_grid(suggested_half_length(sp), 256))
     with pytest.raises(ValueError, match="monitor"):
         evolve(f, EvolveConfig(b=0.1, t_end=0.01), monitor=monitor)
+
+
+def test_gradient_growth_stops_the_run(monkeypatch):
+    # with GRAD_FACTOR = 1/2 the first record after t = 0 already exceeds
+    # GRAD_FACTOR^2 times the initial gradient
+    monkeypatch.setattr(ev, "GRAD_FACTOR", 0.5)
+    g = make_grid(20.0, 256)
+    traj = evolve(Field(g, np.exp(-g.x**2)), EvolveConfig(b=0.0, t_end=0.1, record_every=5))
+    assert traj.reason == "grad-growth" and traj.status == "blow-up"
+    assert traj.n_steps == 5 and len(traj.drift) == 2
+
+
+def test_single_step_blow_up_raises():
+    # a constant field of height 10 at b = 0.1 and dt = 0.01: the RK4 stages of
+    # the quintic rotation grow past AMP_CAP, still finite
+    g = make_grid(3.0, 8)
+    with pytest.raises(FloatingPointError, match="blow-up in a single step"):
+        step(Field(g, np.full(8, 10.0, dtype=complex)), EvolveConfig(b=0.1, dt=0.01))

@@ -7,6 +7,7 @@ import pytest
 
 from dnls_well.field import (
     Field,
+    Grid,
     GridError,
     cumulative_integral,
     from_json_dict,
@@ -56,8 +57,15 @@ _RE8 = [0.1 * j for j in range(8)]
         ({"L": 3.0, "N": 8.7}, _RE8, [0.0] * 8),  # int() would truncate it to 8
         ({"L": 3.0, "N": 8.0}, _RE8, [0.0] * 8),
         ({"L": 3.0, "N": True}, [1.0], [0.0]),
+        ({"L": 3.0, "N": 8}, [str(v) for v in _RE8], [0.0] * 8),  # np.asarray would parse them
+        ({"L": 3.0, "N": 8}, _RE8, [True] * 8),  # and read true as 1
+        ({"L": "3", "N": 8}, _RE8, [0.0] * 8),
+        ({"L": True, "N": 8}, _RE8, [0.0] * 8),
     ],
-    ids=["im-one-entry", "re-scalar", "im-short", "two-d", "N-float", "N-integral-float", "N-bool"],
+    ids=[
+        "im-one-entry", "re-scalar", "im-short", "two-d", "N-float", "N-integral-float", "N-bool",
+        "re-strings", "im-bools", "L-str", "L-bool",
+    ],
 )
 def test_field_file_whose_values_do_not_match_an_int_n_is_refused(grid, re, im):
     with pytest.raises(GridError):
@@ -229,3 +237,26 @@ def test_save_field_bytes_are_those_of_the_streaming_encoder(tmp_path):
         json.dump(to_json_dict(f), stream)
         assert (tmp_path / "f.json").read_bytes() == stream.getvalue().encode()
         assert np.array_equal(load_field(tmp_path / "f.json").values.view(float), f.values.view(float))
+
+
+@pytest.mark.parametrize(
+    "L, N",
+    [(3.0, 8.0), (3.0, 8.7), (3.0, True), ("3", 8), (True, 8), (None, 8), (3.0, "8")],
+    ids=["N-integral-float", "N-float", "N-bool", "L-str", "L-bool", "L-none", "N-str"],
+)
+def test_grid_refuses_what_is_not_a_real_l_and_an_integer_n(L, N):
+    with pytest.raises(GridError):
+        Grid(L, N)
+
+
+def test_make_grid_is_grid_and_stores_python_numbers():
+    g = make_grid(np.float64(3.0), np.int64(8))
+    assert make_grid is Grid
+    assert type(g.L) is float and type(g.N) is int
+    assert g == Grid(3, 8)
+
+
+def test_field_file_of_json_integers_loads_as_floats():
+    f = from_json_dict({"grid": {"L": 3, "N": 8}, "re": list(range(8)), "im": [0] * 8})
+    assert f.grid == make_grid(3.0, 8)
+    assert np.array_equal(f.values, np.arange(8.0) + 0j)

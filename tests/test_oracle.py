@@ -199,3 +199,16 @@ def test_algebraic_not_shootable():
 def test_quad_error_propagates():
     with pytest.raises(QuadratureError):
         adaptive_quad(lambda y: np.sin(y * y) / (abs(y) + 1e-300) ** 0.999, -np.inf, np.inf)
+
+
+@pytest.mark.parametrize("b,d,bound", [(-0.3, 1e-5, 2e-9), (-0.19, 1e-5, 2e-9), (-0.19, 1e-6, 1e-8)])
+def test_ode_profile_closer_to_the_gamma_negative_edge(b, d, bound):
+    # closer still to s = -s_*, the Jacobian's plateau mode is nearly singular
+    # and Newton's steps wander at rounding level after the first; Newton
+    # keeps the iterate before a step that is that small and no longer halves
+    p = ModelParams(b)
+    c = 2.0 * (-cf.s_lower(p) - d)
+    sp = SolitonParams(p, 1.0, c)
+    x, phi = ode_profile(p, 1.0, c, half_length=suggested_half_length(sp), n=1024)
+    ref = np.sqrt(phi_sq(sp, x))
+    assert np.max(np.abs(phi - ref)) < bound * np.max(ref)
