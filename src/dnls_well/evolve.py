@@ -382,26 +382,27 @@ def profile_fit(f: Field) -> dict:
 
     weight = np.sqrt(g.dx / g.N * (1.0 + np.abs(g.ik) ** 2))
 
-    def cost_of(z) -> float:
-        r = f.values - _model(g, *z).values
-        return float(np.sum(np.abs(weight * np.fft.fft(r)) ** 2))
-
-    z = np.array([theta0, y0, lam0])
-    cost = cost_of(z)
-    for n_steps in range(FIT_MAX_STEPS + 1):
+    def system(z):
+        """The weighted transform of [f - m, dm/dtheta, dm/dy, dm/dlam] at z
+        and the cost, the squared norm of its row 0."""
         theta, y, lam = z
         xi = (g.x - y) / lam
         m = _model(g, theta, y, lam).values
         ell = (-4.0 * xi + 1j * (4.0 * xi * xi - 1.0)) / (4.0 * xi * xi + 1.0)
-        # one FFT of [f - m, dm/dtheta, dm/dy, dm/dlam]; the real view puts the
-        # real and imaginary parts side by side
         cols = np.stack([f.values - m, 1j * m, -m * ell / lam, -m * (0.5 + xi * ell) / lam])
-        a = (weight * np.fft.fft(cols)).view(float)
-        step = np.linalg.lstsq(a[1:].T, a[0], rcond=None)[0]
+        a = weight * np.fft.fft(cols)
+        return a, float(np.sum(np.abs(a[0]) ** 2))
+
+    z = np.array([theta0, y0, lam0])
+    a, cost = system(z)
+    for n_steps in range(FIT_MAX_STEPS + 1):
+        # the real view puts the real and imaginary parts side by side
+        a_re = a.view(float)
+        step = np.linalg.lstsq(a_re[1:].T, a_re[0], rcond=None)[0]
         while np.max(np.abs(step)) > FIT_STEP_TOL * np.max(np.abs(z)):
             trial = z + step
             if trial[2] > 0.0:
-                trial_cost = cost_of(trial)
+                trial_a, trial_cost = system(trial)
                 if trial_cost <= cost:
                     break
             step *= 0.5
@@ -409,7 +410,9 @@ def profile_fit(f: Field) -> dict:
             break
         if n_steps == FIT_MAX_STEPS:
             raise RuntimeError(f"profile fit still moving after {n_steps} steps")
-        z, cost = trial, trial_cost
+        # an accepted trial's transform is the next step's system
+        z, a, cost = trial, trial_a, trial_cost
+    theta, y, lam = z
     if abs(y) > g.L:
         raise RuntimeError(f"profile fit centre y = {y:.3g} ended off the grid after {n_steps} steps")
     return {

@@ -127,14 +127,19 @@ def to_json_dict(f: Field) -> dict:
 
 def from_json_dict(d: dict) -> Field:
     """The field of a `to_json_dict` record.  `Grid` checks L and N; re and im
-    must each hold N numbers, not strings or bools, nor a shape that broadcasts."""
+    must each be a list of N JSON numbers, read as floats: no strings, bools
+    or nested lists, and no shape that would broadcast."""
     g = Grid(d["grid"]["L"], d["grid"]["N"])
-    re, im = np.asarray(d["re"]), np.asarray(d["im"])
-    if not (re.shape == im.shape == (g.N,) and {re.dtype.kind, im.dtype.kind} <= {"i", "u", "f"}):
-        raise GridError(
-            f"re and im must each hold {g.N} numbers, got {re.dtype} {re.shape} and {im.dtype} {im.shape}"
-        )
-    return Field(g, re + 1j * im)
+    re, im = d["re"], d["im"]
+    # type(True) is bool, not int; np.asarray would read true as 1 and turn
+    # an int beyond int64 into an object array
+    if not (type(re) is type(im) is list and len(re) == len(im) == g.N
+            and {*map(type, re), *map(type, im)} <= {int, float}):
+        raise GridError(f"re and im must each be a list of {g.N} JSON numbers")
+    try:
+        return Field(g, np.array(re, dtype=float) + 1j * np.array(im, dtype=float))
+    except OverflowError:  # an int beyond the float range, which Field would refuse as inf
+        raise GridError("field contains non-finite samples") from None
 
 
 def save_field(f: Field, path) -> None:

@@ -10,9 +10,9 @@ double-power profile ODE
 The quadrature is the double-exponential rule of Takahasi and Mori (Publ.
 RIMS 9 (1974) 721): the trapezoid rule in t after a change of variables
 x(t) whose weight x'(t) decays double-exponentially.  tanh-sinh maps a
-finite [a, b], exp-sinh a half-line, and the whole line is split at 0 into
-two exp-sinh half-lines.  The integrand is called on an ndarray of nodes
-and must return an array of the same shape.
+finite [a, b] and exp-sinh a half-line [a, inf); (-inf, b] is mirrored onto
+[-b, inf), and the whole line is folded onto [0, inf).  The integrand is
+called on an ndarray of nodes and must return an array of the same shape.
 
 The profile solver is Newton's method on Fourier collocation (Boyd,
 Chebyshev and Fourier Spectral Methods, 2001; J. Yang, Nonlinear Waves in
@@ -50,26 +50,25 @@ _NEWTON_TOL = 1e-11  # Newton stops at a step of at most this times max Phi
 _NEWTON_FLOOR = 1e-8  # or before a step below this times max Phi that does not halve
 _NEWTON_MAX = 20
 _PEAK_GUARD = 1e-2  # Newton's peak may move this far, relative, from the first integral's
+# Newton's dense system holds (m + 1)^2 floats in each of several arrays: 134 MB
+# each at this bound, well above the 1,777 of `verify --suite ode`'s b = -2 case
+_MAX_UNKNOWNS = 4096
 
 
-def _de_nodes(kind: str, a: float, b: float, t: np.ndarray):
-    """Abscissas and weights x(t), x'(t) of one double-exponential map.
-
-    'finite' is tanh-sinh on [a, b]; 'upper' is exp-sinh on [a, inf) and
-    'lower' is its mirror image on (-inf, b].
-    """
+def _de_nodes(a: float, b: float, t: np.ndarray):
+    """Abscissas and weights x(t), x'(t) of one double-exponential map:
+    exp-sinh on [a, inf) when b is inf, else tanh-sinh on [a, b]."""
     u = 0.5 * np.pi * np.sinh(t)
     du = 0.5 * np.pi * np.cosh(t)
-    if kind == "finite":
+    if np.isinf(b):
+        e = np.exp(u)
+        x, w = a + e, du * e
+    else:
         # distance to the nearer endpoint, free of the 1 - tanh cancellation
         half = 0.5 * (b - a)
         d = 2.0 * half / (1.0 + np.exp(2.0 * np.abs(u)))
         x = np.where(t < 0.0, a + d, b - d)
         w = half * du / np.cosh(u) ** 2
-    else:
-        e = np.exp(u)
-        x = a + e if kind == "upper" else b - e
-        w = du * e
     # drop weights that under- or overflow, and nodes that round onto a
     # finite endpoint, where f may be singular
     keep = (w > 0.0) & np.isfinite(w) & (x != a) & (x != b)
@@ -79,21 +78,18 @@ def _de_nodes(kind: str, a: float, b: float, t: np.ndarray):
 def adaptive_quad(f, a, b) -> float:
     """Double-exponential quadrature of f over [a, b]; a, b may be +-inf.
 
-    f takes an ndarray of abscissas.  Each level halves the step h and
-    evaluates f only at the new nodes.  The result is returned once two
-    successive levels, from the third on, agree to max(QUAD_TOL, QUAD_TOL |I|).
+    (-inf, b] is [-b, inf) for f(-x), and the whole line is [0, inf) for
+    f(x) + f(-x).  f takes an ndarray of abscissas.  Each level halves the
+    step h and evaluates f only at the new nodes.  The result is returned
+    once two successive levels, from the third on, agree to max(QUAD_TOL,
+    QUAD_TOL |I|).
     """
     if a > b:
         return -adaptive_quad(f, b, a)
-    if np.isinf(a) and np.isinf(b):
-        # two half-lines from 0, each carrying f(x) + f(-x)
-        def g(x):
-            return f(x) + f(-x)
-
-        kind, a, b = "upper", 0.0, np.inf
-    else:
-        g = f
-        kind = "upper" if np.isinf(b) else "lower" if np.isinf(a) else "finite"
+    if np.isinf(a):
+        if np.isinf(b):
+            return adaptive_quad(lambda x: f(x) + f(-x), 0.0, np.inf)
+        return adaptive_quad(lambda x: f(-x), -b, np.inf)
     total = prev = 0.0
     with np.errstate(over="ignore"):  # integrand tails such as cosh overflow to inf
         for level in range(_MAX_LEVELS):
@@ -102,8 +98,8 @@ def adaptive_quad(f, a, b) -> float:
             k = np.arange(-n, n + 1)
             if level:
                 k = k[k % 2 == 1]  # the even nodes were summed at coarser levels
-            x, w = _de_nodes(kind, a, b, k * h)
-            total += float(np.sum(np.asarray(g(x), dtype=float) * w))
+            x, w = _de_nodes(a, b, k * h)
+            total += float(np.sum(np.asarray(f(x), dtype=float) * w))
             est = h * total
             if not np.isfinite(est):
                 raise QuadratureError(f"non-finite quadrature sum at level {level}")
@@ -174,8 +170,8 @@ def ode_profile(
     """Sample points and even profile values over [-half_length, half_length).
 
     Exponential regime only.  ShootingError also means no soliton (the first
-    integral has no positive zero), no Newton convergence, or a Newton peak
-    away from the first integral's.
+    integral has no positive zero), a system above _MAX_UNKNOWNS unknowns,
+    no Newton convergence, or a Newton peak away from the first integral's.
     """
     a2, a4, a6 = omega - 0.25 * c * c, 0.5 * c, -3.0 / 16.0 * p.gamma
     if a2 <= 0:
@@ -195,6 +191,8 @@ def ode_profile(
     # the cut-off tail sit far below the requested window.
     rate = np.sqrt(a2)
     m = int(np.ceil((half_length + 12.0 / rate) / dx))
+    if m + 1 > _MAX_UNKNOWNS:
+        raise ShootingError(f"{m + 1} unknowns, above the {_MAX_UNKNOWNS} a dense Newton system may hold")
 
     def f(y):
         return y * (a2 + y * y * (a4 + a6 * y * y))

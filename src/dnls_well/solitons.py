@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # the scalar parameter layer lives in closedform; re-exported here
-from .closedform import ModelParams, RegionError, existence_region, is_algebraic, s_lower  # noqa: F401
+from .closedform import ModelParams, RegionError, existence_region, is_algebraic, s_lower, soliton_mass  # noqa: F401
 from .field import Field, Grid
 from .gauge import gauge_transform
 
@@ -31,11 +31,7 @@ class SolitonParams:
     c: float
 
     def __post_init__(self):
-        if not existence_region(self.params, self.omega, self.c):
-            raise RegionError(
-                f"(omega={self.omega}, c={self.c}) outside existence region "
-                f"for b={self.params.b} (gamma={self.params.gamma})"
-            )
+        soliton_mass(self.params, self.omega, self.c)  # the kernel raises RegionError outside the region
 
     @property
     def algebraic(self) -> bool:

@@ -61,10 +61,12 @@ _RE8 = [0.1 * j for j in range(8)]
         ({"L": 3.0, "N": 8}, _RE8, [True] * 8),  # and read true as 1
         ({"L": "3", "N": 8}, _RE8, [0.0] * 8),
         ({"L": True, "N": 8}, _RE8, [0.0] * 8),
+        ({"L": 3.0, "N": 8}, [True, *_RE8[1:]], [0.0] * 8),  # one bool among numbers
+        ({"L": 3.0, "N": 8}, [10**400, *_RE8[1:]], [0.0] * 8),  # an int with no float
     ],
     ids=[
         "im-one-entry", "re-scalar", "im-short", "two-d", "N-float", "N-integral-float", "N-bool",
-        "re-strings", "im-bools", "L-str", "L-bool",
+        "re-strings", "im-bools", "L-str", "L-bool", "re-mixed-bool", "re-int-beyond-float",
     ],
 )
 def test_field_file_whose_values_do_not_match_an_int_n_is_refused(grid, re, im):
@@ -260,3 +262,6 @@ def test_field_file_of_json_integers_loads_as_floats():
     f = from_json_dict({"grid": {"L": 3, "N": 8}, "re": list(range(8)), "im": [0] * 8})
     assert f.grid == make_grid(3.0, 8)
     assert np.array_equal(f.values, np.arange(8.0) + 0j)
+    # integers past int64 load too, as the floats they round to
+    big = from_json_dict({"grid": {"L": 3, "N": 8}, "re": [10**30, 2**63, *range(6)], "im": [0] * 8})
+    assert big.values[:2].tolist() == [1e30 + 0j, 2.0**63 + 0j]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dnls_well import closedform as cf
+from dnls_well import oracle as orc
 from dnls_well.field import Field, make_grid
 from dnls_well.functionals import invariants
 from dnls_well.oracle import (
@@ -189,6 +190,18 @@ def test_unresolved_spike_raises():
     sp = SolitonParams(p, 1.0, 1.96)
     with pytest.raises(ShootingError):
         ode_profile(p, 1.0, 1.96, half_length=suggested_half_length(sp), n=1024)
+
+
+def _no_operator(*args):
+    raise AssertionError("no dense operator may be built above the size bound")
+
+
+def test_a_system_too_large_for_dense_newton_is_refused(monkeypatch):
+    # a slow decay sqrt(a2) = 0.01 asks for m + 1 = 31,234 unknowns, 7.8 GB per
+    # (m + 1)^2 array; the refusal comes before any of them is built
+    monkeypatch.setattr(orc, "_even_d2", _no_operator)
+    with pytest.raises(ShootingError, match="31234 unknowns"):
+        ode_profile(ModelParams(0.1), 1.0, 1.9999, half_length=20.0, n=1024)
 
 
 def test_algebraic_not_shootable():

@@ -2,6 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from dnls_well.closedform import d_value
 from dnls_well.field import cumulative_integral, l2_norm_sq, make_grid
 from dnls_well.solitons import (
     ModelParams,
@@ -54,6 +55,19 @@ def test_s_lower_requires_nonpositive_gamma():
 def test_soliton_params_rejects_bad():
     with pytest.raises(RegionError):
         SolitonParams(ModelParams(0.0), 1.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    "b, omega, c",
+    [(0.0, 1.0, 3.0), (0.1, 1.0, 2.1), (0.1, 1.0, 3), (-0.3, 1.0, 0.0), (0.0, 1.0, -2.0), (0.0, -1.0, 0.0)],
+)
+def test_soliton_params_refusal_is_the_kernels(b, omega, c):
+    p = ModelParams(b)
+    with pytest.raises(RegionError) as kernel:
+        d_value(p, omega, c)
+    with pytest.raises(RegionError) as soliton:
+        SolitonParams(p, omega, c)
+    assert str(soliton.value) == str(kernel.value)
 
 
 def test_peak_value():
