@@ -27,8 +27,6 @@ from .gauge import gauge_transform
 # from `_sign`, whose dead-band is REL_TOL relative to a size.
 REL_TOL = 1e-6
 
-_MU_CAP = float(2**30)
-
 # (K > 0 somewhere on J, K < 0 somewhere on J) -> (curve verdict, K signs)
 _VERDICTS = {
     (True, True): ("both", (-1, 1)),
@@ -116,13 +114,21 @@ def scan_curve(si: Invariants, p: ModelParams, s: float) -> dict:
 
 def _scan(co, dil_co, p: ModelParams, s: float) -> dict:
     """`scan_curve` at a float s from `_coeffs` of the record (co) and of its
-    dilation (dil_co), so that an s loop reads them once.
+    dilation (dil_co), so that an s loop reads them once."""
+    j, cert, minus = _curve(co, dil_co, p, s)
+    verdict, signs = _VERDICTS[bool(cert), minus]
+    return {
+        "s": s,
+        "verdict": verdict,
+        "J": [[lo, hi if math.isfinite(hi) else None] for lo, hi in j],
+        "k_signs": list(signs),
+    }
 
-    J is where the action gap (M/2 - d(1, 2s)) mu^2 + s P mu + E is negative,
-    and K is the quadratic of dil_co; K < 0 on J where an interval of J meets
-    {K < 0}, and K >= 0 on J unless each interval of J lies inside one of
-    {K < 0} (a zero of K counts as K > 0).
-    """
+
+def _curve(co, dil_co, p: ModelParams, s: float):
+    """(J, C, minus) on the curve s: J = {action gap (M/2 - d(1, 2s)) mu^2 + s P mu + E < 0},
+    C = {mu in J : K >= 0} with K the quadratic of dil_co (a zero of K counts as K > 0),
+    and minus says whether J meets {K < 0}."""
     half_m, mom, e = co
     try:  # at (1, 2s) the kernel's region test is exactly the admissible s range
         j = _negative_intervals(half_m - d_value(p, 1.0, 2.0 * s), s * mom, e)
@@ -130,21 +136,19 @@ def _scan(co, dil_co, p: ModelParams, s: float) -> dict:
         raise RegionError(f"s={s} outside admissible range for b={p.b}") from None
     half_m, mom, e = dil_co
     neg = _negative_intervals(half_m, s * mom, e)
-    plus = minus = False
+    # C meets (lo, hi) in the closed gaps [g_lo, g_hi] between neg's ascending intervals, which
+    # it misses iff g_hi <= lo or hi <= g_lo; the last gap runs past every float, inf included
+    cert, minus = [], False
     for lo, hi in j:
-        inside = False
+        g_lo = 0.0
         for n_lo, n_hi in neg:
-            if max(lo, n_lo) < min(hi, n_hi):
-                minus = True
-            inside = inside or (n_lo <= lo and hi <= n_hi)
-        plus = plus or not inside
-    verdict, signs = _VERDICTS[plus, minus]
-    return {
-        "s": s,
-        "verdict": verdict,
-        "J": [[lo, hi if math.isfinite(hi) else None] for lo, hi in j],
-        "k_signs": list(signs),
-    }
+            minus = minus or max(lo, n_lo) < min(hi, n_hi)
+            if not (n_lo <= lo or hi <= g_lo):
+                cert.append((max(lo, g_lo), min(hi, n_lo)))
+            g_lo = n_hi
+        if not hi <= g_lo:
+            cert.append((max(lo, g_lo), hi))
+    return j, cert, minus
 
 
 def critical_b_membership(si: Invariants, p: ModelParams) -> dict:
@@ -167,6 +171,7 @@ def critical_b_membership(si: Invariants, p: ModelParams) -> dict:
 
 @dataclass(frozen=True)
 class ClassificationResult:
+    """The case-ii witness (omega, c) is the closure point of C where `apriori_bound` is least."""
     mass: float
     energy: float
     momentum: float
@@ -187,7 +192,13 @@ class ClassificationResult:
 def classify_thm17(
     f: Field, p: ModelParams, s_grid=None, frame: float = Frame.GAUGE
 ) -> ClassificationResult:
-    """Full mass/energy/momentum case analysis plus per-s curve verdicts of f in frame `frame`."""
+    """Full mass/energy/momentum case analysis plus per-s curve verdicts of f in frame `frame`.
+
+    Case ii certifies global existence when C (`_curve`) on the curve s* (1 for b <= 0)
+    is not empty; each mu of C bounds ||v_x||^2 along the flow by B = 8 S + (c^2/2) M at
+    (mu^2, 2 s mu).  The witness is the closure point of C where B is least, often an
+    open end of C (S = d there), where B is the infimum of bounds that each hold.
+    """
     si = invariant_summary(f, p, frame)
     e, m, mom = si.energy, si.mass, si.momentum
     if p.b <= -3.0 / 16.0:
@@ -220,13 +231,16 @@ def classify_thm17(
 
     # with no s* (b <= 0) the witness runs on s = 1, the algebraic curve s* tends to
     s_w = 1.0 if s_star is None else s_star
-    dil = si.dilated()
-    mu = _case_ii_witness(si, dil, p, s_w) if case == "ii" else None
+    co, dil_co = _coeffs(si), _coeffs(si.dilated())
+    cert = _curve(co, dil_co, p, s_w)[1] if case == "ii" else []
+    # B = 8E + (4 + 2 s^2) M mu^2 + 8 s P mu is least at its vertex clipped to a piece of C
+    vertex = -2.0 * s_w * mom / ((2.0 + s_w * s_w) * m) if m else 0.0
+    mu = min((min(max(vertex, lo), hi) for lo, hi in cert), default=None,
+             key=lambda x: apriori_bound(si, x * x, 2.0 * s_w * x))
     omega, c = (mu * mu, 2.0 * s_w * mu) if mu is not None else (None, None)
     s_values = [float(s) for s in s_grid] if s_grid is not None else []
     if s_star is not None and s_star not in s_values:
         s_values.append(s_star)
-    co, dil_co = _coeffs(si), _coeffs(dil)
     return ClassificationResult(
         mass=m,
         energy=e,
@@ -241,23 +255,6 @@ def classify_thm17(
         apriori_bound=None if mu is None else apriori_bound(si, omega, c),
         per_s=[_scan(co, dil_co, p, s) for s in s_values],
     )
-
-
-def _case_ii_witness(si: Invariants, dil: Invariants, p: ModelParams, s: float):
-    """Doubling search for mu with action gap < 0 and K > 0 at (mu^2, 2 s mu).
-
-    K is read from dil = si.dilated().  Such a point certifies membership in
-    A+.  Returns mu, or None if none is found below the cap (never a
-    negative claim).
-    """
-    d1 = d_value(p, 1.0, 2.0 * s)
-    mu = 1.0
-    while mu <= _MU_CAP:
-        omega, c = mu * mu, 2.0 * s * mu
-        if si.action(omega, c) < omega * d1 and dil.action(omega, c) > 0:
-            return mu
-        mu *= 2.0
-    return None
 
 
 def nehari_normalize(si: Invariants, omega: float, c: float) -> float:

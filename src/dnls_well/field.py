@@ -129,6 +129,8 @@ def from_json_dict(d: dict) -> Field:
     """The field of a `to_json_dict` record.  `Grid` checks L and N; re and im
     must each be a list of N JSON numbers, read as floats: no strings, bools
     or nested lists, and no shape that would broadcast."""
+    if type(d) is not dict or type(d.get("grid")) is not dict:
+        raise GridError("a field record is a JSON object whose grid is an object")
     g = Grid(d["grid"]["L"], d["grid"]["N"])
     re, im = d["re"], d["im"]
     # type(True) is bool, not int; np.asarray would read true as 1 and turn

@@ -76,7 +76,7 @@ def _de_nodes(a: float, b: float, t: np.ndarray):
 
 
 def adaptive_quad(f, a, b) -> float:
-    """Double-exponential quadrature of f over [a, b]; a, b may be +-inf.
+    """Double-exponential quadrature of f over [a, b]; a, b may be +-inf, and a == b gives 0.
 
     (-inf, b] is [-b, inf) for f(-x), and the whole line is [0, inf) for
     f(x) + f(-x).  f takes an ndarray of abscissas.  Each level halves the
@@ -84,8 +84,8 @@ def adaptive_quad(f, a, b) -> float:
     once two successive levels, from the third on, agree to max(QUAD_TOL,
     QUAD_TOL |I|).
     """
-    if a > b:
-        return -adaptive_quad(f, b, a)
+    if a >= b:  # a == b is an empty range, also at +-inf where the whole-line fold would run
+        return -adaptive_quad(f, b, a) if a > b else 0.0
     if np.isinf(a):
         if np.isinf(b):
             return adaptive_quad(lambda x: f(x) + f(-x), 0.0, np.inf)

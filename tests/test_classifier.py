@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from dnls_well import classifier
 from dnls_well.classifier import (
     REL_TOL,
-    _case_ii_witness,
+    apriori_bound,
     _negative_intervals,
     _scan,
     _sign,
@@ -168,16 +168,26 @@ def test_scan_curve_admits_exactly_the_admissible_s_range(b):
         assert scan_curve(si, p, s)["s"] == s
 
 
-def test_case_ii_witness_on_small_data(rng):
+def test_case_ii_witness_is_the_least_certified_bound_on_small_data(rng):
     g = make_grid(30.0, 512)
     p = ModelParams(0.0)
     f = random_smooth_field(rng, g, amp=0.05)
     si = invariant_summary(f, p, Frame.GAUGE)
-    mu = _case_ii_witness(si, si.dilated(), p, s=1.0)
-    assert mu is not None
+    res = classify_thm17(f, p)
+    assert res.theorem17_case == "ii" and res.global_existence
+    # b = 0 has no s*: the witness lies on the algebraic curve s = 1
+    mu = res.witness_c / 2.0
+    assert res.witness_omega == pytest.approx(mu * mu, rel=1e-15)
+    # on a dense grid, every mu the pointwise test certifies bounds no lower
     d1 = d_value(p, 1.0, 2.0)
-    gap = si.energy + 0.5 * mu * mu * (si.mass - 2.0 * d1) + mu * si.momentum
-    assert gap < 0 and si.nehari(mu * mu, 2.0 * mu) > 0
+    grid = np.geomspace(1e-3, 1e3, 60001)
+    bounds = [
+        apriori_bound(si, m * m, 2.0 * m)
+        for m in grid
+        if si.action(m * m, 2.0 * m) < m * m * d1 and si.nehari(m * m, 2.0 * m) > 0
+    ]
+    assert bounds and min(bounds) >= res.apriori_bound
+    assert min(bounds) == pytest.approx(res.apriori_bound, rel=1e-3)
 
 
 def test_classify_small_mass_case_ii(rng):

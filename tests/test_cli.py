@@ -340,8 +340,10 @@ def test_classify_negative_s_grid_count_is_domain_error(tmp_path, capsys):
         {"grid": {"L": 3.0, "N": 8}, "re": [True] * 8, "im": [0.0] * 8},
         {"grid": {"L": "3", "N": 8}, "re": [0.1 * j for j in range(8)], "im": [0.0] * 8},
         {"grid": {"L": True, "N": 8}, "re": [0.1 * j for j in range(8)], "im": [0.0] * 8},
+        [1, 2],
+        {"grid": None, "re": [0.1 * j for j in range(8)], "im": [0.0] * 8},
     ],
-    ids=["im-one-entry", "re-scalar", "N-float", "re-strings", "re-bools", "L-str", "L-bool"],
+    ids=["im-one-entry", "re-scalar", "N-float", "re-strings", "re-bools", "L-str", "L-bool", "list", "grid-null"],
 )
 def test_report_on_a_malformed_field_file_is_one_domain_error_line(tmp_path, capsys, record):
     path = tmp_path / "bad.json"

@@ -74,6 +74,23 @@ def test_field_file_whose_values_do_not_match_an_int_n_is_refused(grid, re, im):
         from_json_dict({"grid": grid, "re": re, "im": im})
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        [1, 2],
+        "field",
+        None,
+        {"grid": None, "re": [0.0] * 8, "im": [0.0] * 8},
+        {"grid": [3.0, 8], "re": [0.0] * 8, "im": [0.0] * 8},
+        {"re": [0.0] * 8, "im": [0.0] * 8},
+    ],
+    ids=["list", "string", "null", "grid-null", "grid-list", "no-grid"],
+)
+def test_field_record_that_is_not_an_object_with_an_object_grid_is_refused(record):
+    with pytest.raises(GridError, match="JSON object"):
+        from_json_dict(record)
+
+
 def test_grid_geometry():
     g = make_grid(10.0, 64)
     assert g.dx == pytest.approx(20.0 / 64)

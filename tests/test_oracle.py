@@ -54,6 +54,12 @@ def test_quad_half_lines_and_reversed_limits(f, a, b, exact):
     assert abs(adaptive_quad(f, a, b) - exact) < 1e-12
 
 
+@pytest.mark.parametrize("a", [np.inf, -np.inf, 1.0, -2.5, 0.0])
+def test_quad_over_an_empty_range_is_zero(a):
+    # equal infinite limits are an empty range, not the whole line folded onto [0, inf)
+    assert adaptive_quad(lambda x: np.exp(-x * x), a, a) == 0.0
+
+
 @pytest.mark.parametrize(
     "b,omega,c",
     [(0.0, 1.0, 0.5), (0.1, 1.5, -0.4), (-0.5, 1.0, -1.9), (-3.0 / 16.0, 1.0, -0.8)],
