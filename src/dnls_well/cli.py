@@ -169,6 +169,7 @@ def _cmd_evolve(args) -> int:
         "dt_used": traj.dt_used,
         "dt_trail": traj.dt_trail,
         "peak_drift": traj.peak_drift,
+        "peak_tail": traj.peak_tail,
         "phase_s": traj.phase_s,
         "t_final": traj.times[-1],
         "apriori_bound": traj.apriori_bound,

@@ -161,12 +161,11 @@ def _mass_momentum(p: ModelParams, omega: float, c: float) -> tuple[float, float
             # where sqrt(q) / |c| does and the quotient does not (subnormal c at gamma = 0)
             h = q * sq / -c
             if z < -0.99:
-                # near the gamma < 0 edge: 1 + z = (c^2 + gamma q) / c^2, exactly;
-                # imported only here, as every CLI start would pay for it
-                from fractions import Fraction
-
-                fc, fr = Fraction(c), Fraction(rw)
-                zp1 = float(1 + Fraction(g) * (fr - fc) * (fr + fc) / (fc * fc))
+                # near the gamma < 0 edge: 1 + z = (c^2 + gamma q) / c^2, exactly, from
+                # the floats' integer ratios; int / int rounds the quotient once
+                (cn, cd), (rn, rd), (gn, gd) = (x.as_integer_ratio() for x in (c, rw, g))
+                den = gd * (cn * rd) ** 2
+                zp1 = (den + gn * (rn * cd - cn * rd) * (rn * cd + cn * rd)) / den
                 if zp1 <= 0.0:
                     # admitted by the rounded edge, but on or past the exact
                     # one, where M and P grow without bound and T - U -> 1

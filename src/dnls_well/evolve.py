@@ -32,6 +32,8 @@ from .solitons import ModelParams, phi_one_two
 
 AMP_CAP = 1e6
 GRAD_FACTOR = 1e4
+TAIL_MAX = 1e-2  # a record whose spectral tail passes this is under-resolved,
+DRIFT_MAX = 0.1  # and so is one whose dE, dM or dP passes this
 DEALIAS = 2.0 / 3.0  # the 2/3 rule: modes above DEALIAS * k_max are zeroed
 CFL = 0.5  # dt <= CFL dx / (1 + max |v0|^2)
 ADAPT_TOL = 1e-9  # Richardson tolerance, relative L^2
@@ -157,15 +159,20 @@ class Trajectory:
     run, and status, read from it, is "ok" or "blow-up".  The reasons are
     "step-budget" (no dt from the CFL-capped one down to t_end / MAX_STEPS
     passes the Richardson test at t = 0, so no step is taken), "non-finite"
-    or "amp-cap" (the state after a step), or "grad-growth" (a recorded
-    gradient grew past GRAD_FACTOR^2 times the initial one).  n_steps counts
-    the steps taken and dt_trail the step sizes _tune_dt tried, none when the
-    CFL-capped dt is already below the budget.  dt_used, the dt stepped, is
-    t_end over a whole number of steps; for "step-budget" it is the first dt
-    below the budget.  peak_drift is the largest dE, dM or dP over the
-    records, and phase_s the seconds spent in "tune" (dt tuning and stepper
-    set-up), "step" (the stepping loop and its blow-up checks, records
-    excluded) and "record" (every record, the t = 0 one included).
+    or "amp-cap" (the state after a step), "grad-growth" (a recorded
+    gradient grew past GRAD_FACTOR^2 times the initial one), or
+    "under-resolved" (a record's spectral tail passed TAIL_MAX or its drift
+    DRIFT_MAX).  The tail is the share of |v-hat|^2 over the kept modes
+    |k| <= DEALIAS k_max that lies in the band (k_max/2, DEALIAS k_max];
+    tail_history holds (t, tail) for every record and peak_tail the largest.
+    n_steps counts the steps taken and dt_trail the step sizes _tune_dt
+    tried, none when the CFL-capped dt is already below the budget.
+    dt_used, the dt stepped, is t_end over a whole number of steps; for
+    "step-budget" it is the first dt below the budget.  peak_drift is the
+    largest dE, dM or dP over the records, and phase_s the seconds spent in
+    "tune" (dt tuning and stepper set-up), "step" (the stepping loop and its
+    blow-up checks, records excluded) and "record" (every record, the t = 0
+    one included).
     """
 
     times: list = field(default_factory=list)
@@ -173,12 +180,14 @@ class Trajectory:
     drift: list = field(default_factory=list)
     k_signs: list = field(default_factory=list)
     grad_history: list = field(default_factory=list)
+    tail_history: list = field(default_factory=list)
     reason: str | None = None
     n_steps: int = 0
     dt_used: float = 0.0
     dt_trail: list = field(default_factory=list)
     apriori_bound: float | None = None
     peak_drift: float = 0.0
+    peak_tail: float = 0.0
     phase_s: dict = field(default_factory=dict)
 
     @property
@@ -273,7 +282,7 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
         # dt >= t_end / MAX_STEPS bounds the quotient; it is 0 only if it underflows
         n_steps = max(1, math.ceil(cfg.t_end / dt))
         dt = cfg.t_end / n_steps
-    stepper = _Stepper(g, dt, p, a)
+        stepper = _Stepper(g, dt, p, a)
     phase = {"tune": clock() - t_start, "step": 0.0, "record": 0.0}
     traj = Trajectory(reason=unusable, dt_used=dt, dt_trail=trail, phase_s=phase)
     e0, m0, p0 = inv0.energy, inv0.mass, inv0.momentum
@@ -282,12 +291,21 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     # H^1 size of the data so "relative drift" stays meaningful
     char = max(m0 + grad0, 1e-30)
     scales = [max(abs(q), char) for q in (e0, m0, p0)]
+    # the kept modes and the top band of them that the spectral tail reads
+    k_abs = np.abs(g.k)
+    k_max = np.max(k_abs)
+    kept = (k_abs <= DEALIAS * k_max).astype(float)
+    band = kept * (k_abs > 0.5 * k_max)
 
-    def record(i, f, inv=None) -> float:
-        """Store the state f of step i, whose integrals inv are read here
-        unless given; returns its gradient norm squared."""
+    def record(i, f, vhat, inv=None) -> float:
+        """Store the state f of step i, with transform vhat, whose integrals
+        inv are read here unless given; returns its gradient norm squared."""
         t_in = clock()
         t = i * dt
+        power = np.abs(vhat) ** 2
+        tail = float(power @ band / max(power @ kept, 1e-300))
+        traj.tail_history.append((t, tail))
+        traj.peak_tail = max(traj.peak_tail, tail)
         if inv is None:
             inv = invariants(f, p.b, a)
         drift = {
@@ -309,7 +327,7 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
         phase["record"] += clock() - t_in
         return inv.grad_sq
 
-    record(0, f0, inv0)
+    record(0, f0, vhat, inv0)
     if unusable is not None:
         return traj
     t_loop, record_before = clock(), phase["record"]
@@ -323,8 +341,11 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
                 break
         if i % cfg.record_every and i < n_steps:
             continue
-        if record(i, Field(g, np.fft.ifft(vhat))) > GRAD_FACTOR**2 * max(grad0, 1e-30):
+        if record(i, Field(g, np.fft.ifft(vhat)), vhat) > GRAD_FACTOR**2 * max(grad0, 1e-30):
             traj.reason = "grad-growth"
+            break
+        if traj.peak_tail > TAIL_MAX or traj.peak_drift > DRIFT_MAX:
+            traj.reason = "under-resolved"
             break
     phase["step"] = clock() - t_loop - (phase["record"] - record_before)
     return traj

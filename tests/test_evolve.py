@@ -108,6 +108,18 @@ def test_data_too_large_for_the_floor_says_so():
     assert traj.phase_s["step"] == 0.0
 
 
+def test_step_budget_builds_no_stepper(monkeypatch):
+    # the CFL cap alone is below the budget: no dt is tried and no step is
+    # taken, so no stepper is built either
+    def refuse(*args):
+        raise AssertionError("a stepper was built")
+
+    monkeypatch.setattr(ev, "_Stepper", refuse)
+    g = make_grid(10.0, 128)
+    traj = evolve(Field(g, 9e5 * np.exp(-g.x**2, dtype=complex)), EvolveConfig(b=0.5, dt=0.05, t_end=1.0))
+    assert (traj.reason, traj.dt_trail, traj.n_steps) == ("step-budget", [], 0)
+
+
 def test_step_budget_stops_before_stepping():
     # no dt from the CFL cap 8.7e-5 down to t_end / MAX_STEPS = 1e-6 passes the
     # Richardson test (only one near 4e-8 would, some 2.4e7 steps to t_end)
@@ -478,3 +490,36 @@ def test_single_step_blow_up_raises():
     g = make_grid(3.0, 8)
     with pytest.raises(FloatingPointError, match="blow-up in a single step"):
         step(Field(g, np.full(8, 10.0, dtype=complex)), EvolveConfig(b=0.1, dt=0.01))
+
+
+def test_each_record_carries_its_spectral_tail():
+    # a mode at |n| = 70, inside the band (N/4, N/3] = (64, 85.3] of N = 256,
+    # beside one at n = 3: the tail at t = 0 is 0.05^2 / (1 + 0.05^2)
+    g = make_grid(20.0, 256)
+    f = Field(g, np.exp(3j * np.pi * g.x / g.L) + 0.05 * np.exp(-70j * np.pi * g.x / g.L))
+    traj = evolve(f, EvolveConfig(b=0.0, t_end=0.01, record_every=2))
+    assert [t for t, _ in traj.tail_history] == [row["t"] for row in traj.drift]
+    assert traj.tail_history[0][1] == pytest.approx(0.05**2 / (1.0 + 0.05**2), rel=1e-12)
+    assert traj.peak_tail == max(tail for _, tail in traj.tail_history)
+
+
+def test_focusing_soliton_stops_under_resolved():
+    # 1.005 varphi at s = 0.9, past s*(0.1) = 0.716, focuses: its tail rises
+    # from 3e-10 at t = 0 to 1e-4 at t = 4, and the run used to end "ok" at
+    # t = 8 with peak_drift 3.4
+    sp = SolitonParams(ModelParams(0.1), 1.0, 1.8)
+    g = make_grid(3.0 * suggested_half_length(sp), 2048)
+    f = Field(g, 1.005 * sample_varphi(sp, g).values)
+    traj = evolve(f, EvolveConfig(b=0.1, gauge_a=0.25, t_end=8.0))
+    assert (traj.status, traj.reason) == ("blow-up", "under-resolved")
+    assert traj.times[-1] < 5.0
+    assert traj.peak_tail > ev.TAIL_MAX or traj.peak_drift > ev.DRIFT_MAX
+
+
+def test_focusing_gaussian_stops_under_resolved():
+    # 4 e^{-x^2} at b = 0.5 outgrows N = 256 by t = 0.02; it used to end "ok"
+    # at t = 3 with peak_drift 5.8e2
+    g = make_grid(10.0, 256)
+    traj = evolve(Field(g, 4.0 * np.exp(-g.x**2, dtype=complex)), EvolveConfig(b=0.5, t_end=3.0))
+    assert (traj.status, traj.reason) == ("blow-up", "under-resolved")
+    assert traj.times[-1] < 3.0

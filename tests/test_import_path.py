@@ -1,7 +1,7 @@
 """Each subcommand loads only what it runs.
 
-Each case runs `cli.main` in a fresh interpreter and reports which scipy and
-numpy modules got loaded.
+Each case runs `cli.main` in a fresh interpreter and reports which scipy,
+numpy, package and `fractions`, `decimal` and `numbers` modules got loaded.
 
 The package does not use scipy, so no subcommand and no `profile_fit` may
 load it: the quadrature suites (`quad`, `mass`, `momentum`) run the numpy
@@ -12,7 +12,9 @@ which shows that the guard can fail whether or not scipy is installed.
 
 numpy stays off the import path of the package root and of the closed-form
 subcommands `threshold` and `scan`.  `soliton`, which samples a profile on a
-grid, is the control that must load numpy.  `report` takes its names from
+grid, is the control that must load numpy.  A `scan` whose every point lies
+near the gamma < 0 edge (z < -0.99), where the kernel forms 1 + z exactly in
+integers, loads none of `fractions`, `decimal` or `numbers`.  `report` takes its names from
 their owners, so it loads neither `solitons` nor `gauge`.
 """
 import json
@@ -37,7 +39,7 @@ from dnls_well import cli
 {preload}
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
-loaded = {pkg: sorted(m for m in sys.modules if m.split(".")[0] == pkg) for pkg in ("scipy", "numpy", "dnls_well")}
+loaded = {pkg: sorted(m for m in sys.modules if m.split(".")[0] == pkg) for pkg in ("scipy", "numpy", "dnls_well", "fractions", "decimal", "numbers")}
 print(json.dumps({"code": code, **loaded}))
 """
 
@@ -76,6 +78,9 @@ CASES = {
     "gauge": lambda d, sol, rnd: ["gauge", "--a", "0.25", "--in", sol, "--out", str(d / "g.json")],
     "scan": lambda d, sol, rnd: ["scan", "--b", "0.1", "--quantity", "d", "--s-from", "-0.9",
                                  "--s-to", "0.9", "--steps", "21"],
+    # all five points have z < -0.99
+    "scan_edge": lambda d, sol, rnd: ["scan", "--b", "-0.3", "--quantity", "d", "--s-from", "-0.6139",
+                                      "--s-to", "-0.61238", "--steps", "5"],
     "threshold": lambda d, sol, rnd: ["threshold", "--b", "0.1"],
     "classify": lambda d, sol, rnd: ["classify", "--field", rnd, "--b", "0.1",
                                      "--s-grid=-0.8:0.8:5"],
@@ -118,11 +123,17 @@ print(json.dumps({"y": out["y"], "scipy": sorted(m for m in sys.modules if m.spl
     assert res["scipy"] == []
 
 
-@pytest.mark.parametrize("name", ["scan", "threshold"])
+@pytest.mark.parametrize("name", ["scan", "scan_edge", "threshold"])
 def test_closed_form_subcommand_loads_no_numpy(files, name):
     res = _run(CASES[name](*files))
     assert res["code"] == 0
     assert res["numpy"] == []
+
+
+def test_edge_scan_loads_no_fractions(files):
+    res = _run(CASES["scan_edge"](*files))
+    assert res["code"] == 0
+    assert res["fractions"] == res["decimal"] == res["numbers"] == []
 
 
 def test_package_root_loads_no_numpy():
