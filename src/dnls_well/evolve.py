@@ -31,7 +31,6 @@ from .gauge import gauge_transform
 from .solitons import ModelParams, phi_one_two
 
 AMP_CAP = 1e6
-GRAD_FACTOR = 1e4
 TAIL_MAX = 1e-2  # a record whose spectral tail passes this is under-resolved,
 DRIFT_MAX = 0.1  # and so is one whose dE, dM or dP passes this
 DEALIAS = 2.0 / 3.0  # the 2/3 rule: modes above DEALIAS * k_max are zeroed
@@ -61,6 +60,11 @@ class EvolveConfig:
             raise ValueError(f"need finite t_end and gauge_a, dt > 0, an int record_every >= 1: {self}")
 
 
+def _kept(k):
+    """The 2/3 rule: 1.0 on the modes |k| <= DEALIAS k_max it keeps, else 0.0."""
+    return (np.abs(k) <= DEALIAS * np.max(np.abs(k))).astype(float)
+
+
 class _Stepper:
     """Precomputed Lawson-RK4 data and work arrays for one (grid, dt, a, b).
 
@@ -78,8 +82,7 @@ class _Stepper:
         n, k = g.N, g.k
         self.re_q = 4.0 * a - 1.0
         self.kap = kappa(p, a)
-        kmax = np.max(np.abs(k))
-        self.mask = (np.abs(k) <= DEALIAS * kmax).astype(float)
+        self.mask = _kept(k)
         # one multiplier turns v-hat into the stack [mask v-hat, mask ik v-hat] / N
         self.to_v_vx = np.stack([self.mask, self.mask * g.ik]) / n
         self.e_half = np.exp(-0.5j * dt * k**2)
@@ -155,16 +158,15 @@ class _Stepper:
 class Trajectory:
     """What a run stored, why it stopped and where its time went.
 
-    reason is None for a run that reached t_end, else the stop of a blow-up
-    run, and status, read from it, is "ok" or "blow-up".  The reasons are
+    reason is None for a run that reached t_end, else why it stopped:
     "step-budget" (no dt from the CFL-capped one down to t_end / MAX_STEPS
     passes the Richardson test at t = 0, so no step is taken), "non-finite"
-    or "amp-cap" (the state after a step), "grad-growth" (a recorded
-    gradient grew past GRAD_FACTOR^2 times the initial one), or
-    "under-resolved" (a record's spectral tail passed TAIL_MAX or its drift
-    DRIFT_MAX).  The tail is the share of |v-hat|^2 over the kept modes
-    |k| <= DEALIAS k_max that lies in the band (k_max/2, DEALIAS k_max];
-    tail_history holds (t, tail) for every record and peak_tail the largest.
+    or "amp-cap" (the state after a step), or "under-resolved" (a record's
+    spectral tail passed TAIL_MAX or its drift DRIFT_MAX).  status reads it:
+    "ok" for None, "blow-up" for "non-finite" and "amp-cap", else "stopped".
+    The tail is the share of |v-hat|^2 over the kept modes |k| <= DEALIAS
+    k_max that lies in the band (k_max/2, DEALIAS k_max]; tail_history
+    holds (t, tail) for every record and peak_tail the largest.
     n_steps counts the steps taken and dt_trail the step sizes _tune_dt
     tried, none when the CFL-capped dt is already below the budget.
     dt_used, the dt stepped, is t_end over a whole number of steps; for
@@ -192,7 +194,9 @@ class Trajectory:
 
     @property
     def status(self) -> str:
-        return "ok" if self.reason is None else "blow-up"
+        if self.reason is None:
+            return "ok"
+        return "blow-up" if self.reason in ("non-finite", "amp-cap") else "stopped"
 
     @property
     def final(self) -> Field:
@@ -286,20 +290,18 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     phase = {"tune": clock() - t_start, "step": 0.0, "record": 0.0}
     traj = Trajectory(reason=unusable, dt_used=dt, dt_trail=trail, phase_s=phase)
     e0, m0, p0 = inv0.energy, inv0.mass, inv0.momentum
-    grad0 = inv0.grad_sq
     # solitons can have exactly zero energy or momentum; fall back to the
     # H^1 size of the data so "relative drift" stays meaningful
-    char = max(m0 + grad0, 1e-30)
+    char = max(m0 + inv0.grad_sq, 1e-30)
     scales = [max(abs(q), char) for q in (e0, m0, p0)]
     # the kept modes and the top band of them that the spectral tail reads
+    kept = _kept(g.k)
     k_abs = np.abs(g.k)
-    k_max = np.max(k_abs)
-    kept = (k_abs <= DEALIAS * k_max).astype(float)
-    band = kept * (k_abs > 0.5 * k_max)
+    band = kept * (k_abs > 0.5 * np.max(k_abs))
 
-    def record(i, f, vhat, inv=None) -> float:
-        """Store the state f of step i, with transform vhat, whose integrals
-        inv are read here unless given; returns its gradient norm squared."""
+    def record(i, f, vhat, inv=None):
+        """Store the state f of step i, with transform vhat and integrals inv
+        (read here unless given)."""
         t_in = clock()
         t = i * dt
         power = np.abs(vhat) ** 2
@@ -325,7 +327,6 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
             traj.k_signs.append((t, k_sign(w, *monitor)))
             traj.grad_history.append((t, w.grad_sq))
         phase["record"] += clock() - t_in
-        return inv.grad_sq
 
     record(0, f0, vhat, inv0)
     if unusable is not None:
@@ -341,9 +342,7 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
                 break
         if i % cfg.record_every and i < n_steps:
             continue
-        if record(i, Field(g, np.fft.ifft(vhat)), vhat) > GRAD_FACTOR**2 * max(grad0, 1e-30):
-            traj.reason = "grad-growth"
-            break
+        record(i, Field(g, np.fft.ifft(vhat)), vhat)
         if traj.peak_tail > TAIL_MAX or traj.peak_drift > DRIFT_MAX:
             traj.reason = "under-resolved"
             break

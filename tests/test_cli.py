@@ -173,7 +173,7 @@ def test_evolve_blow_up_exits_2(tmp_path):
                  "--dt", "0.05", "--t-end", "1.0", "--out", str(out)])
     assert code == 2
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["status"] == "blow-up"
+    assert summary["status"] == "stopped"
     # so no step size is tried at all
     assert summary["reason"] == "step-budget"
     assert summary["n_steps"] == 0 and summary["dt_trail"] == []
@@ -186,7 +186,7 @@ def test_evolve_past_any_step_budget_exits_2_with_a_summary(tmp_path, capsys):
                  "--t-end", "1e306", "--out", str(out)]) == 2
     assert capsys.readouterr().err == ""
     summary = json.loads((out / "summary.json").read_text())
-    assert (summary["status"], summary["reason"], summary["n_steps"]) == ("blow-up", "step-budget", 0)
+    assert (summary["status"], summary["reason"], summary["n_steps"]) == ("stopped", "step-budget", 0)
     assert summary["dt_trail"] == [] and 0.0 < summary["dt_used"] <= 1e-3
     assert summary["t_final"] == 0.0
 

@@ -64,8 +64,10 @@ def test_conserved_quantities_match_functionals(rng):
 def test_status_is_read_from_the_reason():
     traj = Trajectory()
     assert (traj.status, traj.reason) == ("ok", None)
-    traj.reason = "amp-cap"
-    assert traj.status == "blow-up"
+    for reason, status in [("non-finite", "blow-up"), ("amp-cap", "blow-up"),
+                           ("step-budget", "stopped"), ("under-resolved", "stopped")]:
+        traj.reason = reason
+        assert traj.status == status
     with pytest.raises(AttributeError):
         traj.status = "ok"
 
@@ -102,7 +104,7 @@ def test_data_too_large_for_the_floor_says_so():
     f = Field(g, 9e5 * np.exp(-g.x**2, dtype=complex))
     traj = evolve(f, EvolveConfig(b=0.5, dt=0.05, t_end=1.0))
     cap = 0.5 * g.dx / (1.0 + np.max(np.abs(f.values)) ** 2)
-    assert (traj.status, traj.reason, traj.n_steps) == ("blow-up", "step-budget", 0)
+    assert (traj.status, traj.reason, traj.n_steps) == ("stopped", "step-budget", 0)
     assert traj.dt_trail == [] and traj.dt_used == pytest.approx(cap, rel=1e-12)
     assert cap * ev.MAX_STEPS < 1.0
     assert traj.phase_s["step"] == 0.0
@@ -126,7 +128,7 @@ def test_step_budget_stops_before_stepping():
     g = make_grid(10.0, 128)
     f = Field(g, 30.0 * np.exp(-g.x**2, dtype=complex))
     traj = evolve(f, EvolveConfig(b=0.5, dt=0.05, t_end=1.0))
-    assert (traj.status, traj.reason, traj.n_steps) == ("blow-up", "step-budget", 0)
+    assert (traj.status, traj.reason, traj.n_steps) == ("stopped", "step-budget", 0)
     assert traj.times == [0.0] and traj.dt_used < 1.0 / ev.MAX_STEPS
 
 
@@ -138,7 +140,7 @@ def test_richardson_failure_keeps_its_reason(rng, monkeypatch):
     g = make_grid(20.0, 256)
     f = random_smooth_field(rng, g, amp=0.5)
     traj = evolve(f, EvolveConfig(b=0.1, t_end=0.1))
-    assert (traj.status, traj.reason, traj.n_steps) == ("blow-up", "step-budget", 0)
+    assert (traj.status, traj.reason, traj.n_steps) == ("stopped", "step-budget", 0)
     assert traj.dt_trail == [1e-3, 5e-4, 2.5e-4, 1.25e-4]
     assert traj.dt_used == 6.25e-5
 
@@ -165,6 +167,22 @@ def test_gauge_frame_standing_wave():
     expect = np.exp(1j * traj.times[-1]) * f.values
     err = np.sqrt(np.sum(np.abs(traj.final.values - expect) ** 2) * g.dx)
     assert err < 1e-5
+
+
+@pytest.mark.parametrize("b, omega, c", [(0.1, 1.0, 0.5), (-0.1, 1.0, 0.5), (0.1, 1.0, -1.5)])
+@pytest.mark.parametrize("a, sample", [(0.0, sample_phi), (0.25, sample_varphi)])
+def test_travelling_soliton_is_an_exact_solution(b, omega, c, a, sample):
+    # u(t, x) = e^{i omega t} f0(x - c t) in either frame; the shift is taken
+    # by Fourier multiplier.  Measured errors are 1.9e-10 to 1.1e-7, the
+    # worst at b = -0.1, a = 0, where the time error of dt = 1e-3 dominates
+    sp = SolitonParams(ModelParams(b), omega, c)
+    g = make_grid(1.5 * suggested_half_length(sp), 1024)
+    f0 = sample(sp, g)
+    t_end = 1.0
+    traj = evolve(f0, EvolveConfig(b=b, gauge_a=a, t_end=t_end))
+    assert traj.status == "ok"
+    exact = np.exp(1j * omega * t_end) * np.fft.ifft(np.exp(-1j * g.k * c * t_end) * np.fft.fft(f0.values))
+    assert np.linalg.norm(traj.final.values - exact) <= 1e-6 * np.linalg.norm(exact)
 
 
 def test_single_step_preserves_mass(rng):
@@ -230,7 +248,7 @@ def test_t_end_past_any_step_budget_stops_without_a_step_count(rng):
     g = make_grid(20.0, 256)
     f = random_smooth_field(rng, g, amp=0.5)
     traj = evolve(f, EvolveConfig(b=0.1, t_end=1e306))
-    assert (traj.status, traj.reason, traj.n_steps) == ("blow-up", "step-budget", 0)
+    assert (traj.status, traj.reason, traj.n_steps) == ("stopped", "step-budget", 0)
     assert traj.dt_trail == [] and traj.dt_used == 1e-3
     assert traj.times == [0.0]
 
@@ -474,14 +492,16 @@ def test_monitor_rejects_non_finite_omega_and_c(monitor):
         evolve(f, EvolveConfig(b=0.1, t_end=0.01), monitor=monitor)
 
 
-def test_gradient_growth_stops_the_run(monkeypatch):
-    # with GRAD_FACTOR = 1/2 the first record after t = 0 already exceeds
-    # GRAD_FACTOR^2 times the initial gradient
-    monkeypatch.setattr(ev, "GRAD_FACTOR", 0.5)
-    g = make_grid(20.0, 256)
-    traj = evolve(Field(g, np.exp(-g.x**2)), EvolveConfig(b=0.0, t_end=0.1, record_every=5))
-    assert traj.reason == "grad-growth" and traj.status == "blow-up"
-    assert traj.n_steps == 5 and len(traj.drift) == 2
+def test_a_resolved_run_is_not_stopped():
+    # the perturbation of a flat field grows by many orders from a gradient
+    # of about 1e-12 while the spectrum stays resolved; the run goes on until
+    # its tail or drift gives out, measured at t = 7.88
+    g = make_grid(10.0, 256)
+    f = Field(g, 1.5 + 1e-6 * np.cos(np.pi * g.x / 10.0) + 0j)
+    traj = evolve(f, EvolveConfig(b=0.5, t_end=10.0))
+    assert (traj.status, traj.reason) == ("stopped", "under-resolved")
+    assert traj.times[-1] > 7.0
+    assert all(tail < 1e-20 for t, tail in traj.tail_history if t <= 6.53)
 
 
 def test_single_step_blow_up_raises():
@@ -511,7 +531,7 @@ def test_focusing_soliton_stops_under_resolved():
     g = make_grid(3.0 * suggested_half_length(sp), 2048)
     f = Field(g, 1.005 * sample_varphi(sp, g).values)
     traj = evolve(f, EvolveConfig(b=0.1, gauge_a=0.25, t_end=8.0))
-    assert (traj.status, traj.reason) == ("blow-up", "under-resolved")
+    assert (traj.status, traj.reason) == ("stopped", "under-resolved")
     assert traj.times[-1] < 5.0
     assert traj.peak_tail > ev.TAIL_MAX or traj.peak_drift > ev.DRIFT_MAX
 
@@ -521,5 +541,5 @@ def test_focusing_gaussian_stops_under_resolved():
     # at t = 3 with peak_drift 5.8e2
     g = make_grid(10.0, 256)
     traj = evolve(Field(g, 4.0 * np.exp(-g.x**2, dtype=complex)), EvolveConfig(b=0.5, t_end=3.0))
-    assert (traj.status, traj.reason) == ("blow-up", "under-resolved")
+    assert (traj.status, traj.reason) == ("stopped", "under-resolved")
     assert traj.times[-1] < 3.0
