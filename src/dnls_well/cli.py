@@ -153,6 +153,9 @@ def _cmd_evolve(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # an earlier run's snapshots would outlive this run's records
+    for old in out.glob("snap_*.json"):
+        old.unlink()
     with open(out / "drift.csv", "w") as fh:
         fh.write("t,dE,dM,dP\n")
         for row in traj.drift:

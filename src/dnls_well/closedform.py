@@ -126,13 +126,13 @@ def _t_u(z: float, zp1: float) -> tuple[float, float]:
 
 
 def cosh_integral(alpha: float, power: int) -> float:
-    """int_R dy / (cosh y + alpha)^power for power in {1, 2}, alpha > -1.
+    """int_R dy / (cosh y + alpha)^power for power in {1, 2}, finite alpha > -1.
 
     With z = (1 - alpha)/(1 + alpha): I_1 = 2 (1 + z) T(z) and
     I_2 = (1 + z)^2 (T(z) + U(z)) / 2.
     """
-    if alpha <= -1.0:
-        raise ValueError(f"cosh integral requires alpha > -1, got {alpha}")
+    if not -1.0 < alpha < math.inf:  # false for nan as well
+        raise ValueError(f"cosh integral requires a finite alpha > -1, got {alpha}")
     if power not in (1, 2):
         raise ValueError(f"power must be 1 or 2, got {power}")
     zp1 = 2.0 / (1.0 + alpha)

@@ -167,9 +167,9 @@ class Trajectory:
     The tail is the share of |v-hat|^2 over the kept modes |k| <= DEALIAS
     k_max that lies in the band (k_max/2, DEALIAS k_max]; tail_history
     holds (t, tail) for every record and peak_tail the largest.
-    n_steps counts the steps taken and dt_trail the step sizes _tune_dt
-    tried, none when the CFL-capped dt is already below the budget.
-    dt_used, the dt stepped, is t_end over a whole number of steps; for
+    n_steps counts the steps taken and dt_trail the step sizes t_end / n
+    _tune_dt tried, none when the CFL-capped dt is already below the budget.
+    dt_used is the dt stepped, dt_trail[-1] on a run that steps; for
     "step-budget" it is the first dt below the budget.  peak_drift is the
     largest dE, dM or dP over the records, and phase_s the seconds spent in
     "tune" (dt tuning and stepper set-up), "step" (the stepping loop and its
@@ -203,32 +203,37 @@ class Trajectory:
         return self.snapshots[-1][1]
 
 
-def _tune_dt(vhat0, g: Grid, p: ModelParams, cfg: EvolveConfig) -> tuple[float, str | None, list]:
-    """Pick the step size; return it, the reason no usable dt exists (None
-    when one does) and every dt tried.  The CFL-capped dt halves until it
-    meets ADAPT_TOL; "step-budget" means none down to t_end / MAX_STEPS
-    does, and the dt returned is then the first one below that budget."""
+def _tune_dt(f0: Field, vhat0, p: ModelParams, cfg: EvolveConfig) -> tuple[float, int, _Stepper | None, list]:
+    """Pick the step size t_end / n; return it, n, its stepper and every dt
+    tried.  n starts at ceil(t_end / dt_cfl) and doubles until one step and
+    two half steps meet ADAPT_TOL; each dt tried builds one stepper, as a
+    rejected trial's half-step stepper is the next trial's full-step one.
+    No stepper (n = 0) means "step-budget": no n up to MAX_STEPS passes, and
+    the dt is the first one below the budget (the CFL-capped one if it is)."""
+    g, a = f0.grid, cfg.gauge_a
 
     def l2(vhat):  # Parseval: ||ifft(vhat)||_L2 from the FFT coefficients directly
         return np.sqrt(g.dx / g.N * np.sum(np.abs(vhat) ** 2))
 
-    v0 = np.fft.ifft(vhat0)
-    dt = min(cfg.dt, CFL * g.dx / (1.0 + float(np.max(np.abs(v0)) ** 2)))
-    scale = max(l2(vhat0), 1e-30)
-    trail = []
+    dt = min(cfg.dt, CFL * g.dx / (1.0 + float(np.max(np.abs(f0.values))) ** 2))
     # dt >= t_end / MAX_STEPS, multiplied out: a dt of 0 fails it, as t_end > 0
-    while dt * MAX_STEPS >= cfg.t_end:
-        trail.append(dt)
+    if dt * MAX_STEPS < cfg.t_end:
+        return dt, 0, None, []
+    # so the quotient is finite; it is 0 only if it underflows
+    n = max(1, math.ceil(cfg.t_end / dt))
+    scale = max(l2(vhat0), 1e-30)
+    trail, half = [], None
+    while n <= MAX_STEPS:
+        trail.append(cfg.t_end / n)
+        full = half or _Stepper(g, cfg.t_end / n, p, a)
+        half = _Stepper(g, cfg.t_end / (2 * n), p, a)
         # a trial step on large data may overflow; a non-finite err rejects it
         with np.errstate(over="ignore", invalid="ignore"):
-            coarse = _Stepper(g, dt, p, cfg.gauge_a).step(vhat0)
-            fine = _Stepper(g, 0.5 * dt, p, cfg.gauge_a)
-            vh = fine.step(fine.step(vhat0))
-            err = l2(coarse - vh)
+            err = l2(full.step(vhat0) - half.step(half.step(vhat0)))
         if np.isfinite(err) and err / scale < ADAPT_TOL:
-            return dt, None, trail
-        dt *= 0.5
-    return dt, "step-budget", trail
+            return trail[-1], n, full, trail
+        n *= 2
+    return cfg.t_end / n, 0, None, trail
 
 
 def _clean(vhat) -> bool:
@@ -264,31 +269,23 @@ def step(f: Field, cfg: EvolveConfig) -> Field:
 def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     """Integrate to exactly t_end; record conserved-quantity drift and snapshots.
 
-    The step is the largest dt = t_end / n that is no larger than the tuned
-    one.  monitor = (omega, c) additionally tracks, in the well frame
+    The run steps the stepper _tune_dt certified, n steps of dt = t_end / n.
+    monitor = (omega, c) additionally tracks, in the well frame
     v = G_{1/4-a}(u), the sign of the dilation functional K and the gradient
     ||v_x||^2 that the a-priori bound 8 S(v0) + (c^2/2) M(v0) controls;
     its omega and c must be finite.
     """
     if monitor is not None and not all(map(math.isfinite, monitor)):
         raise ValueError(f"monitor (omega, c) must be finite, got {monitor}")
-    g = f0.grid
-    p = ModelParams(cfg.b)
-    a = cfg.gauge_a
+    g, p, a = f0.grid, ModelParams(cfg.b), cfg.gauge_a
     # data whose integrals overflow is refused here, before the CFL cap squares it
     inv0 = invariants(f0, p.b, a)
     clock = time.perf_counter
     t_start = clock()
     vhat = np.fft.fft(f0.values)
-    dt, unusable, trail = _tune_dt(vhat, g, p, cfg)
-    n_steps = 0
-    if unusable is None:
-        # dt >= t_end / MAX_STEPS bounds the quotient; it is 0 only if it underflows
-        n_steps = max(1, math.ceil(cfg.t_end / dt))
-        dt = cfg.t_end / n_steps
-        stepper = _Stepper(g, dt, p, a)
+    dt, n_steps, stepper, trail = _tune_dt(f0, vhat, p, cfg)
     phase = {"tune": clock() - t_start, "step": 0.0, "record": 0.0}
-    traj = Trajectory(reason=unusable, dt_used=dt, dt_trail=trail, phase_s=phase)
+    traj = Trajectory(reason=None if stepper else "step-budget", dt_used=dt, dt_trail=trail, phase_s=phase)
     e0, m0, p0 = inv0.energy, inv0.mass, inv0.momentum
     # solitons can have exactly zero energy or momentum; fall back to the
     # H^1 size of the data so "relative drift" stays meaningful
@@ -329,7 +326,7 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
         phase["record"] += clock() - t_in
 
     record(0, f0, vhat, inv0)
-    if unusable is not None:
+    if stepper is None:
         return traj
     t_loop, record_before = clock(), phase["record"]
     for i in range(1, n_steps + 1):

@@ -160,6 +160,21 @@ def test_evolve_writes_artifacts(tmp_path):
     assert all(len(r.split(",")) == 4 for r in rows)
 
 
+def test_evolve_into_a_used_directory_keeps_only_its_own_snapshots(tmp_path):
+    path = _soliton_file(tmp_path, n=256)
+    out = tmp_path / "traj"
+    for t_end in ("0.05", "0.02"):
+        assert main(["evolve", "--field", str(path), "--b", "0",
+                     "--t-end", t_end, "--out", str(out)]) == 0
+    rows = (out / "drift.csv").read_text().strip().splitlines()[1:]
+    snaps = sorted(out.glob("snap_*.json"))
+    assert len(rows) == len(snaps) == 3
+    # a refused run touches nothing
+    assert main(["evolve", "--field", str(path), "--b", "0", "--t-end", "0.05",
+                 "--monitor-omega", "1", "--monitor-c", "inf", "--out", str(out)]) == 1
+    assert sorted(out.glob("snap_*.json")) == snaps
+
+
 def test_evolve_blow_up_exits_2(tmp_path):
     g = make_grid(10.0, 128)
     from dnls_well.field import Field

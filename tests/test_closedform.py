@@ -59,6 +59,14 @@ def test_cosh_integral_branch_continuity(power):
     assert abs(above - at) < 1e-6
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("power", [1, 2])
+def test_cosh_integral_refuses_alpha_outside_its_domain(alpha, power):
+    # unchecked, nan gives nan and inf divides by zero in the series
+    with pytest.raises(ValueError, match="finite alpha > -1"):
+        cosh_integral(alpha, power)
+
+
 def test_region_enforced():
     with pytest.raises(RegionError):
         soliton_mass(ModelParams(0.0), 1.0, 2.5)

@@ -192,10 +192,13 @@ def test_single_step_preserves_mass(rng):
     assert l2_norm_sq(out) == pytest.approx(l2_norm_sq(f), rel=1e-10)
 
 
-def _cfl_dt_only(vhat0, g, p, cfg):
-    """_tune_dt without its Richardson test: the CFL-capped dt."""
-    dt = min(cfg.dt, ev.CFL * g.dx / (1.0 + float(np.max(np.abs(np.fft.ifft(vhat0)))) ** 2))
-    return dt, None, [dt]
+def _cfl_dt_only(f0, vhat0, p, cfg):
+    """_tune_dt without its Richardson test: the CFL-capped dt, as t_end over
+    a whole number of steps."""
+    g = f0.grid
+    dt = min(cfg.dt, ev.CFL * g.dx / (1.0 + float(np.max(np.abs(f0.values))) ** 2))
+    n = max(1, math.ceil(cfg.t_end / dt))
+    return cfg.t_end / n, n, _Stepper(g, cfg.t_end / n, p, cfg.gauge_a), [cfg.t_end / n]
 
 
 def test_blow_up_is_reported_not_raised(monkeypatch):
@@ -258,7 +261,7 @@ def test_step_longer_than_the_run_by_more_than_a_float_still_takes_one_step():
     g = make_grid(1e300, 8)
     traj = evolve(Field(g, np.zeros(8, complex)), EvolveConfig(b=0.0, dt=1e300, t_end=1e-30))
     assert (traj.status, traj.n_steps, traj.dt_used) == ("ok", 1, 1e-30)
-    assert traj.dt_trail == [0.5 * g.dx]
+    assert traj.dt_trail == [1e-30]
 
 
 @pytest.mark.parametrize("amp", [1e60, 1e200])
@@ -271,13 +274,25 @@ def test_data_whose_integrals_overflow_is_refused_before_tuning(amp):
 
 
 @pytest.mark.parametrize("t_end", [1e-5, 0.0105])
-def test_evolve_lands_on_t_end(rng, t_end):
+def test_evolve_lands_on_t_end(rng, t_end, monkeypatch):
+    # the dt tested is the dt stepped: each dt tried builds one stepper, and
+    # the accepted trial's full-step stepper runs the whole way
+    builds = []
+
+    class Counted(_Stepper):
+        def __init__(self, *args):
+            builds.append(args[1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(ev, "_Stepper", Counted)
     g = make_grid(20.0, 256)
     f = random_smooth_field(rng, g, amp=0.5)
     traj = evolve(f, EvolveConfig(b=0.1, dt=1e-3, t_end=t_end))
     assert traj.status == "ok"
     assert traj.times[-1] == pytest.approx(t_end, rel=1e-12)
     assert traj.dt_used <= 1e-3
+    assert traj.dt_trail[-1] == traj.dt_used
+    assert len(builds) == len(traj.dt_trail) + 1
 
 
 @pytest.mark.parametrize(

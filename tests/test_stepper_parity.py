@@ -98,10 +98,15 @@ def _frozen_run(monkeypatch, state, f0):
     monkeypatch.setattr(ev._Stepper, "step", lambda self, vhat: np.fft.fft(state))
     cfg = EvolveConfig(b=0.0, record_every=10**9)
     dt = min(cfg.dt, ev.CFL * g.dx / (1.0 + np.max(np.abs(f0.values)) ** 2))
-    # the CFL-capped dt without the Richardson test, which the frozen
+    # three steps of t_end / 3 without the Richardson test, which the frozen
     # states would fail before the screen is reached
-    monkeypatch.setattr(ev, "_tune_dt", lambda vhat0, g, p, cfg: (dt, None, [dt]))
-    return evolve(f0, replace(cfg, t_end=2.5 * dt))
+    t_end = 2.5 * dt
+
+    def three_steps(f0, vhat0, p, cfg):
+        return t_end / 3, 3, ev._Stepper(g, t_end / 3, p, cfg.gauge_a), [t_end / 3]
+
+    monkeypatch.setattr(ev, "_tune_dt", three_steps)
+    return evolve(f0, replace(cfg, t_end=t_end))
 
 
 def test_screen_flags_amplitude_just_above_cap(monkeypatch):
