@@ -296,17 +296,15 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     k_abs = np.abs(g.k)
     band = kept * (k_abs > 0.5 * np.max(k_abs))
 
-    def record(i, f, vhat, inv=None):
-        """Store the state f of step i, with transform vhat and integrals inv
-        (read here unless given)."""
+    def record(i, f, vhat):
+        """Store the state f of step i, with transform vhat."""
         t_in = clock()
         t = i * dt
         power = np.abs(vhat) ** 2
         tail = float(power @ band / max(power @ kept, 1e-300))
         traj.tail_history.append((t, tail))
         traj.peak_tail = max(traj.peak_tail, tail)
-        if inv is None:
-            inv = invariants(f, p.b, a)
+        inv = invariants(f, p.b, a)
         drift = {
             "t": t,
             "dE": abs(inv.energy - e0) / scales[0],
@@ -318,14 +316,14 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
         traj.drift.append(drift)
         traj.peak_drift = max(traj.peak_drift, drift["dE"], drift["dM"], drift["dP"])
         if monitor is not None:
-            w = inv if a == WELL_A else invariant_summary(f, p, a)
+            w = invariant_summary(f, p, a)
             if i == 0:  # the bound and the first K sign read one well-frame record
                 traj.apriori_bound = apriori_bound(w, *monitor)
             traj.k_signs.append((t, k_sign(w, *monitor)))
             traj.grad_history.append((t, w.grad_sq))
         phase["record"] += clock() - t_in
 
-    record(0, f0, vhat, inv0)
+    record(0, f0, vhat)
     if stepper is None:
         return traj
     t_loop, record_before = clock(), phase["record"]
@@ -348,11 +346,18 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
 
 
 def gauge_consistency(f0: Field, b: float, t_end: float) -> float:
-    """L^2 distance between evolve-then-gauge and gauge-then-evolve."""
+    """L^2 distance between evolve-then-gauge and gauge-then-evolve.  Either
+    run stopping short of t_end leaves nothing to compare: RuntimeError."""
     cfg = EvolveConfig(b=b, t_end=t_end, record_every=10**9)
-    path1 = gauge_transform(evolve(f0, cfg).final, WELL_A)
-    path2 = evolve(gauge_transform(f0, WELL_A), replace(cfg, gauge_a=WELL_A)).final
-    return math.sqrt(l2_norm_sq(Field(f0.grid, path1.values - path2.values)))
+    run1 = evolve(f0, cfg)
+    run2 = evolve(gauge_transform(f0, WELL_A), replace(cfg, gauge_a=WELL_A))
+    if run1.status != "ok" or run2.status != "ok":
+        raise RuntimeError(
+            "gauge consistency needs both runs to reach t_end; reasons: "
+            f"a = 0 {run1.reason or 'none'}, a = {WELL_A} {run2.reason or 'none'}"
+        )
+    path1 = gauge_transform(run1.final, WELL_A)
+    return math.sqrt(l2_norm_sq(Field(f0.grid, path1.values - run2.final.values)))
 
 
 # --- modulation fit against the algebraic profile --------------------------

@@ -8,6 +8,7 @@ which is spectrally accurate for smooth periodic data.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -71,20 +72,69 @@ make_grid = Grid
 
 @dataclass(frozen=True)
 class Field:
-    """Complex samples of a function on a Grid."""
+    """Complex samples of a function on a Grid.
+
+    The field owns its samples and they are read-only: what is passed in is
+    copied, never kept, so `integrals`, read once, cannot go stale.
+    """
 
     grid: Grid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.array(self.values, dtype=complex)  # a copy: never the caller's array
         if vals.shape != (self.grid.N,):
             raise GridError(
                 f"values shape {vals.shape} does not match grid N={self.grid.N}"
             )
         if not np.all(np.isfinite(vals)):
             raise GridError("field contains non-finite samples")
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @cached_property
+    def integrals(self) -> tuple[float, float, float, float, float, float]:
+        """(||f_x||^2, ||f||^2, <i f_x, f>, ||f||_4^4, ||f||_6^6, <i |f|^2 f_x, f>),
+        read once, from one (2, N) FFT of [f, |f|^2 f].
+
+        With rho = |f|^2, the mass, ||f||_4^4 and ||f||_6^6 are sums over rho
+        in physical space; the three integrals with a derivative come by
+        Parseval from the transforms f-hat and F(rho f), with ik f-hat
+        (`Grid.ik`, Nyquist mode zeroed) as the transform of f_x, and
+        w = dx / N:
+
+            ||f_x||^2            = w ||ik f-hat||^2
+            <i f_x, f>           = -w Im vdot(f-hat, ik f-hat)
+            <i |f|^2 f_x, f>     = -w Im vdot(F(rho f), ik f-hat).
+
+        No derivative is formed in physical space.  A field whose integrals
+        overflow is refused with GridError on every read (only a returned
+        value is cached); numpy's overflow warnings are silenced here, so
+        that the refusal is the error.
+        """
+        g, v = self.grid, self.values
+        dx = g.dx
+        w = dx / g.N
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = v.real * v.real + v.imag * v.imag
+            vv = np.empty((2, v.size), complex)
+            vv[0] = v
+            np.multiply(rho, v, out=vv[1])
+            vhat, rvhat = np.fft.fft(vv, out=vv)
+            ikv = g.ik * vhat
+            ikv_parts = ikv.view(float)
+            rho2 = rho * rho
+            ints = (
+                w * float(ikv_parts @ ikv_parts),
+                dx * float(rho.sum()),
+                -w * float(np.vdot(vhat, ikv).imag),
+                dx * float(rho @ rho),
+                dx * float(rho2 @ rho),
+                -w * float(np.vdot(rvhat, ikv).imag),
+            )
+        if not all(map(math.isfinite, ints)):
+            raise GridError(f"the integrals of the field are not finite: {ints}")
+        return ints
 
 
 def spectral_derivative(f: Field) -> Field:

@@ -13,19 +13,10 @@ S = E + (omega/2) M + (c/2) P, its dilation derivative K (Nehari
 functional), the quadratic form L and I = S - K/4 are methods of the record
 of six integrals these are built from.
 
-`invariants` is the one formula for that record.  With rho = |v|^2, the
-mass, ||v||_4^4 and ||v||_6^6 are sums over rho in physical space; the three
-integrals with a derivative come by Parseval from the transforms v-hat and
-F(rho v), with ik v-hat (`Grid.ik`, Nyquist mode zeroed) as the transform of
-v_x, and w = dx / N:
-
-    ||v_x||^2            = w ||ik v-hat||^2
-    <i v_x, v>           = -w Im vdot(v-hat, ik v-hat)
-    <i |v|^2 v_x, v>     = -w Im vdot(F(rho v), ik v-hat).
-
-`invariants` takes both transforms from one (2, N) FFT of [v, rho v]; no
-derivative is formed in physical space.  Each record of the flow is the
-`invariants` of its snapshot.
+`invariants` makes that record from the field's six integrals,
+`Field.integrals`, where their formulas live: one (2, N) FFT per field,
+read once and kept, since a field's samples are read-only.  Each record of
+the flow is the `invariants` of its snapshot.
 """
 from __future__ import annotations
 
@@ -36,7 +27,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .closedform import ModelParams
-from .field import Field, GridError
+from .field import Field
 
 WELL_A = 0.25
 
@@ -128,37 +119,10 @@ class Invariants:
 
 
 def invariants(f: Field, b: float, a: float) -> Invariants:
-    """The integrals of f in gauge frame a, from one (2, N) FFT of [f, |f|^2 f]
-    by the formulas of the module docstring; each is a sum or a dot product.
-
-    A field whose integrals overflow is refused with GridError; numpy's
-    overflow warnings are silenced here, so that the refusal is the error.
-    """
-    g, v = f.grid, f.values
-    dx = g.dx
-    w = dx / g.N
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho = v.real * v.real + v.imag * v.imag
-        vv = np.empty((2, v.size), complex)
-        vv[0] = v
-        np.multiply(rho, v, out=vv[1])
-        vhat, rvhat = np.fft.fft(vv, out=vv)
-        ikv = g.ik * vhat
-        ikv_parts = ikv.view(float)
-        rho2 = rho * rho
-        inv = Invariants(
-            b=b,
-            a=a,
-            grad_sq=w * float(ikv_parts @ ikv_parts),
-            mass=dx * float(rho.sum()),
-            p_lin=-w * float(np.vdot(vhat, ikv).imag),
-            l4=dx * float(rho @ rho),
-            l6=dx * float(rho2 @ rho),
-            inter=-w * float(np.vdot(rvhat, ikv).imag),
-        )
-    if not all(map(math.isfinite, (inv.grad_sq, inv.mass, inv.p_lin, inv.l4, inv.l6, inv.inter))):
-        raise GridError(f"the integrals of the field are not finite: {inv}")
-    return inv
+    """The record of f in gauge frame a: b, a and `Field.integrals`, which
+    reads the six integrals once per field and refuses with GridError a field
+    whose integrals overflow."""
+    return Invariants(b, a, *f.integrals)
 
 
 def gn_ratio(f: Field) -> float:

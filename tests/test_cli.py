@@ -270,6 +270,14 @@ def test_verify_gauge_passes(capsys):
     assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
+def test_verify_gauge_exits_2_when_a_run_stops_short(capsys, monkeypatch):
+    # with a budget of one step no dt passes: neither run reaches t_end
+    monkeypatch.setattr("dnls_well.evolve.MAX_STEPS", 1)
+    assert main(["verify", "--suite", "gauge"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "step-budget" in out.err
+
+
 def test_unknown_flag_exits_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["threshold", "--b", "0", "--bogus"])

@@ -409,6 +409,16 @@ def test_gauge_consistency_small(rng):
     assert gauge_consistency(f, 0.1, t_end=0.1) < 1e-5
 
 
+def test_gauge_consistency_refuses_runs_that_never_stepped():
+    # both runs stop on "step-budget" with no step taken: two copies of the
+    # data would compare equal, so there is no distance to report
+    g = make_grid(20.0, 512)
+    f = Field(g, 1e3 * np.exp(-g.x**2))
+    assert evolve(f, EvolveConfig(b=0.05, t_end=0.05)).reason == "step-budget"
+    with pytest.raises(RuntimeError, match="a = 0 step-budget, a = 0.25 step-budget"):
+        gauge_consistency(f, 0.05, t_end=0.05)
+
+
 def test_profile_fit_recovers_exact_parameters():
     g = make_grid(60.0, 2048)
     theta, y, lam = 1.3, -2.5, 0.8

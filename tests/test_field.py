@@ -140,6 +140,38 @@ def test_field_shape_and_finiteness():
         Field(g, np.full(16, np.nan))
 
 
+def test_field_samples_are_read_only():
+    f = Field(make_grid(5.0, 16), np.ones(16, complex))
+    assert not f.values.flags.writeable
+    with pytest.raises(ValueError):
+        f.values[0] = 2.0
+    with pytest.raises(ValueError):
+        f.values *= 2.0
+
+
+@pytest.mark.parametrize("part", [np.array, np.real])
+def test_field_owns_its_samples_and_integrals(rng, part):
+    # a complex array, and a real one that the field converts
+    g = make_grid(10.0, 64)
+    vals = np.array(part(random_smooth_field(rng, g).values))
+    f = Field(g, vals)
+    before, ints = f.values.copy(), f.integrals
+    assert f.integrals is ints  # read once
+    assert not np.shares_memory(f.values, vals)
+    vals *= 3.0  # the caller's array is its own to change
+    assert np.array_equal(f.values, before)
+    assert f.integrals is ints
+    assert Field(g, before).integrals == ints
+
+
+def test_field_whose_integrals_overflow_is_refused_on_every_read():
+    f = Field(make_grid(3.0, 8), np.full(8, 1e60, dtype=complex))
+    for _ in range(2):
+        with pytest.raises(GridError, match="not finite"):
+            f.integrals
+    assert "integrals" not in vars(f)  # nothing was cached
+
+
 def test_spectral_derivative_trig():
     g = make_grid(np.pi, 128)
     f = Field(g, np.exp(2j * g.x))

@@ -10,9 +10,11 @@ from dnls_well.classifier import _scan
 from dnls_well.closedform import d_value
 from dnls_well.evolve import AMP_CAP, _blow_up, _clean
 from dnls_well.field import Field, make_grid
-from dnls_well.functionals import Invariants, invariants
+from dnls_well.functionals import Frame, Invariants, invariants, report
 from dnls_well.gauge import gauge_transform
 from dnls_well.solitons import ModelParams
+
+from conftest import random_smooth_field
 
 PROPS = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -51,6 +53,31 @@ def test_gauge_change_conserves_mass_energy_momentum(bumps, a, delta, b):
     assert abs(after.mass - before.mass) <= tol
     assert abs(after.energy - before.energy) <= tol
     assert abs(after.momentum - before.momentum) <= tol
+
+
+@PROPS
+@given(
+    st.floats(5.0, 40.0),
+    st.integers(32, 256).map(lambda h: 2 * h),
+    st.sampled_from([0.0, 0.1, -0.1, 0.5]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.1, 4.0),
+    st.floats(-3.0, 3.0),
+)
+def test_mass_critical_rescaling_is_exact_on_the_integrals(L, n, b, seed, omega, c):
+    # u(x) = 2 v(4 x) is sampled on [-L/4, L/4) by the doubled samples of v;
+    # scaling by powers of 2 is exact in floating point, down to the FFT
+    f = random_smooth_field(np.random.default_rng(seed), make_grid(L, n))
+    u = Field(make_grid(L / 4.0, n), 2.0 * f.values)
+    weights = (16.0, 1.0, 4.0, 4.0, 16.0, 16.0)
+    assert u.integrals == tuple(w * i for w, i in zip(weights, f.integrals))
+    p = ModelParams(b)
+    for frame in Frame:
+        ref = report(f, p, omega, c, frame)
+        rep = report(u, p, 16.0 * omega, 4.0 * c, frame)
+        for name in ("energy", "action", "nehari", "ell", "ii"):
+            assert getattr(rep, name) == 16.0 * getattr(ref, name), name
+        assert (rep.mass, rep.momentum, rep.gn_ratio) == (ref.mass, 4.0 * ref.momentum, ref.gn_ratio)
 
 
 @PROPS
