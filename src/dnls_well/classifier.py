@@ -154,19 +154,20 @@ def _curve(co, dil_co, p: ModelParams, s: float):
 def critical_b_membership(si: Invariants, p: ModelParams) -> dict:
     """b = -3/16 route: every field lands in some A+_s with s in (-1, 0).
 
-    d(1, 2s) diverges as s -> 0-, so halving s from -1/2 always reaches
-    2 d(1, 2s) > M.  There the mu^2 coefficient M/2 - d(1, 2s) of the action
-    gap is negative, so J contains some (r, inf), and that of K is M > 0, so
-    K > 0 far out on J: `scan_curve` at that s says A_plus or both.
+    At gamma = 0, d(1, 2s) = q^{3/2} / (3 |2s|) grows without bound as s -> 0-
+    and overflows to inf before s underflows, so halving s from -1/2 reaches
+    2 d(1, 2s) > M for every finite M, in at most 1,021 halvings.  There the
+    mu^2 coefficient M/2 - d(1, 2s) of the action gap is negative, so J
+    contains some (r, inf), and that of K is M > 0, so K > 0 far out on J:
+    `scan_curve` at that s says A_plus or both.  A nan or infinite M halves s
+    to 0, outside the s range, where `d_value` raises RegionError.
     """
-    if abs(p.b + 3.0 / 16.0) > 1e-12:
+    if p.b != -3.0 / 16.0:
         raise RegionError("universal-membership route applies at b = -3/16 only")
     s = -0.5
-    for _ in range(200):
-        if 2.0 * d_value(p, 1.0, 2.0 * s) > si.mass:
-            return {"s": s, "verdict": "A_plus"}
+    while not 2.0 * d_value(p, 1.0, 2.0 * s) > si.mass:
         s *= 0.5
-    return {"s": None, "verdict": "not found"}
+    return {"s": s, "verdict": "A_plus"}
 
 
 @dataclass(frozen=True)
@@ -201,17 +202,16 @@ def classify_thm17(
     """
     si = invariant_summary(f, p, frame)
     e, m, mom = si.energy, si.mass, si.momentum
-    if p.b <= -3.0 / 16.0:
-        if abs(p.b + 3.0 / 16.0) > 1e-12:
-            raise RegionError("classification requires b >= -3/16")
-        route = critical_b_membership(si, p)
+    if p.b < -3.0 / 16.0:
+        raise RegionError("classification requires b >= -3/16")
+    if p.b == -3.0 / 16.0:
         return ClassificationResult(
             mass=m,
             energy=e,
             momentum=mom,
             theorem17_case="critical-b",
-            global_existence=route["verdict"] == "A_plus",
-            per_s=[route],
+            global_existence=True,
+            per_s=[critical_b_membership(si, p)],
         )
 
     s_star, m_star = p.turning

@@ -223,16 +223,13 @@ def _verify_ode() -> dict:
 def _sample_triples(rng, gamma_positive: bool):
     """Ten random (b, omega, c) in the existence region, on one side of gamma = 0."""
     triples = []
-    while len(triples) < 10:
+    for _ in range(10):
         if gamma_positive:
             b = rng.uniform(-3.0 / 16.0 + 0.02, 0.5)
             s = rng.uniform(-0.95, 0.95)
         else:
             b = rng.uniform(-0.6, -3.0 / 16.0 - 0.02)
-            sl = closedform.s_lower(ModelParams(b))
-            if sl > 0.9:
-                continue
-            s = rng.uniform(-0.95, -sl - 0.02)
+            s = rng.uniform(-0.95, ModelParams(b).s_hi - 0.02)
         omega = rng.uniform(0.5, 2.0)
         triples.append((b, omega, 2.0 * s * math.sqrt(omega)))
     return triples

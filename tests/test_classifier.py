@@ -251,23 +251,69 @@ def test_classify_rows_are_scan_curve_rows(rng, b):
 def test_critical_b_route_certifies_membership(rng):
     p = ModelParams(-3.0 / 16.0)
     g = make_grid(30.0, 512)
-    f = random_smooth_field(rng, g, amp=1.0)
-    si = invariant_summary(f, p, Frame.GAUGE)
-    out = critical_b_membership(si, p)
-    assert out["verdict"] == "A_plus"
-    assert -1.0 < out["s"] < 0.0
-    # the route returns without scanning; the scan at its s must agree
-    assert scan_curve(si, p, out["s"])["verdict"] in ("A_plus", "both")
-    res = classify_thm17(f, p)
-    assert res.theorem17_case == "critical-b" and res.global_existence
+    # masses from about 1e-5 to 1e81
+    for amp in (1.0, *np.logspace(-3.0, 40.0, 200)):
+        f = random_smooth_field(rng, g, amp=amp)
+        for frame in Frame:
+            si = invariant_summary(f, p, frame)
+            out = critical_b_membership(si, p)
+            assert out["verdict"] == "A_plus"
+            assert -1.0 < out["s"] < 0.0
+            # the route returns without scanning; the scan at its s must agree
+            assert scan_curve(si, p, out["s"])["verdict"] in ("A_plus", "both"), (amp, frame)
+            res = classify_thm17(f, p, frame=frame)
+            assert res.theorem17_case == "critical-b" and res.global_existence is True
+            assert res.per_s == [out]
 
 
 def test_critical_b_route_rejected_elsewhere(rng):
-    p = ModelParams(0.1)
     g = make_grid(30.0, 256)
-    si = invariant_summary(Field(g, np.exp(-g.x**2)), p, Frame.GAUGE)
+    # the gate is b == -3/16 exactly: a hair to either side is refused
+    for b in (0.1, -3.0 / 16.0 + 5e-13, -3.0 / 16.0 - 5e-13):
+        p = ModelParams(b)
+        si = invariant_summary(Field(g, np.exp(-g.x**2)), p, Frame.GAUGE)
+        with pytest.raises(RegionError, match="b = -3/16 only"):
+            critical_b_membership(si, p)
+
+
+def test_critical_b_route_s_is_the_first_halving_past_the_mass(rng):
+    # s runs -1/2, -1/4, ... and stops at the first s with 2 d(1, 2s) > M
+    p = ModelParams(-3.0 / 16.0)
+    for mass in np.concatenate([[0.0, 1e-300], 10.0 ** rng.uniform(-5.0, 300.0, 200)]):
+        s = critical_b_membership(Invariants(p.b, 0.25, 1.0, mass, 0.0, 0.0, 0.0, 0.0), p)["s"]
+        assert 2.0 * d_value(p, 1.0, 2.0 * s) > mass
+        assert s == -0.5 or not 2.0 * d_value(p, 1.0, 4.0 * s) > mass
+
+
+def test_critical_b_route_has_no_mass_cap():
+    # M = 1.25e62 takes 204 halvings of s
+    g = make_grid(10.0, 256)
+    f = Field(g, 1e31 * np.exp(-g.x**2))
+    p = ModelParams(-3.0 / 16.0)
+    for frame in Frame:
+        res = classify_thm17(f, p, frame=frame)
+        assert res.theorem17_case == "critical-b" and res.global_existence is True
+        assert res.per_s == [{"s": -1.9446922743316068e-62, "verdict": "A_plus"}]
+        si = invariant_summary(f, p, frame)
+        assert scan_curve(si, p, res.per_s[0]["s"])["verdict"] == "A_plus"
+
+
+def test_classify_routes_b_exactly_minus_3_16():
+    g = make_grid(10.0, 256)
+    f = Field(g, np.exp(-g.x**2))
+    # b a hair below -3/16 has gamma < 0 and no classification
+    with pytest.raises(RegionError, match="classification requires b >= -3/16"):
+        classify_thm17(f, ModelParams(-3.0 / 16.0 - 5e-13))
+    # a hair above, gamma > 0: the general case analysis, not the route
+    assert classify_thm17(f, ModelParams(-3.0 / 16.0 + 5e-13)).theorem17_case != "critical-b"
+
+
+@pytest.mark.parametrize("mass", [math.inf, math.nan])
+def test_critical_b_route_refuses_a_non_finite_mass(mass):
+    # s halves to 0, outside the s range, instead of looping or certifying
+    p = ModelParams(-3.0 / 16.0)
     with pytest.raises(RegionError):
-        critical_b_membership(si, p)
+        critical_b_membership(Invariants(p.b, 0.25, 1.0, mass, 0.0, 0.0, 0.0, 0.0), p)
 
 
 def test_nehari_normalize_soliton_is_identity():

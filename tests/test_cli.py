@@ -104,6 +104,14 @@ def test_scan_grid_is_numpy_linspace_bit_for_bit(capsys, s_from, s_to, steps):
     assert printed == [s.hex() for s in np.linspace(s_from, s_to, steps).tolist()]
 
 
+@pytest.mark.parametrize("steps", ["1", "0"])
+def test_scan_needs_two_steps(capsys, steps):
+    assert main(["scan", "--b", "0.1", "--quantity", "d",
+                 "--s-from", "0.1", "--s-to", "0.5", "--steps", steps]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "dnls-well: domain error: steps must be >= 2\n"
+
+
 def test_scan_csv_17_digits_and_file_output(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["scan", "--b", "0.1", "--quantity", "d",
@@ -262,6 +270,14 @@ def test_verify_scalar_suite_passes(capsys, suite):
     res = json.loads(capsys.readouterr().out)
     assert res["suite"] == suite and res["pass"] is True
     assert len(res["checks"]) == 20
+    assert all(c["error"] < c["tol"] for c in res["checks"])
+
+
+def test_verify_ode_passes(capsys):
+    assert main(["verify", "--suite", "ode"]) == 0
+    res = json.loads(capsys.readouterr().out)
+    assert res["suite"] == "ode" and res["pass"] is True
+    assert [c["name"] for c in res["checks"]] == ["peak b=0", "pointwise b=3/16", "pointwise b=-2"]
     assert all(c["error"] < c["tol"] for c in res["checks"])
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from dnls_well import closedform as cf
 from dnls_well.field import Field, make_grid
-from dnls_well.functionals import Frame, gn_ratio, invariants, report
+from dnls_well.functionals import Frame, invariants, report
 from dnls_well.functionals import WELL_A
 from dnls_well.solitons import (
     ModelParams,
@@ -92,35 +92,43 @@ def test_action_decomposition(rng):
 def test_gn_ratio_gaussian():
     g = make_grid(20.0, 1024)
     f = Field(g, np.exp(-(g.x**2)))
-    assert gn_ratio(f) == pytest.approx(np.pi / (2.0 * np.sqrt(3.0)), rel=1e-10)
+    assert invariants(f, 0.0, 0.0).gn_ratio == pytest.approx(np.pi / (2.0 * np.sqrt(3.0)), rel=1e-10)
 
 
 def test_gn_ratio_below_one_on_random_fields(rng):
     g = make_grid(15.0, 512)
     for _ in range(20):
         f = random_smooth_field(rng, g)
-        assert gn_ratio(f) < 1.0
+        assert invariants(f, 0.0, 0.0).gn_ratio < 1.0
 
 
 def test_gn_ratio_one_on_optimizer():
     # sech^{1/2}(2x) saturates the sextic Gagliardo-Nirenberg inequality
     g = make_grid(40.0, 2**12)
     f = Field(g, 1.0 / np.cosh(2.0 * g.x) ** 0.5)
-    assert gn_ratio(f) == pytest.approx(1.0, abs=1e-12)
+    assert invariants(f, 0.0, 0.0).gn_ratio == pytest.approx(1.0, abs=1e-12)
+
+
+def test_gn_ratio_of_an_unresolved_spike_passes_the_continuum_bound():
+    # the bound holds on the line, not on a grid: a one-sample spike on N = 8
+    # points reads M = ||f||_6^6 = dx and, with the Nyquist mode zeroed,
+    # ||f_x||^2 = 4 pi^2 (1 + 4 + 9) 2 / (N^3 dx), so the ratio is N^3 / 448 = 8/7
+    g = make_grid(3.0, 8)
+    for i in range(8):
+        spike = np.zeros(8)
+        spike[i] = 1.0
+        assert invariants(Field(g, spike), 0.0, 0.0).gn_ratio == 8.0 / 7.0
 
 
 def test_gn_ratio_zero_field():
     g = make_grid(5.0, 64)
-    with pytest.raises(ValueError):
-        gn_ratio(Field(g, np.zeros(64)))
+    assert invariants(Field(g, np.zeros(64)), 0.0, 0.0).gn_ratio is None
 
 
 def test_gn_ratio_constant_field():
     g = make_grid(5.0, 64)
     f = Field(g, np.full(64, 0.3 + 0.4j))
     assert invariants(f, 0.0, 0.0).gn_ratio is None
-    with pytest.raises(ValueError, match="constant"):
-        gn_ratio(f)
 
 
 def test_frame_member_is_its_gauge_number():

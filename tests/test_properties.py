@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dnls_well.classifier import _scan
+from dnls_well.classifier import _scan, classify_thm17
 from dnls_well.closedform import d_value
 from dnls_well.evolve import AMP_CAP, _blow_up, _clean
 from dnls_well.field import Field, make_grid
@@ -78,6 +78,44 @@ def test_mass_critical_rescaling_is_exact_on_the_integrals(L, n, b, seed, omega,
         for name in ("energy", "action", "nehari", "ell", "ii"):
             assert getattr(rep, name) == 16.0 * getattr(ref, name), name
         assert (rep.mass, rep.momentum, rep.gn_ratio) == (ref.mass, 4.0 * ref.momentum, ref.gn_ratio)
+
+
+def _scaled_row(row: dict) -> dict:
+    """A per-s row with its J edges times 4, the row of the lam = 4 rescaling."""
+    if "J" not in row:  # the b = -3/16 route's row has no J
+        return row
+    edges = [[4.0 * lo, None if hi is None else 4.0 * hi] for lo, hi in row["J"]]
+    return {**row, "J": edges}
+
+
+@PROPS
+@given(
+    st.floats(5.0, 40.0),
+    st.integers(32, 256).map(lambda h: 2 * h),
+    st.sampled_from([-3.0 / 16.0, 0.0, 0.1, -0.1, 0.5]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.1, 4.0),
+)
+def test_mass_critical_rescaling_is_exact_on_classify(L, n, b, seed, amp):
+    # every classify_thm17 key of u(x) = 2 v(4 x) is that of v scaled exactly:
+    # the mass, s and each verdict fixed, the momentum, c and J by 4, the
+    # energy, omega and the a-priori bound by 16
+    f = random_smooth_field(np.random.default_rng(seed), make_grid(L, n), amp=amp)
+    u = Field(make_grid(L / 4.0, n), 2.0 * f.values)
+    p = ModelParams(b)
+    s_grid = np.linspace(-0.8, 0.8, 9)
+    for frame in Frame:
+        ref = classify_thm17(f, p, s_grid, frame).to_dict()
+        res = classify_thm17(u, p, s_grid, frame).to_dict()
+        for name in ("energy", "witness_omega", "apriori_bound"):
+            assert res[name] == (None if ref[name] is None else 16.0 * ref[name]), name
+        for name in ("momentum", "witness_c"):
+            assert res[name] == (None if ref[name] is None else 4.0 * ref[name]), name
+        assert res["per_s"] == [_scaled_row(row) for row in ref["per_s"]]
+        same = ("theorem17_case", "global_existence", "boundary_soliton", "m_star", "s_star", "mass")
+        assert [res[k] for k in same] == [ref[k] for k in same]
+        assert set(res) == set(same) | {"energy", "witness_omega", "apriori_bound", "momentum",
+                                        "witness_c", "per_s"}
 
 
 @PROPS
