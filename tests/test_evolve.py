@@ -333,6 +333,24 @@ def _stepper_and_state(rng, n=256, a=0.25):
     return g, _Stepper(g, 1e-3, ModelParams(0.1), a), vhat
 
 
+@pytest.mark.parametrize("a", [0.0, 0.25, 0.1])
+def test_step_is_reversed_by_its_conjugate_step(a):
+    # w(t, x) = conj v(-t, -x) solves the equation whenever v does, and on the
+    # grid x -> -x with conjugation is conj(v-hat); so step, conjugate, step,
+    # conjugate returns v-hat_0 up to the step's error.  The dt^5 terms of the
+    # two steps cancel, so the round trip is O(dt^6): about 64x per halving
+    g = make_grid(20.0, 512)
+    vhat0 = np.fft.fft(random_smooth_field(np.random.default_rng(3), g, amp=1.5).values)
+    errs = []
+    for dt in (4e-2, 2e-2, 1e-2, 5e-3):
+        st = _Stepper(g, dt, ModelParams(0.1), a)
+        back = np.conj(st.step(np.conj(st.step(vhat0))))
+        errs.append(np.linalg.norm(back - vhat0) / np.linalg.norm(vhat0))
+    assert errs[-1] > 1e-13  # every halving below is read above rounding
+    for coarse, fine in zip(errs, errs[1:]):
+        assert coarse >= 32.0 * fine, errs
+
+
 @pytest.mark.parametrize("a", [0.0, 0.25])
 def test_step_leaves_its_input_unchanged(rng, a):
     _, st, vhat = _stepper_and_state(rng, a=a)

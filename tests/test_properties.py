@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dnls_well.classifier import _scan, classify_thm17
+from dnls_well.classifier import _scan, classify_thm17, invariant_summary, scan_curve
 from dnls_well.closedform import d_value
 from dnls_well.evolve import AMP_CAP, _blow_up, _clean
 from dnls_well.field import Field, make_grid
@@ -116,6 +116,27 @@ def test_mass_critical_rescaling_is_exact_on_classify(L, n, b, seed, amp):
         assert [res[k] for k in same] == [ref[k] for k in same]
         assert set(res) == set(same) | {"energy", "witness_omega", "apriori_bound", "momentum",
                                         "witness_c", "per_s"}
+
+
+@PROPS
+@given(
+    st.floats(5.0, 40.0),
+    st.integers(32, 256).map(lambda h: 2 * h),
+    st.sampled_from([-3.0 / 16.0, 0.0, 0.1, -0.1, 0.5]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.1, 4.0),
+    st.data(),
+)
+def test_mass_critical_rescaling_is_exact_on_scan_curve(L, n, b, seed, amp, data):
+    # at any admissible s, s in (-1, 1] for gamma > 0 and (-1, s_hi) else, the
+    # curve row of u(x) = 2 v(4 x) is that of v with its J edges times 4
+    p = ModelParams(b)
+    s = data.draw(st.floats(-1.0, p.s_hi, exclude_min=True, exclude_max=p.gamma <= 0.0), label="s")
+    f = random_smooth_field(np.random.default_rng(seed), make_grid(L, n), amp=amp)
+    u = Field(make_grid(L / 4.0, n), 2.0 * f.values)
+    for frame in Frame:
+        ref = scan_curve(invariant_summary(f, p, frame), p, s)
+        assert scan_curve(invariant_summary(u, p, frame), p, s) == _scaled_row(ref)
 
 
 @PROPS

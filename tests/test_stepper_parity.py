@@ -1,12 +1,15 @@
-"""The Lawson-RK4 stepper against the one it replaced, and the blow-up screen.
+"""The Lawson-RK4 stepper against the ones it replaced, and the blow-up screen.
 
 `SeedStepper` below is the earlier implementation, kept verbatim: two
 inverse FFTs per stage and |v|^2, |v|^4 through np.abs.  The current
 stepper evaluates the same Lawson-RK4 step in a different order, with 1/N
 and the dealiasing mask folded into its dt-dependent weights, so one step
-may differ only by rounding, at every dt.  `evolve` no longer back-transforms
-every step to look for blow-up; the screen tests below check that the
-Fourier-side bound it uses instead lets no bad state through.
+may differ only by rounding, at every dt.  `NpFftStepper` is the current
+stepper with its stage FFTs through `np.fft`, as they were before the step
+called numpy's pocketfft gufuncs directly; that route must agree to the bit.
+`evolve` no longer back-transforms every step to look for blow-up; the
+screen tests below check that the Fourier-side bound it uses instead lets
+no bad state through.
 """
 from dataclasses import replace
 
@@ -16,7 +19,8 @@ import pytest
 from dnls_well import evolve as ev
 from dnls_well.evolve import AMP_CAP, EvolveConfig, _Stepper, evolve, kappa
 from dnls_well.field import Field, Grid, make_grid
-from dnls_well.solitons import ModelParams
+from dnls_well.gauge import gauge_transform
+from dnls_well.solitons import ModelParams, SolitonParams, sample_varphi, suggested_half_length
 
 from conftest import random_smooth_field
 
@@ -58,6 +62,29 @@ class SeedStepper:
         return ef * vhat + dt / 6.0 * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
 
 
+class NpFftStepper(_Stepper):
+    """The current stepper with the `np.fft` stage transforms it had before."""
+
+    def _nhat(self, vhat, out=None):
+        """Transform of the nonlinearity v q of the dealiased v-hat, into out
+        (or a new array).  The result itself is not masked: the weights that
+        multiply it are."""
+        np.multiply(self.to_v_vx, vhat, out=self._stack)
+        np.fft.ifft(self._stack, out=self._v_vx, norm="forward")
+        v, vx, rho, tmp, z, q = self._v, self._vx, self._rho, self._tmp, self._z, self._q
+        np.multiply(v.real, v.real, out=rho)
+        np.multiply(v.imag, v.imag, out=tmp)
+        rho += tmp
+        np.conjugate(v, out=z)
+        z *= vx
+        np.multiply(z.real, self.re_q, out=q.real)
+        np.multiply(rho, rho, out=tmp)
+        tmp *= self.kap
+        np.subtract(tmp, z.imag, out=q.imag)
+        q *= v
+        return np.fft.fft(q, out=out)
+
+
 # --- parity ------------------------------------------------------------------
 
 
@@ -84,7 +111,58 @@ def test_step_matches_seed_stepper(a, b, n, dt):
     # the nonlinearity alone: the step is mostly the integrating factor both
     # share, which dilutes a difference in the stage evaluation by ~1e-3.
     # The stepper's _nhat leaves the mask to the weights, so apply it here
-    assert _rel(new.mask * new._nhat(vhat), seed._nhat(vhat)) <= 1e-13
+    assert _rel(new.mask * new._nhat(vhat, np.empty(n, complex)), seed._nhat(vhat)) <= 1e-13
+
+
+# --- the pocketfft kernels against np.fft, bit for bit ---------------------
+
+
+@pytest.mark.parametrize("shape", [(512,), (2, 512), (8,), (2, 4096)])
+def test_kernels_are_np_fft_to_the_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    fwd, inv = np.empty_like(x), np.empty_like(x)
+    ev.pocketfft.fft(x, 1.0, axes=ev._LAST_AXIS, out=fwd)
+    ev.pocketfft.ifft(x, 1.0, axes=ev._LAST_AXIS, out=inv)
+    assert np.array_equal(fwd, np.fft.fft(x))
+    assert np.array_equal(inv, np.fft.ifft(x, norm="forward"))
+
+
+@pytest.mark.parametrize("n", [8, 512, 4096])
+@pytest.mark.parametrize("b", [0.0, 0.1])
+@pytest.mark.parametrize("a", [0.0, 0.1, 0.25])
+def test_kernel_route_steps_as_np_fft_to_the_bit(a, b, n):
+    g = make_grid(20.0, n)
+    vhat = np.fft.fft(random_smooth_field(np.random.default_rng(n), g, amp=1.5).values)
+    p = ModelParams(b)
+    new, old = _Stepper(g, 1e-3, p, a), NpFftStepper(g, 1e-3, p, a)
+    v_new, v_old = vhat, vhat
+    for _ in range(50):
+        v_new, v_old = new.step(v_new), old.step(v_old)
+    assert np.all(np.isfinite(v_new)) and np.array_equal(v_new, v_old)
+
+
+def _monitored_run(a):
+    # the travelling soliton of the monitor tests, 0.9 of it, given in frame a
+    p = ModelParams(0.1)
+    sp = SolitonParams(p, 1.0, 0.4)
+    g = make_grid(suggested_half_length(sp), 512)
+    u0 = gauge_transform(Field(g, 0.9 * sample_varphi(sp, g).values), a - 0.25)
+    return evolve(u0, EvolveConfig(b=0.1, gauge_a=a, t_end=0.05, record_every=5), monitor=(1.0, 0.4))
+
+
+@pytest.mark.parametrize("a", [0.0, 0.25])
+def test_kernel_route_runs_as_np_fft_to_the_bit(monkeypatch, a):
+    new = _monitored_run(a)
+    monkeypatch.setattr(ev, "_Stepper", NpFftStepper)
+    old = _monitored_run(a)
+    assert new.status == old.status == "ok" and len(new.snapshots) > 2
+    assert [t for t, _ in new.snapshots] == [t for t, _ in old.snapshots]
+    for (_, f_new), (_, f_old) in zip(new.snapshots, old.snapshots):
+        assert np.array_equal(f_new.values, f_old.values)
+    assert new.drift == old.drift
+    assert (new.k_signs, new.grad_history) == (old.k_signs, old.grad_history)
+    assert (new.dt_used, new.n_steps) == (old.dt_used, old.n_steps)
 
 
 # --- blow-up screen ----------------------------------------------------------
