@@ -371,6 +371,37 @@ def gauge_consistency(f0: Field, b: float, t_end: float) -> float:
     return math.sqrt(l2_norm_sq(Field(f0.grid, path1.values - run2.final.values)))
 
 
+def _reflect(v):
+    """w(x) = conj v(-x) on the grid: x_j -> x_{N-j}, an exact index map that
+    is its own inverse bit for bit."""
+    return np.conj(np.roll(v[::-1], 1))
+
+
+def reversal_error(f0: Field, cfg: EvolveConfig) -> dict:
+    """The run's time error, estimated from the equation's time reversal.
+
+    If v solves the frame-a equation, so does conj v(-t, -x).  So a run to
+    t_end, reflected, run to t_end again with the same cfg and reflected back
+    returns f0 up to the time error of the two runs.  "error" is that
+    round trip's ||back - f0|| / ||f0||.  Spatial truncation is reversible
+    and does not show in it, so "peak_tail", the larger of the two runs'
+    peak_tail, is returned beside it.  Either run stopping short of t_end
+    leaves nothing to compare: RuntimeError.
+    """
+    run1 = evolve(f0, cfg)
+    run2 = evolve(Field(f0.grid, _reflect(run1.final.values)), cfg)
+    if run1.status != "ok" or run2.status != "ok":
+        raise RuntimeError(
+            "the reversal error needs both runs to reach t_end; reasons: "
+            f"forward {run1.reason or 'none'}, reflected {run2.reason or 'none'}"
+        )
+    back = Field(f0.grid, _reflect(run2.final.values) - f0.values)
+    return {
+        "error": math.sqrt(l2_norm_sq(back) / l2_norm_sq(f0)),
+        "peak_tail": max(run1.peak_tail, run2.peak_tail),
+    }
+
+
 # --- modulation fit against the algebraic profile --------------------------
 
 _GRAD_SQ_REF = 4.0 * np.pi  # ||d/dx phi_{1,2}||_2^2 in closed form

@@ -1,9 +1,20 @@
-"""Command-line interface: outputs, formats, exit codes."""
+"""Command-line interface: outputs, formats, exit codes.
+
+The tests import `dnls_well` wherever the interpreter finds it, so the same
+file checks `src/` and an installed copy (run it with `-o pythonpath=` to
+drop the `src` entry that `pyproject.toml` gives pytest).
+"""
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dnls_well
 from dnls_well.cli import main
 from dnls_well.field import Field, load_field, make_grid, save_field
 from dnls_well.solitons import ModelParams, SolitonParams, sample_phi, suggested_half_length
@@ -136,6 +147,8 @@ def test_classify_json(tmp_path, capsys):
     res = json.loads(capsys.readouterr().out)
     assert res["theorem17_case"] == "ii"
     assert len(res["per_s"]) >= 3
+    # case ii: global existence with a finite, positive a-priori bound
+    assert res["global_existence"] is True and 0.0 < res["apriori_bound"] < math.inf
 
 
 def test_classify_negative_s_grid_needs_equals_form(tmp_path, capsys):
@@ -377,12 +390,14 @@ def test_classify_negative_s_grid_count_is_domain_error(tmp_path, capsys):
         {"grid": {"L": 3.0, "N": 8.7}, "re": [0.1 * j for j in range(8)], "im": [0.0] * 8},
         {"grid": {"L": 3.0, "N": 8}, "re": [str(0.1 * j) for j in range(8)], "im": [0.0] * 8},
         {"grid": {"L": 3.0, "N": 8}, "re": [True] * 8, "im": [0.0] * 8},
+        {"grid": {"L": 3.0, "N": 8}, "re": [True] + [0.1] * 7, "im": [0.0] * 8},
         {"grid": {"L": "3", "N": 8}, "re": [0.1 * j for j in range(8)], "im": [0.0] * 8},
         {"grid": {"L": True, "N": 8}, "re": [0.1 * j for j in range(8)], "im": [0.0] * 8},
         [1, 2],
         {"grid": None, "re": [0.1 * j for j in range(8)], "im": [0.0] * 8},
     ],
-    ids=["im-one-entry", "re-scalar", "N-float", "re-strings", "re-bools", "L-str", "L-bool", "list", "grid-null"],
+    ids=["im-one-entry", "re-scalar", "N-float", "re-strings", "re-bools", "re-one-bool", "L-str", "L-bool",
+         "list", "grid-null"],
 )
 def test_report_on_a_malformed_field_file_is_one_domain_error_line(tmp_path, capsys, record):
     path = tmp_path / "bad.json"
@@ -411,3 +426,38 @@ def test_classify_below_critical_b_is_domain_error(tmp_path, capsys):
     assert main(["classify", "--field", str(path), "--b", "-0.2"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("dnls-well: domain error: ")
+
+
+def test_classify_critical_b_soliton_prints_its_row(tmp_path, capsys):
+    # at b = -3/16 the route halves s from -1/2 once: 2 d(1, -1/2) > M
+    path = tmp_path / "crit.json"
+    assert main(["soliton", "--b", "-0.1875", "--omega", "1", "--c", "-1",
+                 "--L", "30", "--N", "512", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["classify", "--field", str(path), "--b", "-0.1875"]) == 0
+    out = capsys.readouterr().out
+    assert '"per_s": [{"s": -0.25, "verdict": "A_plus"}]' in out
+    res = json.loads(out)
+    assert res["theorem17_case"] == "critical-b" and res["global_existence"] is True
+
+
+def test_report_reads_json_integers_past_int64(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"grid": {"L": 3.0, "N": 8}, "re": [2**63, 10**30] + [0] * 6, "im": [0] * 8}))
+    assert main(["report", "--field", str(path), "--b", "0.1", "--omega", "1", "--c", "0.5"]) == 0
+    rep = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert rep["mass"] == pytest.approx(3.0 / 4.0 * (2.0**126 + 1e60), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["threshold", "--b", "0.1"], 0), (["threshold", "--b", "nan"], 1), (["threshold", "--b", "0", "--bogus"], 64)],
+)
+def test_python_m_cli_exit_code(argv, code):
+    # the child imports the dnls_well under test, from src/ or installed
+    env = dict(os.environ, PYTHONPATH=str(Path(dnls_well.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "dnls_well.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert set(json.loads(proc.stdout)) == {"M_star", "s_star"}

@@ -67,6 +67,11 @@ def test_cosh_integral_refuses_alpha_outside_its_domain(alpha, power):
         cosh_integral(alpha, power)
 
 
+def test_cosh_integral_refuses_a_power_other_than_one_or_two():
+    with pytest.raises(ValueError, match="power must be 1 or 2"):
+        cosh_integral(1.0, 3)
+
+
 def test_region_enforced():
     with pytest.raises(RegionError):
         soliton_mass(ModelParams(0.0), 1.0, 2.5)

@@ -59,7 +59,7 @@ def _s_grid(p: ModelParams, n: int = 1001) -> np.ndarray:
 
 B_VALUES = [
     0.1, -0.1, BCRIT, BCRIT - 1e-10, -0.3, 0.5, BCRIT + 1e-3, BCRIT - 1e-3,
-    BCRIT + 1e-10, BCRIT + 1e-6, BCRIT - 1e-6, 1e-9, 3.0, -2.0,
+    BCRIT + 1e-10, BCRIT + 1e-6, BCRIT - 1e-6, 1e-9, 3.0, -2.0, 0.0,
 ]
 
 

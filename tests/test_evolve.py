@@ -1,6 +1,7 @@
 """Time integration: conservation, soliton propagation, diagnostics."""
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from dnls_well.evolve import (
     gauge_consistency,
     kappa,
     profile_fit,
+    reversal_error,
     step,
 )
 from dnls_well.field import (
     Field,
+    Grid,
     GridError,
     integrate,
     l2_norm_sq,
@@ -586,3 +589,88 @@ def test_focusing_gaussian_stops_under_resolved():
     traj = evolve(Field(g, 4.0 * np.exp(-g.x**2, dtype=complex)), EvolveConfig(b=0.5, t_end=3.0))
     assert (traj.status, traj.reason) == ("stopped", "under-resolved")
     assert traj.times[-1] < 3.0
+
+
+# --- the time-reversal error estimate ---------------------------------------
+
+
+def _scaled_soliton(b, omega, c, lam, n=512):
+    """lam varphi_{omega,c} in the well frame, on the suggested window."""
+    sp = SolitonParams(ModelParams(b), omega, c)
+    g = make_grid(suggested_half_length(sp), n)
+    return Field(g, lam * sample_varphi(sp, g).values)
+
+
+def _rel_l2(f: Field, ref: Field) -> float:
+    return math.sqrt(l2_norm_sq(Field(ref.grid, f.values - ref.values)) / l2_norm_sq(ref))
+
+
+def test_reflection_is_an_exact_involution():
+    # conj v(-x) on the grid is conj(v-hat) in Fourier space, and its own inverse
+    v = random_smooth_field(np.random.default_rng(5), make_grid(20.0, 512), amp=1.5).values
+    w = ev._reflect(v)
+    assert np.max(np.abs(w - np.fft.ifft(np.conj(np.fft.fft(v))))) < 1e-15 * 512
+    assert np.array_equal(ev._reflect(w), v)
+    assert w[0] == np.conj(v[0]) and w[1] == np.conj(v[-1])
+
+
+@pytest.mark.parametrize("b, omega, c, lam", [(0.1, 1.0, -0.5, 1.25), (0.0, 1.0, 0.0, 1.2), (0.05, 1.2, 0.3, 1.18)])
+def test_reversal_error_tracks_the_time_error_on_a_minus_data(b, omega, c, lam):
+    # criterion 08's A- members have no exact solution; the reference is the
+    # same run at dt/8.  Measured ratios: 0.67, 1.21 and 0.41.  Records do not
+    # change the steps, so the runs record only at t = 0 and t_end
+    f = _scaled_soliton(b, omega, c, lam)
+    cfg = EvolveConfig(b=b, gauge_a=0.25, t_end=1.0, record_every=10**9)
+    run = evolve(f, cfg)
+    ref = evolve(f, replace(cfg, dt=run.dt_used / 8))
+    assert run.status == ref.status == "ok"
+    err = _rel_l2(run.final, ref.final)
+    est = reversal_error(f, cfg)["error"]
+    assert 0.1 * err < est < 10.0 * err, (est, err)
+
+
+@pytest.mark.parametrize("a", [0.25, 0.0])
+def test_reversal_error_reports_the_tail_that_its_round_trip_cannot_see(a):
+    # the c = 1.9 soliton at b = 0.1 is under-resolved in space at N = 1024
+    # (error 6.3e-5 against the exact solution), which a round trip cannot
+    # see: it reads 2.9e-10 at a = 1/4 and 6.6e-9 at a = 0.  The tail flags
+    # it, 8.8e-8 and 1.7e-7 against 1e-22 at c = 0.5
+    sp = SolitonParams(ModelParams(0.1), 1.0, 1.9)
+    g = make_grid(1.5 * suggested_half_length(sp), 1024)
+    f = (sample_varphi if a else sample_phi)(sp, g)
+    res = reversal_error(f, EvolveConfig(b=0.1, gauge_a=a, t_end=1.0))
+    assert res["peak_tail"] > 1e-9 and res["error"] < 1e-7, res
+
+
+def test_reversal_error_refuses_runs_that_stop_short():
+    g = make_grid(20.0, 512)
+    f = Field(g, 1e3 * np.exp(-g.x**2))
+    with pytest.raises(RuntimeError, match="forward step-budget, reflected step-budget"):
+        reversal_error(f, EvolveConfig(b=0.05, t_end=0.05))
+
+
+@pytest.mark.parametrize(
+    "spec, a",
+    [((0.1, 1.0, 0.4, 0.8), 0.25), ((0.1, 1.0, 0.4, 0.8), 0.0), ((0.1, 1.0, -0.5, 1.25), 0.25)],
+    ids=["A+-a1/4", "A+-a0", "A--a1/4"],
+)
+def test_flow_commutes_with_the_mass_critical_rescaling(spec, a):
+    """u -> 2 u(4 x) on the grid (L/4, N), run to t/16 and halved, is the run
+    of u to t, within 5x the larger of the two runs' reversal errors.
+
+    It is not bit-exact: the image does not step at dt/16.  The CFL cap
+    0.5 dx / (1 + max |v|^2) and the default dt do not scale with the
+    field, so the A+ image steps at 1.76e-4, 2.8e-3 in the unscaled time,
+    against 1e-3 for u.  Measured gap over estimate: 0.28 and 0.33 for A+
+    at a = 1/4 and a = 0, and 1.16 for A-.
+    """
+    b = spec[0]
+    f = _scaled_soliton(*spec)
+    image = Field(Grid(f.grid.L / 4.0, f.grid.N), 2.0 * f.values)
+    cfg = EvolveConfig(b=b, gauge_a=a, t_end=1.0, record_every=10**9)
+    image_cfg = replace(cfg, t_end=cfg.t_end / 16.0)
+    run, image_run = evolve(f, cfg), evolve(image, image_cfg)
+    assert run.status == image_run.status == "ok"
+    gap = _rel_l2(Field(f.grid, 0.5 * image_run.final.values), run.final)
+    est = max(reversal_error(f, cfg)["error"], reversal_error(image, image_cfg)["error"])
+    assert gap < 5.0 * est, (gap, est)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,14 @@ def test_algebraic_not_shootable():
 def test_quad_error_propagates():
     with pytest.raises(QuadratureError):
         adaptive_quad(lambda y: np.sin(y * y) / (abs(y) + 1e-300) ** 0.999, -np.inf, np.inf)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_quad_of_a_non_finite_integrand_is_refused_without_a_warning(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="non-finite quadrature sum at level 0"):
+            adaptive_quad(lambda y: np.full(np.shape(y), value), 0.0, 1.0)
 
 
 @pytest.mark.parametrize("b,d,bound", [(-0.3, 1e-5, 2e-9), (-0.19, 1e-5, 2e-9), (-0.19, 1e-6, 1e-8)])

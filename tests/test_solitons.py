@@ -135,6 +135,13 @@ def test_algebraic_tail_models_match_quadrature():
     assert algebraic_tail_l4(sp, L) == pytest.approx(2.0 * ref4, rel=1e-10)
 
 
+@pytest.mark.parametrize("tail", [algebraic_tail_mass, algebraic_tail_l4])
+def test_algebraic_tail_models_refuse_an_exponential_profile(tail):
+    sp = SolitonParams(ModelParams(0.0), 1.0, 1.0)
+    with pytest.raises(RegionError, match="algebraic profile only"):
+        tail(sp, 40.0)
+
+
 def test_suggested_half_length_rejects_algebraic():
     sp = SolitonParams(ModelParams(0.0), 1.0, 2.0)
     with pytest.raises(RegionError):
