@@ -1,31 +1,26 @@
 """The certified set C on a curve and the case-ii witness read off it.
 
-`earlier_scan` is the per-s row kernel as it was before the certified set
-took over its K-sign test, and `earlier_case_ii_witness` the doubling
-search that gave the case-ii witness; both are kept verbatim but for their
-names.  The rows of `_scan` must equal `earlier_scan`'s to the bit, and the
-least-bound witness must certify wherever the doubling search did, with a
-bound no larger.
+`earlier_case_ii_witness` is the doubling search that gave the case-ii
+witness before the certified set took over, kept verbatim but for its name.
+The least-bound witness must certify wherever the doubling search did, with
+a bound no larger.  The rows of `_scan` are checked against the seed row
+kernel in `test_classifier.test_scan_matches_seed_row`.
 """
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from dnls_well import classifier
 from dnls_well.classifier import (
-    _VERDICTS,
     _coeffs,
     _curve,
-    _negative_intervals,
-    _scan,
     apriori_bound,
     classify_thm17,
     invariant_summary,
     member,
 )
-from dnls_well.closedform import ModelParams, RegionError, d_value
+from dnls_well.closedform import ModelParams, d_value
 from dnls_well.evolve import EvolveConfig, evolve
 from dnls_well.field import Field, make_grid
 from dnls_well.functionals import Frame, Invariants
@@ -33,39 +28,6 @@ from dnls_well.functionals import Frame, Invariants
 from conftest import random_smooth_field
 
 _EARLIER_MU_CAP = float(2**30)
-
-
-def earlier_scan(co, dil_co, p: ModelParams, s: float) -> dict:
-    """`scan_curve` at a float s from `_coeffs` of the record (co) and of its
-    dilation (dil_co), so that an s loop reads them once.
-
-    J is where the action gap (M/2 - d(1, 2s)) mu^2 + s P mu + E is negative,
-    and K is the quadratic of dil_co; K < 0 on J where an interval of J meets
-    {K < 0}, and K >= 0 on J unless each interval of J lies inside one of
-    {K < 0} (a zero of K counts as K > 0).
-    """
-    half_m, mom, e = co
-    try:  # at (1, 2s) the kernel's region test is exactly the admissible s range
-        j = _negative_intervals(half_m - d_value(p, 1.0, 2.0 * s), s * mom, e)
-    except RegionError:
-        raise RegionError(f"s={s} outside admissible range for b={p.b}") from None
-    half_m, mom, e = dil_co
-    neg = _negative_intervals(half_m, s * mom, e)
-    plus = minus = False
-    for lo, hi in j:
-        inside = False
-        for n_lo, n_hi in neg:
-            if max(lo, n_lo) < min(hi, n_hi):
-                minus = True
-            inside = inside or (n_lo <= lo and hi <= n_hi)
-        plus = plus or not inside
-    verdict, signs = _VERDICTS[plus, minus]
-    return {
-        "s": s,
-        "verdict": verdict,
-        "J": [[lo, hi if math.isfinite(hi) else None] for lo, hi in j],
-        "k_signs": list(signs),
-    }
 
 
 def earlier_case_ii_witness(si, dil, p: ModelParams, s: float):
@@ -85,65 +47,7 @@ def earlier_case_ii_witness(si, dil, p: ModelParams, s: float):
     return None
 
 
-# --- rows: bit-identical to the earlier kernel ------------------------------------
-
-_S_HI_OPEN = ModelParams(-0.3).s_hi
-coefficient = st.one_of(
-    st.sampled_from([0.0, -0.0, 1e-297, -1e-297, 1.0, -1.0, 2.0, -2.0]),
-    st.floats(-10.0, 10.0),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
-record = st.tuples(coefficient, coefficient, coefficient)
-s_value = st.one_of(
-    st.sampled_from([1.0, -1.0, 0.5, 0.0, -0.0, _S_HI_OPEN, math.nextafter(_S_HI_OPEN, -1.0)]),
-    st.floats(-1.0, 1.0),
-)
-
-
-def _row_or_refusal(scan, co, dil_co, p, s) -> str:
-    try:
-        return repr(scan(co, dil_co, p, s))
-    except RegionError as exc:
-        return repr(exc)
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=800)
-@given(st.sampled_from([0.1, 0.0, -0.3]), s_value, record, record, st.booleans())
-# J = (0, 1) and K = 1 - mu: C = (0, 1), touching {K < 0} = (1, inf) at J's end
-@example(0.1, 0.5, (0.0, 2.0, -1.0), (0.0, -2.0, 1.0), True)
-# J = (0, 1) inside {K < 0} = (0, 1): C is empty, K < 0 on all of J
-@example(0.1, 0.5, (0.0, 2.0, -1.0), (0.0, 2.0, -1.0), True)
-# J = (1, inf) against K = mu - 1 and K = 1 - mu
-@example(0.1, 0.5, (0.0, -2.0, 1.0), (0.0, 2.0, -1.0), True)
-@example(0.1, 0.5, (0.0, -2.0, 1.0), (0.0, -2.0, 1.0), True)
-# J = (0, 1) ends on the root 1 of K = (mu - 1)(mu - 3), whose negative interval is (1, 3)
-@example(0.1, 1.0, (0.0, 1.0, -1.0), (1.0, -4.0, 3.0), True)
-# J = (0, inf) against K = -(mu - 1)(mu - 3): C = [1, 3] between its negative intervals
-@example(0.1, 1.0, (0.0, 0.0, 0.0), (-1.0, 4.0, -3.0), False)
-# a double root of K = (mu - 1)^2 on J: its zero counts as K > 0
-@example(0.1, 1.0, (0.0, 0.0, -1.0), (1.0, -2.0, 1.0), True)
-# a double root of K = -(mu - 1)^2: no sign change, so {K < 0} is all of mu > 0
-@example(0.1, 1.0, (0.0, 0.0, -1.0), (-1.0, 2.0, -1.0), True)
-# a zero record: K vanishes identically on J = (0, inf)
-@example(0.1, 0.5, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), False)
-# overflowing discriminants: nan ends of J and of {K < 0}
-@example(0.1, 1.0, (1e300, 1e300, 1e300), (1.0, -4.0, 3.0), False)
-@example(0.1, 1.0, (0.0, 1.0, -1.0), (1e300, 1e300, 1e300), True)
-@example(0.1, 1.0, (1e300, 1e300, 1e300), (1e300, 1e300, 1e300), False)
-# a root overflowed to inf: J = [(inf, inf)] counts as an interval of J, and lies
-# inside {K < 0} = [(inf, inf)] in the second; in the third {K < 0} = [(inf, inf)] alone
-@example(0.1, -0.6123724356957945, (0.0, -2.1894858665067568e154, 0.0), (0.0, 0.0, 0.0), False)
-@example(0.1, -0.6123724356957945, (0.0, -2.1894858665067568e154, 0.0), (-1.0, -2.1894858665067568e154, 0.0), False)
-@example(0.1, 0.5, (1.0, 2.0, -1.0), (-1.0, 4e154, 0.0), False)
-def test_scan_rows_are_the_earlier_kernels(b, s, co, dil_co, gap_linear):
-    p = ModelParams(b)
-    if gap_linear:  # M/2 = d(1, 2s) exactly: the action gap has no mu^2 term
-        try:
-            co = (d_value(p, 1.0, 2.0 * s),) + co[1:]
-        except RegionError:
-            pass
-    # repr tells every float apart bit for bit, 0.0 from -0.0 too, and a nan end of J equals itself
-    assert _row_or_refusal(_scan, co, dil_co, p, s) == _row_or_refusal(earlier_scan, co, dil_co, p, s)
+# --- the certified set C on a curve ----------------------------------------------
 
 
 def test_certified_pieces_at_touching_ends_and_a_double_root():

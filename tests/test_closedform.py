@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dnls_well.closedform import (
     admissible_s_range,
@@ -406,3 +407,83 @@ def test_d_at_subnormal_c_and_gamma_zero_stays_finite():
     q = (0.2 - c) * (0.2 + c)
     # z = 0: T - U = 2/3, so d = q^{3/2} / (3 |c|)
     assert d_value(p, omega, c) == pytest.approx(q**1.5 / (3.0 * -c), rel=1e-13)
+
+
+# --- the scaling and the envelope identities over the parameter space -------------
+
+_B = st.floats(-0.6, 0.5)
+_OMEGA = st.floats(0.1, 10.0)
+_U = st.floats(0.0, 1.0)
+
+
+def _on_curve(b: float, omega: float, u: float, margin: float = 0.0) -> tuple[ModelParams, float]:
+    """(p, c) with c = 2 s sqrt(omega), where s = lo + u (hi - lo) and (lo, hi) is the
+    admissible s range (-1, s_hi) pulled in by margin at each end."""
+    p = ModelParams(b)
+    lo, hi = -1.0 + margin, p.s_hi - margin
+    return p, 2.0 * (lo + u * (hi - lo)) * math.sqrt(omega)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_B, _OMEGA, _U, st.integers(-20, 20))
+def test_closed_forms_are_exactly_mass_critical(b, omega, u, k):
+    # at (lam^2 omega, lam c) with lam = 2^k every float operation of the kernel scales by
+    # a power of two, so d(mu^2, 2 s mu) = mu^2 d(1, 2s), which the classifier's
+    # quadratics rest on, holds to the bit, as do M and lam P
+    p, c = _on_curve(b, omega, u)
+    assume(existence_region(p, omega, c))
+    lam = 2.0**k
+    omega2, c2 = lam * lam * omega, lam * c
+    assert soliton_mass(p, omega2, c2) == soliton_mass(p, omega, c)
+    assert soliton_momentum(p, omega2, c2) == lam * soliton_momentum(p, omega, c)
+    assert d_value(p, omega2, c2) == lam * lam * d_value(p, omega, c)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_B, _OMEGA, _U)
+def test_envelope_identities_over_the_parameter_space(b, omega, u):
+    # d = S(phi) at a critical point of S, so its partials are those of S at fixed phi:
+    # d_omega = M/2 and d_c = P/2.  Central differences step 1e-5 of omega and of the
+    # curve's scale 2 sqrt(omega) in c, with s 0.02 inside each end of its range
+    p, c = _on_curve(b, omega, u, margin=0.02)
+    m, mom = soliton_mass(p, omega, c), soliton_momentum(p, omega, c)
+    h_omega, h_c = 1e-5 * omega, 2e-5 * math.sqrt(omega)
+    d_omega = (d_value(p, omega + h_omega, c) - d_value(p, omega - h_omega, c)) / (2.0 * h_omega)
+    d_c = (d_value(p, omega, c + h_c) - d_value(p, omega, c - h_c)) / (2.0 * h_c)
+    tol = 1e-7 * (abs(m) + abs(mom))
+    assert abs(d_omega - 0.5 * m) <= tol
+    assert abs(d_c - 0.5 * mom) <= tol
+
+
+def _hessian_of_d(p: ModelParams, s: float, h: float) -> np.ndarray:
+    """d'' at (1, 2s) by central differences of step h in omega and in c."""
+    c = 2.0 * s
+
+    def d(omega, c):
+        return d_value(p, omega, c)
+
+    d_ww = (d(1.0 + h, c) - 2.0 * d(1.0, c) + d(1.0 - h, c)) / (h * h)
+    d_cc = (d(1.0, c + h) - 2.0 * d(1.0, c) + d(1.0, c - h)) / (h * h)
+    d_wc = (d(1.0 + h, c + h) - d(1.0 + h, c - h) - d(1.0 - h, c + h) + d(1.0 - h, c - h)) / (4.0 * h * h)
+    return np.array([[d_ww, d_wc], [d_wc, d_cc]])
+
+
+_S_STEPS = [round(-0.9 + 0.05 * i, 2) for i in range(38)]  # -0.9, -0.85, ..., 0.95
+
+
+@pytest.mark.parametrize("b", [0.05, 0.1, 0.5, 0.0, -0.1])
+def test_d_hessian_loses_its_positive_direction_at_s_star(b):
+    # by the envelope identities and mass criticality det d'' = -(dM/dc) P / 8 at omega = 1;
+    # M rises along c, so d'' has one positive eigenvalue while P > 0 and none past s*,
+    # where P changes sign (b > 0 only)
+    p = ModelParams(b)
+    h = 1e-4
+    counts = []
+    for s in _S_STEPS:
+        hess = _hessian_of_d(p, s, h)
+        dm_dc = (soliton_mass(p, 1.0, 2.0 * s + h) - soliton_mass(p, 1.0, 2.0 * s - h)) / (2.0 * h)
+        det_closed = -dm_dc * soliton_momentum(p, 1.0, 2.0 * s) / 8.0
+        assert np.linalg.det(hess) == pytest.approx(det_closed, rel=2e-5), s
+        counts.append(int(np.sum(np.linalg.eigvalsh(hess) > 0)))
+    n_plus = len(_S_STEPS) if b <= 0 else sum(s < p.turning[0] for s in _S_STEPS)
+    assert counts == [1] * n_plus + [0] * (len(_S_STEPS) - n_plus)

@@ -10,6 +10,10 @@ solver and `profile_fit` a numpy Gauss-Newton fit.  The control puts a stub
 module under the name `scipy.integrate` into `sys.modules` and must see it,
 which shows that the guard can fail whether or not scipy is installed.
 
+Each child puts the parent directory of the imported `dnls_well` first on
+its path, so it checks the copy under test: `src/` in tier-1, the installed
+package under `-o pythonpath=`.
+
 numpy stays off the import path of the package root and of the closed-form
 subcommands `threshold` and `scan`.  `soliton`, which samples a profile on a
 grid, is the control that must load numpy.  A `scan` whose every point lies
@@ -26,12 +30,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dnls_well
 from dnls_well.field import make_grid, save_field
 from dnls_well.solitons import ModelParams, SolitonParams, sample_phi, suggested_half_length
 
 from conftest import random_smooth_field
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+PKG_PARENT = Path(dnls_well.__file__).resolve().parents[1]
 
 _PROBE = """
 import contextlib, io, json, sys
@@ -58,7 +63,7 @@ def files(tmp_path_factory):
 
 def _python(*args):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PKG_PARENT), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, *args],
         capture_output=True, text=True, env=env, timeout=120, check=True,
