@@ -262,17 +262,22 @@ def nehari_normalize(si: Invariants, omega: float, c: float) -> float:
 
     K(lam phi) = t K2 + t^2 K4 + t^3 K6 with t = lam^2, where K2 = L, K4
     and K6 are the parts of K of degree 2, 4 and 6; t0 = lam0^2 solves
-    K6 t^2 + K4 t + K2 = 0.
+    K6 t^2 + K4 t + K2 = 0.  The roots are taken for 2^j phi, whose
+    ||f_x||^2 lies in [1/2, 2): K2, K4 and K6 scale by 2^{2j}, 2^{4j} and
+    2^{6j} exactly, so lam0(2^j phi) = 2^-j lam0(phi) holds to the bit and
+    K4^2 in the discriminant stays a normal float at any amplitude.
     """
+    j = -(math.frexp(si.grad_sq)[1] // 2)
     k2, k4, k6 = (
-        si.graded(*w).nehari(omega, c) for w in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        math.ldexp(si.graded(*w).nehari(omega, c), 2 * i * j)
+        for i, w in ((1, (1.0, 0.0, 0.0)), (2, (0.0, 1.0, 0.0)), (3, (0.0, 0.0, 1.0)))
     )
     roots = [r for r in _sign_changes(k6, k4, k2) if r > 0]
     if not roots:
         raise RegionError("no positive Nehari normalization for this field")
     t = roots[0]
-    resid = t * k2 + t * t * k4 + t**3 * k6
+    resid = t * (k2 + t * (k4 + t * k6))
     scale = max(k2, abs(k4) * t, abs(k6) * t * t)
     if abs(resid) > 1e-10 * max(scale * t, 1e-30):
         raise RuntimeError("Nehari normalization residual too large")
-    return math.sqrt(t)
+    return math.ldexp(math.sqrt(t), j)

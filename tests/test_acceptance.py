@@ -155,10 +155,10 @@ def test_criterion_04_monotonicity_suite():
         mom = cf.soliton_momentum(p, 1.0, 2.0 * s)
         assert abs(fd - mom) / abs(mom) < 1e-4
     # the turning point zeroes the momentum and moves the right way in b
-    for b in (1e-3, 1e-1):
+    for b in (1e-3, 1e-1, 0.5):
         sd = cf.s_star(b)
         assert abs(cf.soliton_momentum(ModelParams(b), 1.0, 2.0 * sd)) < 1e-10
-    assert cf.s_star(1e-3) > cf.s_star(1e-1)
+    assert 0.0 < cf.s_star(1e-1) < cf.s_star(1e-3) < 1.0
 
 
 def test_criterion_05_shooting_oracle():

@@ -27,7 +27,7 @@ from dnls_well.classifier import (
     scan_curve,
 )
 from dnls_well.closedform import d_value, mass_threshold, s_star, soliton_energy, soliton_mass, soliton_momentum
-from dnls_well.closedform import admissible_s_range, turning_point
+from dnls_well.closedform import admissible_s_range
 from dnls_well.field import Field, make_grid
 from dnls_well.functionals import Frame, Invariants, invariants
 from dnls_well.gauge import gauge_transform
@@ -335,6 +335,37 @@ def test_nehari_normalize_linear_and_rootless_cases():
         nehari_normalize(si, 1.0, 0.0)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 3.0),
+    st.sampled_from([0.1, 0.0, -0.1]),
+    st.floats(0.1, 10.0),
+    st.floats(-0.99, 0.99),
+    st.integers(-150, 150),
+)
+def test_nehari_normalize_commutes_with_powers_of_two(seed, amp, b, omega, s, j):
+    # K(lam 2^j f) = K(2^j lam f), so lam0(2^j f) = 2^-j lam0(f) exactly; at
+    # gamma > 0 in the well frame K6 < 0 < K2, so lam0 exists for every field
+    f = random_smooth_field(np.random.default_rng(seed), make_grid(20.0, 256), amp=amp)
+    si = invariant_summary(f, ModelParams(b), Frame.GAUGE)
+    c = 2.0 * s * math.sqrt(omega)
+    assert nehari_normalize(si.scaled(2.0**j), omega, c) == 2.0**-j * nehari_normalize(si, omega, c)
+
+
+def test_nehari_normalize_at_any_amplitude_the_floats_resolve():
+    # eps e^{-x^2} at every decade from 1e-51, where ||f||_6^6 is still a
+    # normal float, to 1e51; once K4^2 left the normal floats, 1e-40 and 1e40
+    # raised.  The samples eps e^{-x^2} and the product eps lam0 each round,
+    # which costs 2 ulp at some decades (eps = 1e3 among them)
+    g = make_grid(20.0, 256)
+    p, gauss = ModelParams(0.1), np.exp(-g.x**2)
+    for k in range(-51, 52):
+        eps = float(f"1e{k}")
+        lam0 = nehari_normalize(invariant_summary(Field(g, eps * gauss), p, Frame.GAUGE), 1.0, -1.0)
+        assert abs(eps * lam0 - 1.6018367644953737) <= 2.0 * math.ulp(1.6018367644953737), eps
+
+
 def test_nehari_normalized_action_dominates_d(rng):
     g = make_grid(30.0, 512)
     p = ModelParams(0.0)
@@ -352,11 +383,6 @@ def test_invariant_summary_takes_the_gauge_number():
     f = sample_phi(sp, make_grid(suggested_half_length(sp), 512))
     assert invariant_summary(f, p, Frame.DNLS) == invariant_summary(f, p, 0.0)
     assert invariant_summary(f, p, Frame.GAUGE) == invariant_summary(f, p, 0.25)
-
-
-@pytest.mark.parametrize("b", [1e-9, 0.1])
-def test_turning_is_the_search_for_positive_b(b):
-    assert ModelParams(b).turning == turning_point(b)
 
 
 @pytest.mark.parametrize("b", [0.0, -0.1, -3.0 / 16.0 + 1e-10])

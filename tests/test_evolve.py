@@ -101,8 +101,13 @@ def test_peak_drift_and_phase_times(rng):
     assert sum(traj.phase_s.values()) <= wall
 
 
-def test_data_too_large_for_the_floor_says_so():
-    # the CFL cap alone is below t_end / MAX_STEPS: no Richardson test runs
+def test_data_too_large_for_the_floor_says_so(monkeypatch):
+    # the CFL cap alone is below t_end / MAX_STEPS: no Richardson test runs,
+    # no step is taken, so no stepper is built either
+    def refuse(*args):
+        raise AssertionError("a stepper was built")
+
+    monkeypatch.setattr(ev, "_Stepper", refuse)
     g = make_grid(10.0, 128)
     f = Field(g, 9e5 * np.exp(-g.x**2, dtype=complex))
     traj = evolve(f, EvolveConfig(b=0.5, dt=0.05, t_end=1.0))
@@ -111,18 +116,6 @@ def test_data_too_large_for_the_floor_says_so():
     assert traj.dt_trail == [] and traj.dt_used == pytest.approx(cap, rel=1e-12)
     assert cap * ev.MAX_STEPS < 1.0
     assert traj.phase_s["step"] == 0.0
-
-
-def test_step_budget_builds_no_stepper(monkeypatch):
-    # the CFL cap alone is below the budget: no dt is tried and no step is
-    # taken, so no stepper is built either
-    def refuse(*args):
-        raise AssertionError("a stepper was built")
-
-    monkeypatch.setattr(ev, "_Stepper", refuse)
-    g = make_grid(10.0, 128)
-    traj = evolve(Field(g, 9e5 * np.exp(-g.x**2, dtype=complex)), EvolveConfig(b=0.5, dt=0.05, t_end=1.0))
-    assert (traj.reason, traj.dt_trail, traj.n_steps) == ("step-budget", [], 0)
 
 
 def test_step_budget_stops_before_stepping():
@@ -229,23 +222,6 @@ def test_monitor_tracks_k_sign_and_bound():
     traj = evolve(f, EvolveConfig(b=0.1, gauge_a=0.25, t_end=0.1), monitor=(1.0, 0.4))
     assert traj.apriori_bound is not None
     assert all(sign == 1 for _, sign in traj.k_signs)
-    assert all(grad <= traj.apriori_bound * (1 + 1e-4) for _, grad in traj.grad_history)
-
-
-def test_monitor_records_well_frame_gradient_at_a0():
-    # the a-priori bound controls ||(G_{1/4} u)_x||^2, so that is what a
-    # frame-a run must record; ||u_x||^2 here is 2.957 against 2.508
-    p = ModelParams(0.1)
-    sp = SolitonParams(p, 1.0, 0.4)
-    g = make_grid(suggested_half_length(sp), 512)
-    u0 = gauge_transform(Field(g, 0.9 * sample_varphi(sp, g).values), -0.25)
-    traj = evolve(u0, EvolveConfig(b=0.1, gauge_a=0.0, t_end=0.1), monitor=(1.0, 0.4))
-    assert traj.status == "ok"
-    assert len(traj.grad_history) == len(traj.snapshots)
-    for (t, grad), (ts, snap) in zip(traj.grad_history, traj.snapshots):
-        assert t == ts
-        well = l2_norm_sq(spectral_derivative(gauge_transform(snap, 0.25)))
-        assert grad == pytest.approx(well, rel=1e-12)
     assert all(grad <= traj.apriori_bound * (1 + 1e-4) for _, grad in traj.grad_history)
 
 
@@ -424,12 +400,6 @@ def test_records_equal_a_recomputation_from_the_snapshots(rng, a):
         assert grad == well.grad_sq
 
 
-def test_gauge_consistency_small(rng):
-    g = make_grid(20.0, 512)
-    f = random_smooth_field(rng, g, amp=0.5)
-    assert gauge_consistency(f, 0.1, t_end=0.1) < 1e-5
-
-
 def test_gauge_consistency_refuses_runs_that_never_stepped():
     # both runs stop on "step-budget" with no step taken: two copies of the
     # data would compare equal, so there is no distance to report
@@ -500,6 +470,8 @@ def test_profile_fit_step_cap_names_the_count(monkeypatch):
 
 
 def test_monitor_at_a0_is_the_well_frame_read_bit_for_bit():
+    # the a-priori bound controls ||(G_{1/4} u)_x||^2, so that is what a
+    # frame-a run must record; ||u_x||^2 here is 2.957 against 2.508
     p = ModelParams(0.1)
     sp = SolitonParams(p, 1.0, 0.4)
     g = make_grid(suggested_half_length(sp), 512)
@@ -507,11 +479,14 @@ def test_monitor_at_a0_is_the_well_frame_read_bit_for_bit():
     traj = evolve(u0, EvolveConfig(b=0.1, gauge_a=0.0, t_end=0.1), monitor=(1.0, 0.4))
     assert traj.status == "ok" and len(traj.snapshots) > 2
     assert traj.apriori_bound == apriori_bound(invariant_summary(u0, p, 0.0), 1.0, 0.4)
-    for (t, snap), (tg, grad), (tk, sign) in zip(traj.snapshots, traj.grad_history, traj.k_signs):
+    records = zip(traj.snapshots, traj.grad_history, traj.k_signs, strict=True)
+    for (t, snap), (tg, grad), (tk, sign) in records:
         well = invariant_summary(snap, p, 0.0)
         assert t == tg == tk
         assert grad == well.grad_sq
+        assert grad == pytest.approx(l2_norm_sq(spectral_derivative(gauge_transform(snap, 0.25))), rel=1e-12)
         assert sign == k_sign(well, 1.0, 0.4)
+    assert all(grad <= traj.apriori_bound * (1 + 1e-4) for _, grad in traj.grad_history)
 
 
 @pytest.mark.parametrize("a", [float("nan"), float("inf"), -float("inf")])

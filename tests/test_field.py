@@ -206,15 +206,6 @@ def test_inner_re_requires_same_grid():
         inner_re(f, h)
 
 
-def test_cumulative_integral_gaussian():
-    g = make_grid(20.0, 512)
-    u = np.exp(-(g.x**2))
-    cum = cumulative_integral(u, g)
-    erf = np.vectorize(math.erf)
-    exact = 0.5 * np.sqrt(np.pi) * (erf(g.x) - erf(-g.L))
-    assert np.max(np.abs(cum - exact)) < 1e-12
-
-
 def test_cumulative_integral_constant_ramp():
     g = make_grid(3.0, 64)
     cum = cumulative_integral(np.ones(g.N), g)

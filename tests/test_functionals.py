@@ -24,26 +24,17 @@ def _grid_for(sp, n=2048):
 
 
 @pytest.mark.parametrize("b,omega,c", CASES)
-def test_dnls_frame_matches_closed_forms(b, omega, c):
+@pytest.mark.parametrize(
+    "frame, sample", [(Frame.DNLS, sample_phi), (Frame.GAUGE, sample_varphi)], ids=["dnls", "gauge"]
+)
+def test_frame_matches_closed_forms(frame, sample, b, omega, c):
     p = ModelParams(b)
     sp = SolitonParams(p, omega, c)
-    f = sample_phi(sp, _grid_for(sp))
-    rep = report(f, p, omega, c, Frame.DNLS)
+    f = sample(sp, _grid_for(sp))
+    rep = report(f, p, omega, c, frame)
     assert rep.energy == pytest.approx(cf.soliton_energy(p, omega, c), abs=1e-8)
     assert rep.momentum == pytest.approx(cf.soliton_momentum(p, omega, c), abs=1e-8)
     assert rep.mass == pytest.approx(cf.soliton_mass(p, omega, c), abs=1e-8)
-    assert abs(rep.nehari) < 1e-7 * rep.grad_sq + 1e-9
-    assert rep.action == pytest.approx(cf.d_value(p, omega, c), abs=1e-8)
-
-
-@pytest.mark.parametrize("b,omega,c", CASES)
-def test_gauge_frame_matches_closed_forms(b, omega, c):
-    p = ModelParams(b)
-    sp = SolitonParams(p, omega, c)
-    f = sample_varphi(sp, _grid_for(sp))
-    rep = report(f, p, omega, c, Frame.GAUGE)
-    assert rep.energy == pytest.approx(cf.soliton_energy(p, omega, c), abs=1e-8)
-    assert rep.momentum == pytest.approx(cf.soliton_momentum(p, omega, c), abs=1e-8)
     assert abs(rep.nehari) < 1e-7 * rep.grad_sq + 1e-9
     assert rep.action == pytest.approx(cf.d_value(p, omega, c), abs=1e-8)
 

@@ -12,7 +12,8 @@ which shows that the guard can fail whether or not scipy is installed.
 
 Each child puts the parent directory of the imported `dnls_well` first on
 its path, so it checks the copy under test: `src/` in tier-1, the installed
-package under `-o pythonpath=`.
+package under `-o pythonpath=`.  A child runs once per argument list; the
+tests that read the same subcommand share its result.
 
 numpy stays off the import path of the package root and of the closed-form
 subcommands `threshold` and `scan`.  `soliton`, which samples a profile on a
@@ -21,6 +22,7 @@ near the gamma < 0 edge (z < -0.99), where the kernel forms 1 + z exactly in
 integers, loads none of `fractions`, `decimal` or `numbers`.  `report` takes its names from
 their owners, so it loads neither `solitons` nor `gauge`.
 """
+import functools
 import json
 import os
 import subprocess
@@ -61,7 +63,9 @@ def files(tmp_path_factory):
     return d, str(sol), str(rnd)
 
 
+@functools.cache
 def _python(*args):
+    """The JSON of a child's last line; each distinct child runs once a session."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PKG_PARENT), env.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -47,16 +47,6 @@ def test_existence_region_negative_gamma():
     assert not existence_region(p, 1.0, -1.9 * sl)
 
 
-def test_s_lower_requires_nonpositive_gamma():
-    with pytest.raises(RegionError):
-        s_lower(ModelParams(0.0))
-
-
-def test_soliton_params_rejects_bad():
-    with pytest.raises(RegionError):
-        SolitonParams(ModelParams(0.0), 1.0, 3.0)
-
-
 @pytest.mark.parametrize(
     "b, omega, c",
     [(0.0, 1.0, 3.0), (0.1, 1.0, 2.1), (0.1, 1.0, 3), (-0.3, 1.0, 0.0), (0.0, 1.0, -2.0), (0.0, -1.0, 0.0)],

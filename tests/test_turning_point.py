@@ -61,7 +61,7 @@ def bisection_s_star(b: float) -> float:
 
 # --- the secant search ----------------------------------------------------------
 
-B_GRID = [float(b) for b in np.logspace(-9.0, math.log10(3.0), 200)]
+B_GRID = [float(b) for b in np.logspace(-9.0, math.log10(3.0), 200)] + [0.5]
 
 
 def _assert_certificate(b: float, s: float) -> None:
