@@ -15,10 +15,11 @@ analysis of two parabolas.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, asdict
 
 from .closedform import ModelParams, RegionError, d_value
-from .field import Field
+from .field import Field, GridError
 from .functionals import WELL_A, Frame, Invariants, invariants
 from .gauge import gauge_transform
 
@@ -131,7 +132,7 @@ def _curve(co, dil_co, p: ModelParams, s: float):
     and minus says whether J meets {K < 0}."""
     half_m, mom, e = co
     try:  # at (1, 2s) the kernel's region test is exactly the admissible s range
-        j = _negative_intervals(half_m - d_value(p, 1.0, 2.0 * s), s * mom, e)
+        j = _negative_intervals(half_m - p.curve_d(s), s * mom, e)
     except RegionError:
         raise RegionError(f"s={s} outside admissible range for b={p.b}") from None
     half_m, mom, e = dil_co
@@ -160,12 +161,12 @@ def critical_b_membership(si: Invariants, p: ModelParams) -> dict:
     mu^2 coefficient M/2 - d(1, 2s) of the action gap is negative, so J
     contains some (r, inf), and that of K is M > 0, so K > 0 far out on J:
     `scan_curve` at that s says A_plus or both.  A nan or infinite M halves s
-    to 0, outside the s range, where `d_value` raises RegionError.
+    to 0, outside the s range, where `curve_d` raises RegionError.
     """
     if p.b != -3.0 / 16.0:
         raise RegionError("universal-membership route applies at b = -3/16 only")
     s = -0.5
-    while not 2.0 * d_value(p, 1.0, 2.0 * s) > si.mass:
+    while not 2.0 * p.curve_d(s) > si.mass:
         s *= 0.5
     return {"s": s, "verdict": "A_plus"}
 
@@ -265,8 +266,12 @@ def nehari_normalize(si: Invariants, omega: float, c: float) -> float:
     K6 t^2 + K4 t + K2 = 0.  The roots are taken for 2^j phi, whose
     ||f_x||^2 lies in [1/2, 2): K2, K4 and K6 scale by 2^{2j}, 2^{4j} and
     2^{6j} exactly, so lam0(2^j phi) = 2^-j lam0(phi) holds to the bit and
-    K4^2 in the discriminant stays a normal float at any amplitude.
+    K4^2 in the discriminant stays a normal float at any amplitude.  A nonzero
+    record whose ||f||_6^6 is below the normal floats has lost K6's digits
+    (below about 1e-51 in amplitude for a unit-width field) and raises GridError.
     """
+    if si.l6 < sys.float_info.min and (si.mass or si.grad_sq):
+        raise GridError(f"||f||_6^6 = {si.l6!r} underflowed; no Nehari normalization from this record")
     j = -(math.frexp(si.grad_sq)[1] // 2)
     k2, k4, k6 = (
         math.ldexp(si.graded(*w).nehari(omega, c), 2 * i * j)

@@ -28,7 +28,8 @@ The scalar parameter layer lives here too, so that this module runs on
 plain `math` and the closed-form subcommands load no numpy: `RegionError`,
 the existence region and `ModelParams`, which rejects a non-finite b and
 whose cached properties compute b's constants once (gamma, the s range's
-upper edge, atan2 terms, and (s*, M*), the one place that picks them by b).
+upper edge, atan2 terms, and (s*, M*), the one place that picks them by b);
+`ModelParams.curve_d` keeps d(1, 2s) the same way, once per s.
 """
 from __future__ import annotations
 
@@ -77,6 +78,19 @@ class ModelParams:
         if not self.b > -3.0 / 16.0:
             raise ValueError(f"mass threshold requires b > -3/16, got {self.b}")
         return None, 4.0 * math.pi / self.gamma**1.5
+
+    @cached_property
+    def _curve_d(self) -> dict[float, float]:
+        return {}
+
+    def curve_d(self, s: float) -> float:
+        """d(1, 2s), the one s-dependent constant of the curve c = 2 s sqrt(omega),
+        computed once per s; an s outside the admissible range raises RegionError
+        and is not kept."""
+        d = self._curve_d.get(s)
+        if d is None:
+            d = self._curve_d[s] = d_value(self, 1.0, 2.0 * s)
+        return d
 
 
 def s_lower(p: ModelParams) -> float:

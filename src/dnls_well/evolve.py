@@ -38,9 +38,6 @@ DEALIAS = 2.0 / 3.0  # the 2/3 rule: modes above DEALIAS * k_max are zeroed
 CFL = 0.5  # dt <= CFL dx / (1 + max |v0|^2)
 ADAPT_TOL = 1e-9  # Richardson tolerance, relative L^2
 MAX_STEPS = 10**6  # no dt below t_end / MAX_STEPS is tried or stepped
-# the axes argument of the pocketfft gufuncs, (n),()->(m): transform the last
-# axis of the input into the last axis of the output, with a scalar factor
-_LAST_AXIS = [(-1,), (), (-1,)]
 
 
 def kappa(p: ModelParams, a: float) -> float:
@@ -82,10 +79,11 @@ class _Stepper:
     array it returns; it never writes into its input.
 
     The stage FFTs call numpy's pocketfft gufuncs (`numpy.fft._pocketfft_umath`)
-    directly, with factor 1.0 and `out=`.  They are the kernels that
-    `np.fft.fft` and `np.fft.ifft(..., norm="forward")` end in, so the results
-    are the same to the bit, but each call skips the wrapper's argument
-    handling, about 13% of a step at N = 512.  The module is private to
+    directly, with factor 1.0 and `out=`, on their default axes, the last.
+    They are the kernels that `np.fft.fft` and `np.fft.ifft(...,
+    norm="forward")` end in, so the results are the same to the bit, but
+    each call skips the wrapper's argument handling, about 13% of a step at
+    N = 512.  The module is private to
     numpy; `tests/test_stepper_parity.py` holds the step to the `np.fft`
     route bit for bit, and CI runs it at the numpy floor.
     """
@@ -126,7 +124,7 @@ class _Stepper:
         """Transform of the nonlinearity v q of the dealiased v-hat, into out.
         The result itself is not masked: the weights that multiply it are."""
         np.multiply(self.to_v_vx, vhat, out=self._stack)
-        pocketfft.ifft(self._stack, 1.0, axes=_LAST_AXIS, out=self._v_vx)
+        pocketfft.ifft(self._stack, 1.0, out=self._v_vx)
         v, vx, rho, tmp, z, q = self._v, self._vx, self._rho, self._tmp, self._z, self._q
         np.multiply(v.real, v.real, out=rho)
         np.multiply(v.imag, v.imag, out=tmp)
@@ -138,7 +136,7 @@ class _Stepper:
         tmp *= self.kap
         np.subtract(tmp, z.imag, out=q.imag)
         q *= v
-        return pocketfft.fft(q, 1.0, axes=_LAST_AXIS, out=out)
+        return pocketfft.fft(q, 1.0, out=out)
 
     def step(self, vhat):
         k1, k2, k3, k4 = self._k

@@ -158,6 +158,8 @@ def report(f: Field, p: ModelParams, omega: float, c: float, frame: float) -> Fu
         raise ValueError(f"omega and c must be finite, got omega={omega}, c={c}")
     frame = Frame(frame)
     inv = invariants(f, p.b, frame.a)
+    # I = S - K/4 as `Invariants.ii` forms it, from S and K computed once
+    action, nehari = inv.action(omega, c), inv.nehari(omega, c)
     return FunctionalReport(
         frame=frame.name.lower(),
         b=p.b,
@@ -166,10 +168,10 @@ def report(f: Field, p: ModelParams, omega: float, c: float, frame: float) -> Fu
         energy=inv.energy,
         mass=inv.mass,
         momentum=inv.momentum,
-        action=inv.action(omega, c),
-        nehari=inv.nehari(omega, c),
+        action=action,
+        nehari=nehari,
         ell=inv.ell(omega, c),
-        ii=inv.ii(omega, c),
+        ii=action - 0.25 * nehari,
         l4=inv.l4,
         l6=inv.l6,
         grad_sq=inv.grad_sq,

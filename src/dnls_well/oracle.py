@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .field import Grid
-from .solitons import ModelParams, RegionError, SolitonParams, phi_sq
+from .solitons import ModelParams, SolitonParams, phi_sq
 
 
 class QuadratureError(RuntimeError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dnls_well.field import Field, GridError, integrate, l2_norm_sq, make_grid, spectral_derivative
+from dnls_well.field import Field, GridError, integrate, l2_norm_sq, spectral_derivative
 
 
 def random_smooth_field(rng, grid, n_modes=12, amp=1.0):

@@ -5,7 +5,6 @@ Run with -v to get one pass/fail line per criterion.
 import math
 
 import numpy as np
-import pytest
 
 from dnls_well import closedform as cf
 from dnls_well import oracle
@@ -20,7 +19,6 @@ from dnls_well.classifier import (
 from dnls_well.evolve import EvolveConfig, evolve, gauge_consistency, profile_fit
 from dnls_well.field import Field, l2_norm_sq, make_grid
 from dnls_well.functionals import Frame, invariants
-from dnls_well.gauge import gauge_transform
 from dnls_well.solitons import (
     ModelParams,
     SolitonParams,

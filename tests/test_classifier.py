@@ -6,6 +6,7 @@ fused kernel does the same float operations, so its rows must be equal to
 the bit, 0.0 and -0.0 apart included.
 """
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from dnls_well.classifier import (
 )
 from dnls_well.closedform import d_value, mass_threshold, s_star, soliton_energy, soliton_mass, soliton_momentum
 from dnls_well.closedform import admissible_s_range
-from dnls_well.field import Field, make_grid
+from dnls_well.field import Field, GridError, make_grid
 from dnls_well.functionals import Frame, Invariants, invariants
 from dnls_well.gauge import gauge_transform
 from dnls_well.solitons import (
@@ -248,6 +249,18 @@ def test_classify_rows_are_scan_curve_rows(rng, b):
         assert repr(rows) == repr([scan_curve(si, p, s) for s in s_values])
 
 
+@pytest.mark.parametrize("b", [0.1, 0.0, -0.1, -3.0 / 16.0])
+def test_shared_model_params_classifies_as_fresh_ones(rng, b):
+    # the second field on reads d(1, 2s) from the shared ModelParams' cache
+    g = make_grid(20.0, 256)
+    s_grid = np.linspace(-0.8, 0.8, 9) if b > -3.0 / 16.0 else None
+    fields = [random_smooth_field(rng, g, amp=amp) for amp in (0.05, 0.3, 1.0, 2.0, 1e3)]
+    shared = ModelParams(b)
+    for f in fields:
+        fresh = classify_thm17(f, ModelParams(b), s_grid)
+        assert classify_thm17(f, shared, s_grid).to_dict() == fresh.to_dict()
+
+
 def test_critical_b_route_certifies_membership(rng):
     p = ModelParams(-3.0 / 16.0)
     g = make_grid(30.0, 512)
@@ -364,6 +377,20 @@ def test_nehari_normalize_at_any_amplitude_the_floats_resolve():
         eps = float(f"1e{k}")
         lam0 = nehari_normalize(invariant_summary(Field(g, eps * gauss), p, Frame.GAUGE), 1.0, -1.0)
         assert abs(eps * lam0 - 1.6018367644953737) <= 2.0 * math.ulp(1.6018367644953737), eps
+
+
+@pytest.mark.parametrize("eps", [1e-52, 1e-60])
+def test_nehari_normalize_refuses_an_underflowed_record(eps):
+    # ||f||_6^6 is subnormal at 1e-52 (eps lam0 read 10,434 ulp off) and 0 at
+    # 1e-60 (eps lam0 read 2.378); the zero field keeps its RegionError
+    g = make_grid(20.0, 256)
+    p, gauss = ModelParams(0.1), np.exp(-g.x**2)
+    si = invariant_summary(Field(g, eps * gauss), p, Frame.GAUGE)
+    assert si.l6 < sys.float_info.min and si.mass > 0
+    with pytest.raises(GridError, match="underflowed"):
+        nehari_normalize(si, 1.0, -1.0)
+    with pytest.raises(RegionError, match="no positive Nehari normalization"):
+        nehari_normalize(invariant_summary(Field(g, 0.0 * gauss), p, Frame.GAUGE), 1.0, -1.0)
 
 
 def test_nehari_normalized_action_dominates_d(rng):

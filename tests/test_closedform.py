@@ -208,13 +208,50 @@ def test_cached_turning_point_is_the_search(b):
 def test_model_params_equal_after_filling_caches(b):
     p, q = ModelParams(b), ModelParams(b)
     d_value(p, 1.0, 2.0 * (admissible_s_range(p)[0] + 1e-3))
-    cached = {"gamma", "s_hi"}
+    p.curve_d(admissible_s_range(p)[0] + 1e-3)
+    cached = {"gamma", "s_hi", "_curve_d"}
     if b > 0:
         d_value(p, 1.0, 1.0)  # the atan2 form
         assert p.turning
         cached |= {"atan2_terms", "turning"}
     assert set(vars(p)) == cached | {"b"} and set(vars(q)) == {"b"}
-    assert p == q and hash(p) == hash(q)
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+
+
+@st.composite
+def _b_and_admissible_s(draw):
+    """(b, s) with b in [-3/16, 0.5] and s admissible: either end of the s range, s*, or inside."""
+    b = draw(st.floats(-3.0 / 16.0, 0.5) | st.sampled_from([-3.0 / 16.0, 0.0, 1e-9, 0.5]))
+    p = ModelParams(b)
+    lo, hi, closed = admissible_s_range(p)
+    hi = hi if closed else math.nextafter(hi, -math.inf)
+    edges = [math.nextafter(lo, math.inf), hi] + ([p.turning[0]] if b > 0 else [])
+    s = draw(st.sampled_from(edges) | st.floats(lo, hi, exclude_min=True))
+    return b, s
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_b_and_admissible_s())
+def test_curve_d_is_d_value_on_every_call(b_s):
+    # one ModelParams keeps d(1, 2s) per s: the first call computes it, a repeat reads it back
+    b, s = b_s
+    p = ModelParams(b)
+    fresh = d_value(ModelParams(b), 1.0, 2.0 * s)
+    for _ in range(3):
+        assert p.curve_d(s) == fresh
+    assert p._curve_d == {s: fresh}
+
+
+@pytest.mark.parametrize("b", [0.1, 0.0, -3.0 / 16.0])
+def test_curve_d_outside_the_s_range_raises_and_keeps_nothing(b):
+    p = ModelParams(b)
+    _, hi, closed = admissible_s_range(p)
+    kept = p.curve_d(-0.5)
+    for s in (-1.0, -1.5, math.nextafter(hi, math.inf) if closed else hi, 2.0, math.nan):
+        for _ in range(2):
+            with pytest.raises(RegionError):
+                p.curve_d(s)
+    assert p._curve_d == {-0.5: kept}
 
 
 # --- points where the closed forms used to fail --------------------------------

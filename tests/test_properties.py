@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dnls_well.classifier import _scan, classify_thm17, invariant_summary, scan_curve
 from dnls_well.closedform import d_value
