@@ -160,11 +160,13 @@ def critical_b_membership(si: Invariants, p: ModelParams) -> dict:
     2 d(1, 2s) > M for every finite M, in at most 1,021 halvings.  There the
     mu^2 coefficient M/2 - d(1, 2s) of the action gap is negative, so J
     contains some (r, inf), and that of K is M > 0, so K > 0 far out on J:
-    `scan_curve` at that s says A_plus or both.  A nan or infinite M halves s
-    to 0, outside the s range, where `curve_d` raises RegionError.
+    `scan_curve` at that s says A_plus or both.  A nan or infinite M is
+    refused with RegionError before the first halving.
     """
     if p.b != -3.0 / 16.0:
         raise RegionError("universal-membership route applies at b = -3/16 only")
+    if not math.isfinite(si.mass):
+        raise RegionError(f"universal-membership route needs a finite mass, got M={si.mass}")
     s = -0.5
     while not 2.0 * p.curve_d(s) > si.mass:
         s *= 0.5

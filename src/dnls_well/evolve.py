@@ -354,17 +354,20 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     return traj
 
 
+def _need_both(what: str, runs: dict[str, Trajectory]) -> None:
+    """RuntimeError naming each run's reason unless both runs (label: run) reached t_end."""
+    if any(run.status != "ok" for run in runs.values()):
+        reasons = ", ".join(f"{label} {run.reason or 'none'}" for label, run in runs.items())
+        raise RuntimeError(f"{what} needs both runs to reach t_end; reasons: {reasons}")
+
+
 def gauge_consistency(f0: Field, b: float, t_end: float) -> float:
     """L^2 distance between evolve-then-gauge and gauge-then-evolve.  Either
     run stopping short of t_end leaves nothing to compare: RuntimeError."""
     cfg = EvolveConfig(b=b, t_end=t_end, record_every=10**9)
     run1 = evolve(f0, cfg)
     run2 = evolve(gauge_transform(f0, WELL_A), replace(cfg, gauge_a=WELL_A))
-    if run1.status != "ok" or run2.status != "ok":
-        raise RuntimeError(
-            "gauge consistency needs both runs to reach t_end; reasons: "
-            f"a = 0 {run1.reason or 'none'}, a = {WELL_A} {run2.reason or 'none'}"
-        )
+    _need_both("gauge consistency", {"a = 0": run1, f"a = {WELL_A}": run2})
     path1 = gauge_transform(run1.final, WELL_A)
     return math.sqrt(l2_norm_sq(Field(f0.grid, path1.values - run2.final.values)))
 
@@ -384,18 +387,17 @@ def reversal_error(f0: Field, cfg: EvolveConfig) -> dict:
     round trip's ||back - f0|| / ||f0||.  Spatial truncation is reversible
     and does not show in it, so "peak_tail", the larger of the two runs'
     peak_tail, is returned beside it.  Either run stopping short of t_end
-    leaves nothing to compare: RuntimeError.
+    leaves nothing to compare: RuntimeError; a zero f0, no relative error: ValueError.
     """
+    norm_sq = l2_norm_sq(f0)
+    if not norm_sq:
+        raise ValueError("the relative reversal error is undefined for a field of zero norm")
     run1 = evolve(f0, cfg)
     run2 = evolve(Field(f0.grid, _reflect(run1.final.values)), cfg)
-    if run1.status != "ok" or run2.status != "ok":
-        raise RuntimeError(
-            "the reversal error needs both runs to reach t_end; reasons: "
-            f"forward {run1.reason or 'none'}, reflected {run2.reason or 'none'}"
-        )
+    _need_both("the reversal error", {"forward": run1, "reflected": run2})
     back = Field(f0.grid, _reflect(run2.final.values) - f0.values)
     return {
-        "error": math.sqrt(l2_norm_sq(back) / l2_norm_sq(f0)),
+        "error": math.sqrt(l2_norm_sq(back) / norm_sq),
         "peak_tail": max(run1.peak_tail, run2.peak_tail),
     }
 

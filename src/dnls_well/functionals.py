@@ -106,10 +106,6 @@ class Invariants:
         """L = ||f_x||^2 + omega ||f||^2 + c <i f_x, f>, the quadratic part of K_a."""
         return self.graded(2.0, 0.0, 0.0).action(omega, c)
 
-    def ii(self, omega: float, c: float) -> float:
-        """I = S - K/4."""
-        return self.action(omega, c) - 0.25 * self.nehari(omega, c)
-
     @property
     def gn_ratio(self) -> float | None:
         """||f||_6^6 / ((4/pi^2) ||f||_2^4 ||f_x||^2); None for a vanishing
@@ -158,7 +154,7 @@ def report(f: Field, p: ModelParams, omega: float, c: float, frame: float) -> Fu
         raise ValueError(f"omega and c must be finite, got omega={omega}, c={c}")
     frame = Frame(frame)
     inv = invariants(f, p.b, frame.a)
-    # I = S - K/4 as `Invariants.ii` forms it, from S and K computed once
+    # I = S - K/4, from S and K computed once
     action, nehari = inv.action(omega, c), inv.nehari(omega, c)
     return FunctionalReport(
         frame=frame.name.lower(),

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the scalar parameter layer lives in closedform; re-exported here
-from .closedform import ModelParams, RegionError, existence_region, is_algebraic, s_lower, soliton_mass  # noqa: F401
+from .closedform import ModelParams, RegionError, is_algebraic, soliton_mass
 from .field import Field, Grid
 from .gauge import gauge_transform
 
@@ -89,12 +88,12 @@ def sample_phi(sp: SolitonParams, g: Grid) -> Field:
 def phi_one_two(x) -> np.ndarray:
     """Algebraic profile at b=0, (omega, c) = (1, 2), original frame, closed form.
 
-    Phi^2 = 8/(4x^2+1) and the phase integral is elementary, with the
-    genuine -inf anchoring (no grid-dependent constant):
+    Phi^2 = 8/(4x^2+1) is `phi_sq`'s, and the phase integral is elementary,
+    with the genuine -inf anchoring (no grid-dependent constant):
     phase(x) = x - arctan(2x) - pi/2.
     """
     x = np.asarray(x, dtype=float)
-    amp = np.sqrt(8.0 / (4.0 * x * x + 1.0))
+    amp = np.sqrt(phi_sq(SolitonParams(ModelParams(0.0), 1.0, 2.0), x))
     return amp * np.exp(1j * (x - np.arctan(2.0 * x) - 0.5 * np.pi))
 
 

@@ -26,7 +26,6 @@ from dnls_well.solitons import (
     algebraic_tail_mass,
     phi_one_two,
     phi_sq,
-    s_lower,
     sample_phi,
     sample_varphi,
     suggested_half_length,
@@ -49,7 +48,7 @@ def _random_exponential_sets(rng, regime: str, n=10):
             s = rng.uniform(-0.95, -0.05)
         else:
             b = rng.uniform(-0.6, -3.0 / 16.0 - 0.02)
-            sl = s_lower(ModelParams(b))
+            sl = cf.s_lower(ModelParams(b))
             if sl > 0.9:
                 continue
             s = rng.uniform(-0.95, -sl - 0.02)

@@ -321,12 +321,13 @@ def test_classify_routes_b_exactly_minus_3_16():
     assert classify_thm17(f, ModelParams(-3.0 / 16.0 + 5e-13)).theorem17_case != "critical-b"
 
 
-@pytest.mark.parametrize("mass", [math.inf, math.nan])
+@pytest.mark.parametrize("mass", [math.inf, math.nan, -math.inf])
 def test_critical_b_route_refuses_a_non_finite_mass(mass):
-    # s halves to 0, outside the s range, instead of looping or certifying
+    # refused before the first halving: no verdict, and no d(1, 2s) computed
     p = ModelParams(-3.0 / 16.0)
-    with pytest.raises(RegionError):
+    with pytest.raises(RegionError, match=f"finite mass, got M={mass}$"):
         critical_b_membership(Invariants(p.b, 0.25, 1.0, mass, 0.0, 0.0, 0.0, 0.0), p)
+    assert p._curve_d == {}
 
 
 def test_nehari_normalize_soliton_is_identity():

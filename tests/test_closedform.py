@@ -11,6 +11,7 @@ from dnls_well.closedform import (
     d_value,
     existence_region,
     mass_threshold,
+    s_lower,
     s_star,
     soliton_energy,
     soliton_mass,
@@ -18,7 +19,7 @@ from dnls_well.closedform import (
     turning_point,
 )
 from dnls_well.oracle import mass_by_quadrature, momentum_by_quadrature
-from dnls_well.solitons import ModelParams, RegionError, s_lower
+from dnls_well.solitons import ModelParams, RegionError
 
 
 def test_small_negative_gamma_near_s_minus_one_matches_quadrature():

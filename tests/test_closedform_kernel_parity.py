@@ -26,8 +26,8 @@ import numpy as np
 import pytest
 
 from dnls_well import closedform as cf
-from dnls_well.closedform import _t_u
-from dnls_well.solitons import ModelParams, RegionError, existence_region, s_lower
+from dnls_well.closedform import _t_u, existence_region, s_lower
+from dnls_well.solitons import ModelParams, RegionError
 
 BCRIT = -3.0 / 16.0
 B_GRID = [

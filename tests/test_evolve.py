@@ -617,6 +617,12 @@ def test_reversal_error_reports_the_tail_that_its_round_trip_cannot_see(a):
     assert res["peak_tail"] > 1e-9 and res["error"] < 1e-7, res
 
 
+def test_reversal_error_refuses_the_zero_field():
+    f = Field(make_grid(10.0, 64), np.zeros(64, complex))
+    with pytest.raises(ValueError, match="relative reversal error is undefined"):
+        reversal_error(f, EvolveConfig(b=0.1, t_end=0.01))
+
+
 def test_reversal_error_refuses_runs_that_stop_short():
     g = make_grid(20.0, 512)
     f = Field(g, 1e3 * np.exp(-g.x**2))

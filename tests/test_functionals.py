@@ -77,7 +77,7 @@ def test_action_decomposition(rng):
     # I = S - K/4 in every frame
     for frame in Frame:
         rep = report(f, p, 0.9, -0.3, frame)
-        assert rep.ii == pytest.approx(rep.action - 0.25 * rep.nehari, rel=1e-12)
+        assert rep.ii == rep.action - 0.25 * rep.nehari
 
 
 def test_gn_ratio_gaussian():

@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from dnls_well.closedform import d_value
+from dnls_well.closedform import d_value, existence_region, s_lower
 from dnls_well.field import cumulative_integral, l2_norm_sq, make_grid
 from dnls_well.solitons import (
     ModelParams,
@@ -10,11 +10,9 @@ from dnls_well.solitons import (
     SolitonParams,
     algebraic_tail_l4,
     algebraic_tail_mass,
-    existence_region,
     is_algebraic,
     phi_one_two,
     phi_sq,
-    s_lower,
     sample_capital_phi,
     sample_phi,
     sample_varphi,
