@@ -14,9 +14,10 @@ analysis of two parabolas.
 """
 from __future__ import annotations
 
+import copy
 import math
 import sys
-from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 from .closedform import ModelParams, RegionError, d_value
 from .field import Field, GridError
@@ -43,11 +44,11 @@ def invariant_summary(f: Field, p: ModelParams, a: float) -> Invariants:
 
 
 def _sign(x: float, size: float) -> int:
-    """Sign of x; 0 inside the dead-band |x| < REL_TOL max(size, 1e-30), and
-    for a nan x, which has no sign."""
+    """Sign of x as an int, numpy x included; 0 inside the dead-band
+    |x| < REL_TOL max(size, 1e-30), and for a nan x, which has no sign."""
     if abs(x) < REL_TOL * max(size, 1e-30):
         return 0
-    return (x > 0) - (x < 0)
+    return 1 if x > 0 else -1 if x < 0 else 0
 
 
 def k_sign(si: Invariants, omega: float, c: float) -> int:
@@ -173,9 +174,11 @@ def critical_b_membership(si: Invariants, p: ModelParams) -> dict:
     return {"s": s, "verdict": "A_plus"}
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
-    """The case-ii witness (omega, c) is the closure point of C where `apriori_bound` is least."""
+class ClassificationResult(NamedTuple):
+    """The case-ii witness (omega, c) is the closure point of C where `apriori_bound` is least.
+
+    An immutable NamedTuple, so also a tuple of its fields in this order
+    (iterable, indexable, equal to a plain tuple of the same values)."""
     mass: float
     energy: float
     momentum: float
@@ -187,10 +190,13 @@ class ClassificationResult:
     witness_omega: float | None = None
     witness_c: float | None = None
     apriori_bound: float | None = None
-    per_s: list = field(default_factory=list)
+    per_s: list | tuple = ()  # a NamedTuple field takes no default factory
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name; per_s is a new list of copies of its rows."""
+        d = self._asdict()
+        d["per_s"] = [copy.deepcopy(row) for row in self.per_s]
+        return d
 
 
 def classify_thm17(
@@ -203,10 +209,10 @@ def classify_thm17(
     (mu^2, 2 s mu).  The witness is the closure point of C where B is least, often an
     open end of C (S = d there), where B is the infimum of bounds that each hold.
     """
+    if p.b < -3.0 / 16.0:  # refused before the field is read
+        raise RegionError("classification requires b >= -3/16")
     si = invariant_summary(f, p, frame)
     e, m, mom = si.energy, si.mass, si.momentum
-    if p.b < -3.0 / 16.0:
-        raise RegionError("classification requires b >= -3/16")
     if p.b == -3.0 / 16.0:
         return ClassificationResult(
             mass=m,

@@ -50,8 +50,11 @@ class ModelParams:
     b: float
 
     def __post_init__(self):
+        # math.isfinite refuses a b that is not a real number with TypeError
         if not math.isfinite(self.b):
             raise ValueError(f"b must be finite, got {self.b}")
+        # stored as a float, as Grid stores L, so that no constant is a numpy scalar
+        object.__setattr__(self, "b", float(self.b))
 
     @cached_property
     def gamma(self) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,12 +43,13 @@ class Frame(float, enum.Enum):
         return float(self)
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(NamedTuple):
     """The integrals of one field that every functional of frame a is built from.
 
     grad_sq, mass and p_lin are of degree 2 in the field, l4 and inter of
-    degree 4, l6 of degree 6; every functional is linear in them.
+    degree 4, l6 of degree 6; every functional is linear in them.  An
+    immutable NamedTuple: it is also a tuple of its eight fields in this
+    order, iterable and indexable, and equal to a plain tuple of the same values.
     """
 
     b: float
@@ -123,9 +124,11 @@ def invariants(f: Field, b: float, a: float) -> Invariants:
     return Invariants(b, a, *f.integrals)
 
 
-@dataclass(frozen=True)
-class FunctionalReport:
-    """All scalar invariants of a field at one (omega, c) in one frame."""
+class FunctionalReport(NamedTuple):
+    """All scalar invariants of a field at one (omega, c) in one frame.
+
+    An immutable NamedTuple, so also a tuple of its fields in this order
+    (iterable, indexable, equal to a plain tuple of the same values)."""
 
     frame: str
     b: float
@@ -144,7 +147,7 @@ class FunctionalReport:
     gn_ratio: float | None  # None for a constant or zero field
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def report(f: Field, p: ModelParams, omega: float, c: float, frame: float) -> FunctionalReport:
@@ -152,7 +155,7 @@ def report(f: Field, p: ModelParams, omega: float, c: float, frame: float) -> Fu
     or its gauge number a; any other a is a ValueError)."""
     if not (math.isfinite(omega) and math.isfinite(c)):
         raise ValueError(f"omega and c must be finite, got omega={omega}, c={c}")
-    frame = Frame(frame)
+    omega, c, frame = float(omega), float(c), Frame(frame)
     inv = invariants(f, p.b, frame.a)
     # I = S - K/4, from S and K computed once
     action, nehari = inv.action(omega, c), inv.nehari(omega, c)

@@ -694,3 +694,10 @@ def test_classify_refuses_b_below_critical():
     g = make_grid(20.0, 256)
     with pytest.raises(RegionError, match="b >= -3/16"):
         classify_thm17(Field(g, np.exp(-g.x**2)), ModelParams(-0.2))
+
+
+def test_classify_refuses_b_below_critical_before_reading_the_field():
+    # this field's integrals overflow, which reading it would refuse with GridError
+    g = make_grid(20.0, 256)
+    with pytest.raises(RegionError, match="b >= -3/16"):
+        classify_thm17(Field(g, 1e200 * np.exp(-g.x**2)), ModelParams(-0.2))
