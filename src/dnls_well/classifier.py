@@ -19,7 +19,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .closedform import ModelParams, RegionError, d_value
+from .closedform import ModelParams, RegionError, as_float, d_value
 from .field import Field, GridError
 from .functionals import WELL_A, Frame, Invariants, invariants
 from .gauge import gauge_transform
@@ -40,7 +40,7 @@ _VERDICTS = {
 
 def invariant_summary(f: Field, p: ModelParams, a: float) -> Invariants:
     """Invariants in the well frame a = 1/4 of f, given in frame a (a float or a `Frame`)."""
-    return invariants(gauge_transform(f, WELL_A - a), p.b, WELL_A)
+    return invariants(gauge_transform(f, WELL_A - as_float(a)), p.b, WELL_A)
 
 
 def _sign(x: float, size: float) -> int:
@@ -54,6 +54,7 @@ def _sign(x: float, size: float) -> int:
 def k_sign(si: Invariants, omega: float, c: float) -> int:
     """Sign of K at (omega, c); 0 inside the dead-band REL_TOL ||f_x||^2.
     A non-finite K has no sign and raises ValueError."""
+    omega, c = as_float(omega), as_float(c)
     k = si.nehari(omega, c)
     if not math.isfinite(k):
         raise ValueError(f"K is not finite at (omega={omega}, c={c}): {k}")
@@ -62,19 +63,21 @@ def k_sign(si: Invariants, omega: float, c: float) -> int:
 
 def apriori_bound(si: Invariants, omega: float, c: float) -> float:
     """8 S + (c^2/2) M: bounds ||v_x||^2 along the flow of data in A+_{omega,c}."""
+    omega, c = as_float(omega), as_float(c)
     return 8.0 * si.action(omega, c) + 0.5 * c * c * si.mass
 
 
 def member(si: Invariants, p: ModelParams, omega: float, c: float):
     """Well membership and K sign at one (omega, c), with dead-bands."""
+    omega, c = as_float(omega), as_float(c)
     d = d_value(p, omega, c)
     s = si.action(omega, c)
     return {"in_A": _sign(s - d, abs(s) + d) < 0, "K_sign": k_sign(si, omega, c)}
 
 
 def _coeffs(si: Invariants) -> tuple[float, float, float]:
-    """(M/2, P, E) of a record in floats: S(mu^2, 2 s mu) = (M/2) mu^2 + s P mu + E."""
-    return float(0.5 * si.mass), float(si.momentum), float(si.energy)
+    """(M/2, P, E) of a record: S(mu^2, 2 s mu) = (M/2) mu^2 + s P mu + E."""
+    return 0.5 * si.mass, si.momentum, si.energy
 
 
 def _sign_changes(a: float, b: float, c: float) -> tuple[float, ...]:
@@ -111,7 +114,7 @@ def scan_curve(si: Invariants, p: ModelParams, s: float) -> dict:
     Returns the admissible-mu interval set J_s, the K signs realized on it,
     and the verdict: A_plus / A_minus / both / neither.
     """
-    return _scan(_coeffs(si), _coeffs(si.dilated()), p, float(s))
+    return _scan(_coeffs(si), _coeffs(si.dilated()), p, as_float(s))
 
 
 def _scan(co, dil_co, p: ModelParams, s: float) -> dict:
@@ -247,7 +250,7 @@ def classify_thm17(
     mu = min((min(max(vertex, lo), hi) for lo, hi in cert), default=None,
              key=lambda x: apriori_bound(si, x * x, 2.0 * s_w * x))
     omega, c = (mu * mu, 2.0 * s_w * mu) if mu is not None else (None, None)
-    s_values = [float(s) for s in s_grid] if s_grid is not None else []
+    s_values = [as_float(s) for s in s_grid] if s_grid is not None else []
     if s_star is not None and s_star not in s_values:
         s_values.append(s_star)
     return ClassificationResult(
@@ -280,6 +283,7 @@ def nehari_normalize(si: Invariants, omega: float, c: float) -> float:
     """
     if si.l6 < sys.float_info.min and (si.mass or si.grad_sq):
         raise GridError(f"||f||_6^6 = {si.l6!r} underflowed; no Nehari normalization from this record")
+    omega, c = as_float(omega), as_float(c)
     j = -(math.frexp(si.grad_sq)[1] // 2)
     k2, k4, k6 = (
         math.ldexp(si.graded(*w).nehari(omega, c), 2 * i * j)

@@ -30,6 +30,11 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _print_json(obj) -> None:
+    """obj as one line of JSON on stdout."""
+    print(json.dumps(obj))
+
+
 def _cmd_soliton(args) -> int:
     from .field import Grid, save_field
     from .solitons import SolitonParams, sample_capital_phi, sample_phi, sample_varphi
@@ -51,8 +56,7 @@ def _cmd_report(args) -> int:
 
     f = load_field(args.field)
     rep = report(f, ModelParams(args.b), args.omega, args.c, Frame[args.frame.upper()])
-    json.dump(rep.to_dict(), sys.stdout)
-    print()
+    _print_json(rep.to_dict())
     return 0
 
 
@@ -116,9 +120,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_threshold(args) -> int:
     s, m = ModelParams(args.b).turning
-    result = {"M_star": m} if s is None else {"M_star": m, "s_star": s}
-    json.dump(result, sys.stdout)
-    print()
+    _print_json({"M_star": m} if s is None else {"M_star": m, "s_star": s})
     return 0
 
 
@@ -135,8 +137,7 @@ def _cmd_classify(args) -> int:
     f = load_field(args.field)
     s_grid = _parse_s_grid(args.s_grid) if args.s_grid else None
     res = classify_thm17(f, ModelParams(args.b), s_grid, Frame[args.frame.upper()])
-    json.dump(res.to_dict(), sys.stdout)
-    print()
+    _print_json(res.to_dict())
     return 0
 
 
@@ -185,7 +186,7 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _verify_quad() -> dict:
+def _verify_quad() -> list:
     import numpy as np
 
     from .oracle import adaptive_quad
@@ -198,10 +199,10 @@ def _verify_quad() -> dict:
     v = adaptive_quad(lambda y: 1.0 / (np.cosh(y) + 3.0), -np.inf, np.inf)
     ref = closedform.cosh_integral(3.0, 1)
     checks.append({"name": "cosh+3", "error": abs(v - ref), "tol": 1e-9})
-    return _verdict("quad", checks)
+    return checks
 
 
-def _verify_ode() -> dict:
+def _verify_ode() -> list:
     import numpy as np
 
     from . import oracle
@@ -217,7 +218,7 @@ def _verify_ode() -> dict:
         x, phi = oracle.ode_profile(p, 1.0, c, half_length=20.0, n=1024)
         err = float(np.max(np.abs(phi - np.sqrt(phi_sq(sp, x)))))
         checks.append({"name": f"pointwise {name}", "error": err, "tol": 1e-6})
-    return _verdict("ode", checks)
+    return checks
 
 
 def _sample_triples(rng, gamma_positive: bool):
@@ -235,7 +236,7 @@ def _sample_triples(rng, gamma_positive: bool):
     return triples
 
 
-def _verify_scalar(name: str, seed: int) -> dict:
+def _verify_scalar(name: str, seed: int) -> list:
     import numpy as np
 
     from . import oracle
@@ -254,10 +255,10 @@ def _verify_scalar(name: str, seed: int) -> dict:
             checks.append(
                 {"name": f"b={b:.4g},omega={omega:.4g},c={c:.4g}", "error": err, "tol": 1e-8}
             )
-    return _verdict(name, checks)
+    return checks
 
 
-def _verify_gauge() -> dict:
+def _verify_gauge() -> list:
     from .evolve import gauge_consistency
     from .field import Grid
     from .solitons import SolitonParams, sample_phi, suggested_half_length
@@ -265,17 +266,7 @@ def _verify_gauge() -> dict:
     sp = SolitonParams(ModelParams(0.05), 1.0, 0.4)
     f = sample_phi(sp, Grid(suggested_half_length(sp), 512))
     dist = gauge_consistency(f, 0.05, t_end=0.05)
-    return _verdict("gauge", [{"name": "cross-check L2", "error": dist, "tol": 1e-5}])
-
-
-def _verdict(suite: str, checks: list) -> dict:
-    ok = all(c["error"] < c["tol"] for c in checks)
-    return {
-        "suite": suite,
-        "pass": ok,
-        "worst_error": max(c["error"] for c in checks),
-        "checks": checks,
-    }
+    return [{"name": "cross-check L2", "error": dist, "tol": 1e-5}]
 
 
 # suite name -> its checks, given the seed that only the scalar suites draw from
@@ -289,31 +280,34 @@ _VERIFY_SUITES = {
 
 
 def _cmd_verify(args) -> int:
-    res = _VERIFY_SUITES[args.suite](args.seed)
-    json.dump(res, sys.stdout)
-    print()
-    return 0 if res["pass"] else 2
+    checks = _VERIFY_SUITES[args.suite](args.seed)
+    ok = all(c["error"] < c["tol"] for c in checks)
+    worst = max(c["error"] for c in checks)
+    _print_json({"suite": args.suite, "pass": ok, "worst_error": worst, "checks": checks})
+    return 0 if ok else 2
 
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="dnls-well", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
+    # the options several subcommands share, each declared once; a subcommand
+    # lists its parents first, so they come first in its usage and help
+    with_field, with_b, with_omega_c = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    with_field.add_argument("--field", required=True)
+    with_b.add_argument("--b", type=float, required=True)
+    with_omega_c.add_argument("--omega", type=float, required=True)
+    with_omega_c.add_argument("--c", type=float, required=True)
 
-    sp = sub.add_parser("soliton", help="sample a soliton profile")
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--omega", type=float, required=True)
-    sp.add_argument("--c", type=float, required=True)
+    sp = sub.add_parser("soliton", parents=[with_b, with_omega_c], help="sample a soliton profile")
     sp.add_argument("--L", type=float, required=True)
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--which", choices=["Phi", "varphi", "phi"], default="phi")
     sp.set_defaults(fn=_cmd_soliton)
 
-    rp = sub.add_parser("report", help="functional report of a field")
-    rp.add_argument("--field", required=True)
-    rp.add_argument("--b", type=float, required=True)
-    rp.add_argument("--omega", type=float, required=True)
-    rp.add_argument("--c", type=float, required=True)
+    rp = sub.add_parser(
+        "report", parents=[with_field, with_b, with_omega_c], help="functional report of a field"
+    )
     rp.add_argument("--frame", choices=["dnls", "gauge"], default="dnls")
     rp.set_defaults(fn=_cmd_report)
 
@@ -323,8 +317,7 @@ def _build_parser() -> _Parser:
     gp.add_argument("--out", required=True)
     gp.set_defaults(fn=_cmd_gauge)
 
-    sc = sub.add_parser("scan", help="closed-form curve scan over s")
-    sc.add_argument("--b", type=float, required=True)
+    sc = sub.add_parser("scan", parents=[with_b], help="closed-form curve scan over s")
     sc.add_argument("--quantity", choices=sorted(_SCAN_FUNCS), required=True)
     sc.add_argument("--s-from", type=float, required=True)
     sc.add_argument("--s-to", type=float, required=True)
@@ -332,20 +325,17 @@ def _build_parser() -> _Parser:
     sc.add_argument("--out")
     sc.set_defaults(fn=_cmd_scan)
 
-    th = sub.add_parser("threshold", help="mass threshold M_star (and s_star)")
-    th.add_argument("--b", type=float, required=True)
+    th = sub.add_parser("threshold", parents=[with_b], help="mass threshold M_star (and s_star)")
     th.set_defaults(fn=_cmd_threshold)
 
-    cl = sub.add_parser("classify", help="well membership classification")
-    cl.add_argument("--field", required=True)
-    cl.add_argument("--b", type=float, required=True)
+    cl = sub.add_parser(
+        "classify", parents=[with_field, with_b], help="well membership classification"
+    )
     cl.add_argument("--s-grid", help="lo:hi:n; write --s-grid=lo:hi:n when lo is negative")
     cl.add_argument("--frame", choices=["dnls", "gauge"], default="gauge")
     cl.set_defaults(fn=_cmd_classify)
 
-    ev = sub.add_parser("evolve", help="time integration")
-    ev.add_argument("--field", required=True)
-    ev.add_argument("--b", type=float, required=True)
+    ev = sub.add_parser("evolve", parents=[with_field, with_b], help="time integration")
     ev.add_argument("--a", type=float, choices=[0.0, 0.25], default=0.0)
     ev.add_argument("--dt", type=float, default=1e-3)
     ev.add_argument("--t-end", type=float, required=True)

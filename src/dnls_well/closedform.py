@@ -26,7 +26,9 @@ r = sqrt(c^2 + gamma q), and shares `_t_u`.
 
 The scalar parameter layer lives here too, so that this module runs on
 plain `math` and the closed-form subcommands load no numpy: `RegionError`,
-the existence region and `ModelParams`, which rejects a non-finite b and
+the rule every scalar parameter meets where it enters the package
+(`as_float`, and `finite_floats` where it must also be finite), the
+existence region and `ModelParams`, which stores b as a finite float and
 whose cached properties compute b's constants once (gamma, the s range's
 upper edge, atan2 terms, and (s*, M*), the one place that picks them by b);
 `ModelParams.curve_d` keeps d(1, 2s) the same way, once per s.
@@ -43,6 +45,28 @@ class RegionError(ValueError):
     """Parameters outside the soliton existence region."""
 
 
+def as_float(x) -> float:
+    """x as a Python float, so that a numpy x (np.float32 above all, which
+    NumPy 2 keeps when a Python float meets it) computes as its float.
+    A value that is not a real number (a string, None) raises TypeError, as
+    arithmetic on it would; nan and inf pass, for the caller's own refusal."""
+    if not isinstance(x, float):  # float's subclasses (np.float64, Frame) are no strings
+        math.isfinite(x)  # the TypeError; float() would read a string
+    return float(x)
+
+
+def finite_floats(what: str, *xs) -> list[float]:
+    """xs as Python floats, each a finite real number: ValueError
+    "<what> must be finite" otherwise, and TypeError, from math.isfinite, for
+    a value that is not a real number."""
+    floats = []  # a loop and a list: map and tuple would double the cost of a call
+    for x in xs:
+        if not math.isfinite(x):
+            raise ValueError(f"{what} must be finite, got {xs[0] if len(xs) == 1 else xs}")
+        floats.append(float(x))
+    return floats
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Quintic coefficient b; gamma = 1 + 16b/3 and b's other constants, each computed once."""
@@ -50,11 +74,8 @@ class ModelParams:
     b: float
 
     def __post_init__(self):
-        # math.isfinite refuses a b that is not a real number with TypeError
-        if not math.isfinite(self.b):
-            raise ValueError(f"b must be finite, got {self.b}")
         # stored as a float, as Grid stores L, so that no constant is a numpy scalar
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", *finite_floats("b", self.b))
 
     @cached_property
     def gamma(self) -> float:
@@ -122,6 +143,7 @@ def existence_region(p: ModelParams, omega: float, c: float) -> bool:
 
 def is_algebraic(omega: float, c: float) -> bool:
     """c = 2 sqrt(omega) to 1e-13 relative: the algebraic soliton."""
+    c = as_float(c)
     rw = 2.0 * math.sqrt(omega)
     return c > 0 and abs(c - rw) <= 1e-13 * rw
 
@@ -148,6 +170,7 @@ def cosh_integral(alpha: float, power: int) -> float:
     With z = (1 - alpha)/(1 + alpha): I_1 = 2 (1 + z) T(z) and
     I_2 = (1 + z)^2 (T(z) + U(z)) / 2.
     """
+    alpha = as_float(alpha)
     if not -1.0 < alpha < math.inf:  # false for nan as well
         raise ValueError(f"cosh integral requires a finite alpha > -1, got {alpha}")
     if power not in (1, 2):
@@ -193,7 +216,8 @@ def _mass_momentum(p: ModelParams, omega: float, c: float) -> tuple[float, float
     rg, k1, k2 = p.atan2_terms
     m = 4.0 * atan2(rg * sq, -c) / rg
     mom = 0.5 * c * k1 * m + k2 * sq
-    return m, mom, omega * m / 2.0 + c * mom / 4.0
+    # omega's one direct use: float() keeps a numpy omega out of d
+    return m, mom, float(omega) * m / 2.0 + c * mom / 4.0
 
 
 def soliton_mass(p: ModelParams, omega: float, c: float) -> float:
@@ -208,6 +232,7 @@ def soliton_momentum(p: ModelParams, omega: float, c: float) -> float:
 
 def soliton_energy(p: ModelParams, omega: float, c: float) -> float:
     """Pohozaev identity: E = -(c/4) P on the soliton family."""
+    c = as_float(c)
     # -c / 4 would underflow to 0 at the smallest c and give 0 * inf = nan
     return -c * _mass_momentum(p, omega, c)[1] / 4.0
 

@@ -23,13 +23,13 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.fft import _pocketfft_umath as pocketfft
 
 from .classifier import apriori_bound, invariant_summary, k_sign
+from .closedform import ModelParams, as_float, finite_floats
 from .field import Field, Grid, l2_norm_sq, spectral_derivative
 from .functionals import WELL_A, invariants
 from .gauge import gauge_transform
-from .solitons import ModelParams, phi_one_two
+from .solitons import phi_one_two
 
 AMP_CAP = 1e6
 TAIL_MAX = 1e-2  # a record whose spectral tail passes this is under-resolved,
@@ -40,12 +40,36 @@ ADAPT_TOL = 1e-9  # Richardson tolerance, relative L^2
 MAX_STEPS = 10**6  # no dt below t_end / MAX_STEPS is tried or stepped
 
 
+class _NpFft:
+    """The stage transforms through `np.fft`, the same to the bit as the
+    pocketfft gufuncs they end in: the route `_Stepper` takes when a numpy
+    release no longer has `numpy.fft._pocketfft_umath`.  factor is always 1.0."""
+
+    @staticmethod
+    def fft(x, factor, out=None):
+        return np.fft.fft(x, out=out)
+
+    @staticmethod
+    def ifft(x, factor, out=None):
+        return np.fft.ifft(x, norm="forward", out=out)
+
+
+try:
+    from numpy.fft import _pocketfft_umath as pocketfft
+except ImportError:
+    pocketfft = _NpFft
+
+
 def kappa(p: ModelParams, a: float) -> float:
+    a = as_float(a)
     return a * a + 0.5 * a + p.b
 
 
 @dataclass(frozen=True)
 class EvolveConfig:
+    """A run's parameters, b, gauge_a, dt and t_end stored as floats; b is
+    checked by `ModelParams` when the run starts."""
+
     b: float
     gauge_a: float = 0.0
     dt: float = 1e-3
@@ -53,12 +77,13 @@ class EvolveConfig:
     record_every: int = 10
 
     def __post_init__(self):
-        # the chained comparisons are false for nan as well
-        finite = 0.0 < self.t_end < math.inf and 0.0 < self.dt < math.inf
+        a, dt, t_end = finite_floats("gauge_a, dt and t_end", self.gauge_a, self.dt, self.t_end)
         # an int, not a bool or a float: i % 2.5 would record every 5th step
         counted = type(self.record_every) is int and self.record_every >= 1
-        if not (finite and math.isfinite(self.gauge_a) and counted):
-            raise ValueError(f"need finite t_end and gauge_a, dt > 0, an int record_every >= 1: {self}")
+        if not (dt > 0.0 and t_end > 0.0 and counted):
+            raise ValueError(f"need dt > 0, t_end > 0 and an int record_every >= 1: {self}")
+        for name, x in (("b", as_float(self.b)), ("gauge_a", a), ("dt", dt), ("t_end", t_end)):
+            object.__setattr__(self, name, x)
 
 
 def _kept(k):
@@ -83,9 +108,10 @@ class _Stepper:
     They are the kernels that `np.fft.fft` and `np.fft.ifft(...,
     norm="forward")` end in, so the results are the same to the bit, but
     each call skips the wrapper's argument handling, about 13% of a step at
-    N = 512.  The module is private to
-    numpy; `tests/test_stepper_parity.py` holds the step to the `np.fft`
-    route bit for bit, and CI runs it at the numpy floor.
+    N = 512.  The module is private to numpy: where it cannot be imported
+    the stages take that public route, `_NpFft`.
+    `tests/test_stepper_parity.py` holds the step to it bit for bit, with
+    the module present and hidden, and CI runs it at the numpy floor.
     """
 
     def __init__(self, g: Grid, dt: float, p: ModelParams, a: float):
@@ -284,8 +310,8 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     ||v_x||^2 that the a-priori bound 8 S(v0) + (c^2/2) M(v0) controls;
     its omega and c must be finite.
     """
-    if monitor is not None and not all(map(math.isfinite, monitor)):
-        raise ValueError(f"monitor (omega, c) must be finite, got {monitor}")
+    if monitor is not None:
+        monitor = finite_floats("monitor (omega, c)", *monitor)
     g, p, a = f0.grid, ModelParams(cfg.b), cfg.gauge_a
     # data whose integrals overflow is refused here, before the CFL cap squares it
     inv0 = invariants(f0, p.b, a)

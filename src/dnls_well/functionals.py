@@ -21,12 +21,11 @@ the flow is the `invariants` of its snapshot.
 from __future__ import annotations
 
 import enum
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .closedform import ModelParams
+from .closedform import ModelParams, as_float, finite_floats
 from .field import Field
 
 WELL_A = 0.25
@@ -118,10 +117,10 @@ class Invariants(NamedTuple):
 
 
 def invariants(f: Field, b: float, a: float) -> Invariants:
-    """The record of f in gauge frame a: b, a and `Field.integrals`, which
-    reads the six integrals once per field and refuses with GridError a field
-    whose integrals overflow."""
-    return Invariants(b, a, *f.integrals)
+    """The record of f in gauge frame a: b and a as floats, and
+    `Field.integrals`, which reads the six integrals once per field and
+    refuses with GridError a field whose integrals overflow."""
+    return Invariants(as_float(b), as_float(a), *f.integrals)
 
 
 class FunctionalReport(NamedTuple):
@@ -153,9 +152,7 @@ class FunctionalReport(NamedTuple):
 def report(f: Field, p: ModelParams, omega: float, c: float, frame: float) -> FunctionalReport:
     """Every functional of f at (omega, c), with f given in `frame` (a `Frame`
     or its gauge number a; any other a is a ValueError)."""
-    if not (math.isfinite(omega) and math.isfinite(c)):
-        raise ValueError(f"omega and c must be finite, got omega={omega}, c={c}")
-    omega, c, frame = float(omega), float(c), Frame(frame)
+    (omega, c), frame = finite_floats("omega and c", omega, c), Frame(frame)
     inv = invariants(f, p.b, frame.a)
     # I = S - K/4, from S and K computed once
     action, nehari = inv.action(omega, c), inv.nehari(omega, c)

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .closedform import as_float
 from .field import Field, cumulative_integral
 
 
 def gauge_transform(f: Field, a: float) -> Field:
+    a = as_float(a)
     if a == 0.0:
         return f
     cum = cumulative_integral(np.abs(f.values) ** 2, f.grid)

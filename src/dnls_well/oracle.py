@@ -27,8 +27,9 @@ import math
 
 import numpy as np
 
+from .closedform import ModelParams, as_float
 from .field import Grid
-from .solitons import ModelParams, SolitonParams, phi_sq
+from .solitons import SolitonParams, phi_sq
 
 
 class QuadratureError(RuntimeError):
@@ -123,6 +124,7 @@ def l4_by_quadrature(p: ModelParams, omega: float, c: float) -> float:
 
 def momentum_by_quadrature(p: ModelParams, omega: float, c: float) -> float:
     """P = -(c/2) M(Phi) + (1/4) ||Phi||_4^4, both terms by quadrature."""
+    c = as_float(c)
     return -0.5 * c * mass_by_quadrature(p, omega, c) + 0.25 * l4_by_quadrature(p, omega, c)
 
 
@@ -173,6 +175,7 @@ def ode_profile(
     integral has no positive zero), a system above _MAX_UNKNOWNS unknowns,
     no Newton convergence, or a Newton peak away from the first integral's.
     """
+    omega, c = as_float(omega), as_float(c)
     a2, a4, a6 = omega - 0.25 * c * c, 0.5 * c, -3.0 / 16.0 * p.gamma
     if a2 <= 0:
         raise ShootingError("algebraic decay not shootable; exponential regime only")

@@ -16,21 +16,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import ModelParams, RegionError, is_algebraic, soliton_mass
+from .closedform import ModelParams, RegionError, as_float, is_algebraic, soliton_mass
 from .field import Field, Grid
 from .gauge import gauge_transform
 
 
 @dataclass(frozen=True)
 class SolitonParams:
-    """(omega, c) soliton parameters in the existence region."""
+    """(omega, c) soliton parameters in the existence region, stored as floats."""
 
     params: ModelParams
     omega: float
     c: float
 
     def __post_init__(self):
-        soliton_mass(self.params, self.omega, self.c)  # the kernel raises RegionError outside the region
+        omega, c = as_float(self.omega), as_float(self.c)
+        soliton_mass(self.params, omega, c)  # the kernel raises RegionError outside the region
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "c", c)
 
     @property
     def algebraic(self) -> bool:
@@ -101,7 +104,7 @@ def algebraic_tail_mass(sp: SolitonParams, L: float) -> float:
     """Mass of the algebraic profile outside [-L, L]: (8/sqrt(g))(pi/2 - atan(cL/sqrt(g)))."""
     if not sp.algebraic:
         raise RegionError("tail-mass model applies to the algebraic profile only")
-    c, g = sp.c, sp.params.gamma
+    c, g, L = sp.c, sp.params.gamma, as_float(L)
     return (8.0 / np.sqrt(g)) * (np.pi / 2.0 - np.arctan(c * L / np.sqrt(g)))
 
 
@@ -109,7 +112,7 @@ def algebraic_tail_l4(sp: SolitonParams, L: float) -> float:
     """||Phi||_4^4 outside [-L, L] for the algebraic profile, in closed form."""
     if not sp.algebraic:
         raise RegionError("tail model applies to the algebraic profile only")
-    c, g = sp.c, sp.params.gamma
+    c, g, L = sp.c, sp.params.gamma, as_float(L)
     rg = np.sqrt(g)
     u = c * L
     # int_{cL}^inf du / (u^2+g)^2; both tails of (4c)^2/(c^2x^2+g)^2 give 32c * inner

@@ -4,6 +4,7 @@ The tests import `dnls_well` wherever the interpreter finds it, so the same
 file checks `src/` and an installed copy (run it with `-o pythonpath=` to
 drop the `src` entry that `pyproject.toml` gives pytest).
 """
+import argparse
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import dnls_well
-from dnls_well.cli import main
+from dnls_well.cli import _build_parser, main
 from dnls_well.field import Field, load_field, make_grid, save_field
 from dnls_well.solitons import ModelParams, SolitonParams, sample_phi, suggested_half_length
 
@@ -461,3 +462,178 @@ def test_python_m_cli_exit_code(argv, code):
     assert proc.returncode == code, proc.stderr
     if code == 0:
         assert set(json.loads(proc.stdout)) == {"M_star", "s_star"}
+
+
+# each subcommand's options: (option string, required, type, default, choices)
+_OPTIONS = {
+    "soliton": [
+        ("--b", True, float, None, None),
+        ("--omega", True, float, None, None),
+        ("--c", True, float, None, None),
+        ("--L", True, float, None, None),
+        ("--N", True, int, None, None),
+        ("--out", True, None, None, None),
+        ("--which", False, None, "phi", ["Phi", "varphi", "phi"]),
+    ],
+    "report": [
+        ("--field", True, None, None, None),
+        ("--b", True, float, None, None),
+        ("--omega", True, float, None, None),
+        ("--c", True, float, None, None),
+        ("--frame", False, None, "dnls", ["dnls", "gauge"]),
+    ],
+    "gauge": [
+        ("--a", True, float, None, None),
+        ("--in", True, None, None, None),
+        ("--out", True, None, None, None),
+    ],
+    "scan": [
+        ("--b", True, float, None, None),
+        ("--quantity", True, None, None, ["d", "energy", "mass", "momentum"]),
+        ("--s-from", True, float, None, None),
+        ("--s-to", True, float, None, None),
+        ("--steps", True, int, None, None),
+        ("--out", False, None, None, None),
+    ],
+    "threshold": [
+        ("--b", True, float, None, None),
+    ],
+    "classify": [
+        ("--field", True, None, None, None),
+        ("--b", True, float, None, None),
+        ("--s-grid", False, None, None, None),
+        ("--frame", False, None, "gauge", ["dnls", "gauge"]),
+    ],
+    "evolve": [
+        ("--field", True, None, None, None),
+        ("--b", True, float, None, None),
+        ("--a", False, float, 0.0, [0.0, 0.25]),
+        ("--dt", False, float, 0.001, None),
+        ("--t-end", True, float, None, None),
+        ("--monitor-omega", False, float, None, None),
+        ("--monitor-c", False, float, None, None),
+        ("--out", True, None, None, None),
+    ],
+    "verify": [
+        ("--suite", True, None, None, ["quad", "ode", "mass", "momentum", "gauge"]),
+        ("--seed", False, int, 12345, None),
+    ],
+}
+
+# `dnls-well <cmd> --help` on an 80-column terminal
+_HELP = {
+    "soliton": """\
+usage: dnls-well soliton [-h] --b B --omega OMEGA --c C --L L --N N --out OUT
+                         [--which {Phi,varphi,phi}]
+
+options:
+  -h, --help            show this help message and exit
+  --b B
+  --omega OMEGA
+  --c C
+  --L L
+  --N N
+  --out OUT
+  --which {Phi,varphi,phi}
+""",
+    "report": """\
+usage: dnls-well report [-h] --field FIELD --b B --omega OMEGA --c C
+                        [--frame {dnls,gauge}]
+
+options:
+  -h, --help            show this help message and exit
+  --field FIELD
+  --b B
+  --omega OMEGA
+  --c C
+  --frame {dnls,gauge}
+""",
+    "gauge": """\
+usage: dnls-well gauge [-h] --a A --in IN --out OUT
+
+options:
+  -h, --help  show this help message and exit
+  --a A
+  --in IN
+  --out OUT
+""",
+    "scan": """\
+usage: dnls-well scan [-h] --b B --quantity {d,energy,mass,momentum} --s-from
+                      S_FROM --s-to S_TO --steps STEPS [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --b B
+  --quantity {d,energy,mass,momentum}
+  --s-from S_FROM
+  --s-to S_TO
+  --steps STEPS
+  --out OUT
+""",
+    "threshold": """\
+usage: dnls-well threshold [-h] --b B
+
+options:
+  -h, --help  show this help message and exit
+  --b B
+""",
+    "classify": """\
+usage: dnls-well classify [-h] --field FIELD --b B [--s-grid S_GRID]
+                          [--frame {dnls,gauge}]
+
+options:
+  -h, --help            show this help message and exit
+  --field FIELD
+  --b B
+  --s-grid S_GRID       lo:hi:n; write --s-grid=lo:hi:n when lo is negative
+  --frame {dnls,gauge}
+""",
+    "evolve": """\
+usage: dnls-well evolve [-h] --field FIELD --b B [--a {0.0,0.25}] [--dt DT]
+                        --t-end T_END [--monitor-omega MONITOR_OMEGA]
+                        [--monitor-c MONITOR_C] --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --field FIELD
+  --b B
+  --a {0.0,0.25}
+  --dt DT
+  --t-end T_END
+  --monitor-omega MONITOR_OMEGA
+  --monitor-c MONITOR_C
+  --out OUT
+""",
+    "verify": """\
+usage: dnls-well verify [-h] --suite {quad,ode,mass,momentum,gauge}
+                        [--seed SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --suite {quad,ode,mass,momentum,gauge}
+  --seed SEED
+""",
+}
+
+
+def test_each_subcommand_declares_its_pinned_options():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        cmd: [
+            (", ".join(a.option_strings), a.required, a.type, a.default, a.choices)
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for cmd, parser in sub.choices.items()
+    }
+    assert got == _OPTIONS
+
+
+@pytest.mark.parametrize("cmd", list(_HELP))
+def test_subcommand_help_text_is_pinned(capsys, monkeypatch, cmd):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    # Python 3.10 titles the section "optional arguments"
+    assert capsys.readouterr().out.replace("optional arguments:", "options:") == _HELP[cmd]

@@ -1,32 +1,22 @@
-"""The result records and the scalar types that reach them.
+"""The result records.
 
 `Invariants`, `FunctionalReport` and `ClassificationResult` are immutable
-NamedTuples whose `to_dict` hands out containers the caller owns; a numpy
-b, omega or c gives the same records, of the same Python types, as the
-float of itself.
+NamedTuples whose `to_dict` hands out containers the caller owns.  That a
+numpy b, omega or c gives the same records, of the same Python types, as the
+float of itself is `tests/test_scalar_contract.py`'s.
 """
 import numpy as np
 import pytest
 
-from dnls_well.classifier import ClassificationResult, classify_thm17, invariant_summary, member
+from dnls_well.classifier import ClassificationResult, classify_thm17
 from dnls_well.closedform import ModelParams
-from dnls_well.evolve import EvolveConfig, evolve
 from dnls_well.field import Field, make_grid
-from dnls_well.functionals import Frame, Invariants, invariants, report
+from dnls_well.functionals import Frame, invariants, report
 
 
 def _field():
     g = make_grid(20.0, 256)
     return Field(g, 1.2 * np.exp(-g.x**2) * np.exp(0.3j * g.x))
-
-
-def _types(x):
-    """x with every leaf replaced by its type, containers kept."""
-    if isinstance(x, dict):
-        return {k: _types(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return type(x)(_types(v) for v in x)
-    return type(x)
 
 
 def _records():
@@ -80,36 +70,8 @@ def test_to_dict_is_a_copy_the_caller_owns():
     assert res.to_dict() == before_res
 
 
-@pytest.mark.parametrize("b", [np.float64(0.1), np.float32(0.1), np.float64(-3.0 / 16.0)])
-def test_numpy_scalars_classify_as_their_floats(b):
-    f, omega, c = _field(), np.float64(1.0), np.float64(-0.4)
-    p, q = ModelParams(b), ModelParams(float(b))
-    assert type(p.b) is float and p == q
-    if p.b > -3.0 / 16.0:
-        assert p.turning == q.turning and _types(p.turning) == _types(q.turning)
-    for got, want in (
-        (classify_thm17(f, p, np.array([-0.5, 0.5])).to_dict(), classify_thm17(f, q, [-0.5, 0.5]).to_dict()),
-        (report(f, p, omega, c, Frame.GAUGE).to_dict(), report(f, q, 1.0, -0.4, Frame.GAUGE).to_dict()),
-        (report(f, p, np.float32(0.7), np.float32(0.3), 0.0).to_dict(),
-         report(f, q, float(np.float32(0.7)), float(np.float32(0.3)), 0.0).to_dict()),
-        (member(invariant_summary(f, p, 0.0), p, omega, c), member(invariant_summary(f, q, 0.0), q, 1.0, -0.4)),
-    ):
-        assert got == want and _types(got) == _types(want)
-    runs = [
-        evolve(f, EvolveConfig(b=bb, gauge_a=0.25, t_end=0.01), monitor=mon)
-        for bb, mon in ((b, (omega, c)), (float(b), (1.0, -0.4)))
-    ]
-    assert runs[0].drift == runs[1].drift and runs[0].grad_history == runs[1].grad_history
-    assert runs[0].k_signs == runs[1].k_signs and _types(runs[0].k_signs) == _types(runs[1].k_signs)
-    assert runs[0].apriori_bound == runs[1].apriori_bound
-
-
 @pytest.mark.parametrize("b", ["0.1", None])
 def test_model_params_refuses_a_b_that_is_not_real(b):
     with pytest.raises(TypeError):
         ModelParams(b)
 
-
-def test_invariants_of_a_numpy_b_are_floats():
-    inv = invariants(_field(), ModelParams(np.float32(0.1)).b, 0.25)
-    assert type(inv) is Invariants and all(type(x) is float for x in inv)

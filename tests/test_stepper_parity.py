@@ -4,21 +4,27 @@
 inverse FFTs per stage and |v|^2, |v|^4 through np.abs.  The current
 stepper evaluates the same Lawson-RK4 step in a different order, with 1/N
 and the dealiasing mask folded into its dt-dependent weights, so one step
-may differ only by rounding, at every dt.  `_NpFft` stands in for the
-pocketfft gufuncs the current stepper calls and routes its stage FFTs
-through `np.fft`, as they were before the step called the gufuncs directly;
-that route must agree to the bit.
+may differ only by rounding, at every dt.  `evolve._NpFft` routes the
+stage FFTs through `np.fft`, as they were before the step called numpy's
+pocketfft gufuncs directly, and is the route the step takes where numpy has
+no such module; it must agree with the gufuncs to the bit, both patched in
+and in a fresh interpreter where the module cannot be imported.
 `evolve` no longer back-transforms every step to look for blow-up; the
 screen tests below check that the Fourier-side bound it uses instead lets
 no bad state through.
 """
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dnls_well
 from dnls_well import evolve as ev
-from dnls_well.evolve import AMP_CAP, EvolveConfig, _Stepper, evolve, kappa
+from dnls_well.evolve import AMP_CAP, EvolveConfig, _NpFft, _Stepper, evolve, kappa
 from dnls_well.field import Field, Grid, make_grid
 from dnls_well.solitons import ModelParams
 
@@ -60,21 +66,6 @@ class SeedStepper:
         k3 = self._nhat(eh * vhat + 0.5 * dt * k2)
         k4 = self._nhat(ef * vhat + dt * eh * k3)
         return ef * vhat + dt / 6.0 * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
-
-
-class _NpFft:
-    """Stand-in for the pocketfft gufunc module: the stage transforms through
-    `np.fft`, as the step made them before it called the gufuncs directly."""
-
-    @staticmethod
-    def fft(x, factor, out=None):
-        assert factor == 1.0
-        return np.fft.fft(x, out=out)
-
-    @staticmethod
-    def ifft(x, factor, out=None):
-        assert factor == 1.0
-        return np.fft.ifft(x, norm="forward", out=out)
 
 
 # --- parity ------------------------------------------------------------------
@@ -140,6 +131,43 @@ def test_kernel_route_steps_as_np_fft_to_the_bit(monkeypatch, a, b, n):
     monkeypatch.setattr(ev, "pocketfft", _NpFft)
     v_old = fifty_steps()
     assert np.all(np.isfinite(v_new)) and np.array_equal(v_new, v_old)
+
+
+# numpy.fft imports its gufunc module itself, so hiding it takes both the
+# sys.modules entry and the package attribute that `from numpy.fft import` reads
+_FIFTY_STEPS = """
+import sys
+import numpy as np
+import numpy.fft
+if sys.argv[1] == "hidden":
+    sys.modules["numpy.fft._pocketfft_umath"] = None
+    del numpy.fft._pocketfft_umath
+from dnls_well import evolve as ev
+from dnls_well.field import make_grid
+from dnls_well.solitons import ModelParams
+from conftest import random_smooth_field
+g = make_grid(20.0, 512)
+v = np.fft.fft(random_smooth_field(np.random.default_rng(512), g, amp=1.5).values)
+stepper = ev._Stepper(g, 1e-3, ModelParams(0.1), 0.25)
+for _ in range(50):
+    v = stepper.step(v)
+assert np.all(np.isfinite(v))
+print(ev.pocketfft is ev._NpFft, v.tobytes().hex())
+"""
+
+
+def test_a_numpy_without_the_gufunc_module_steps_on_np_fft_to_the_bit():
+    env = dict(os.environ)
+    # the package under test, and conftest beside this file
+    path = [Path(dnls_well.__file__).resolve().parents[1], Path(__file__).parent, env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(map(str, filter(None, path)))
+    runs = {
+        module: subprocess.run([sys.executable, "-c", _FIFTY_STEPS, module], capture_output=True,
+                               text=True, env=env, timeout=120, check=True).stdout.split()
+        for module in ("present", "hidden")
+    }
+    assert runs["present"][0] == "False" and runs["hidden"][0] == "True"
+    assert runs["present"][1] == runs["hidden"][1]
 
 
 # --- blow-up screen ----------------------------------------------------------
