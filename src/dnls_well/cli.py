@@ -9,6 +9,7 @@ Each subcommand imports the modules it runs when it runs, so `threshold` and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -28,6 +29,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
+
+
+def _write_csv(fh, header: str, rows) -> None:
+    """header, then each row of floats as one line of `_fmt` values."""
+    fh.write(header + "\n")
+    for row in rows:
+        fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _print_json(obj) -> None:
@@ -107,14 +115,8 @@ def _cmd_scan(args) -> int:
     fn = _SCAN_FUNCS[args.quantity]
     values = [fn(p, 1.0, 2.0 * s) for s in s_values]
 
-    out = sys.stdout if args.out is None else open(args.out, "w")
-    try:
-        out.write("s,value\n")
-        for s, v in zip(s_values, values):
-            out.write(f"{_fmt(s)},{_fmt(v)}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as fh:
+        _write_csv(fh, "s,value", zip(s_values, values))
     return 0
 
 
@@ -158,12 +160,7 @@ def _cmd_evolve(args) -> int:
     for old in out.glob("snap_*.json"):
         old.unlink()
     with open(out / "drift.csv", "w") as fh:
-        fh.write("t,dE,dM,dP\n")
-        for row in traj.drift:
-            fh.write(
-                f"{_fmt(row['t'])},{_fmt(row['dE'])},"
-                f"{_fmt(row['dM'])},{_fmt(row['dP'])}\n"
-            )
+        _write_csv(fh, "t,dE,dM,dP", ([r["t"], r["dE"], r["dM"], r["dP"]] for r in traj.drift))
     for i, (t, snap) in enumerate(traj.snapshots):
         save_field(snap, out / f"snap_{i:06d}.json")
     summary = {

@@ -37,10 +37,6 @@ class Frame(float, enum.Enum):
     DNLS = 0.0
     GAUGE = WELL_A
 
-    @property
-    def a(self) -> float:
-        return float(self)
-
 
 class Invariants(NamedTuple):
     """The integrals of one field that every functional of frame a is built from.
@@ -153,7 +149,7 @@ def report(f: Field, p: ModelParams, omega: float, c: float, frame: float) -> Fu
     """Every functional of f at (omega, c), with f given in `frame` (a `Frame`
     or its gauge number a; any other a is a ValueError)."""
     (omega, c), frame = finite_floats("omega and c", omega, c), Frame(frame)
-    inv = invariants(f, p.b, frame.a)
+    inv = invariants(f, p.b, frame)
     # I = S - K/4, from S and K computed once
     action, nehari = inv.action(omega, c), inv.nehari(omega, c)
     return FunctionalReport(

@@ -12,6 +12,7 @@ c = 2*sqrt(omega) ("algebraic", only for gamma > 0).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,7 @@ def suggested_half_length(sp: SolitonParams) -> float:
     """
     if sp.algebraic:
         raise RegionError("algebraic profile has 1/x decay; choose L by tail mass")
-    return 30.0 / np.sqrt(4.0 * sp.omega - sp.c**2)
+    return 30.0 / math.sqrt(4.0 * sp.omega - sp.c**2)
 
 
 def sample_capital_phi(sp: SolitonParams, g: Grid) -> Field:
@@ -105,7 +106,7 @@ def algebraic_tail_mass(sp: SolitonParams, L: float) -> float:
     if not sp.algebraic:
         raise RegionError("tail-mass model applies to the algebraic profile only")
     c, g, L = sp.c, sp.params.gamma, as_float(L)
-    return (8.0 / np.sqrt(g)) * (np.pi / 2.0 - np.arctan(c * L / np.sqrt(g)))
+    return (8.0 / math.sqrt(g)) * (math.pi / 2.0 - math.atan(c * L / math.sqrt(g)))
 
 
 def algebraic_tail_l4(sp: SolitonParams, L: float) -> float:
@@ -113,9 +114,9 @@ def algebraic_tail_l4(sp: SolitonParams, L: float) -> float:
     if not sp.algebraic:
         raise RegionError("tail model applies to the algebraic profile only")
     c, g, L = sp.c, sp.params.gamma, as_float(L)
-    rg = np.sqrt(g)
+    rg = math.sqrt(g)
     u = c * L
     # int_{cL}^inf du / (u^2+g)^2; both tails of (4c)^2/(c^2x^2+g)^2 give 32c * inner
-    inner = (np.pi / (2.0 * rg) - np.arctan(u / rg) / rg - u / (u * u + g)) / (2.0 * g)
+    inner = (math.pi / (2.0 * rg) - math.atan(u / rg) / rg - u / (u * u + g)) / (2.0 * g)
     return 32.0 * c * inner
 

@@ -116,7 +116,7 @@ def test_criterion_03_pohozaev_identity():
         p = ModelParams(b)
         sp = SolitonParams(p, omega, c)
         g = make_grid(suggested_half_length(sp), 2048)
-        inv = invariants(sample_varphi(sp, g), p.b, Frame.GAUGE.a)
+        inv = invariants(sample_varphi(sp, g), p.b, Frame.GAUGE)
         e, mom = inv.energy, inv.momentum
         assert abs(e + 0.25 * c * mom) / (abs(e) + abs(mom) + 1e-30) < 1e-5
 

@@ -108,7 +108,7 @@ def test_scaled_action_agrees_with_direct_functional():
     f, p = _soliton_field(0.05, 1.0, 0.4)
     si = invariant_summary(f, p, Frame.GAUGE)
     lam = 0.7
-    direct = invariants(Field(f.grid, lam * f.values), p.b, Frame.GAUGE.a).action(1.0, 0.4)
+    direct = invariants(Field(f.grid, lam * f.values), p.b, Frame.GAUGE).action(1.0, 0.4)
     assert si.scaled(lam).action(1.0, 0.4) == pytest.approx(direct, rel=1e-12)
 
 

@@ -109,7 +109,7 @@ def test_report_ii_is_the_record_method_bit_for_bit(rng, frame, omega, c):
     p = ModelParams(0.1)
     f = random_smooth_field(rng, make_grid(20.0, 256), amp=0.8)
     rep = report(f, p, omega, c, frame)
-    inv = invariants(f, p.b, frame.a)
+    inv = invariants(f, p.b, frame)
     action, nehari = inv.action(omega, c), inv.nehari(omega, c)
     assert (rep.action, rep.nehari, rep.ii) == (action, nehari, action - 0.25 * nehari)
 

@@ -32,6 +32,7 @@ from dnls_well.solitons import (
     algebraic_tail_l4,
     algebraic_tail_mass,
     sample_varphi,
+    suggested_half_length,
 )
 
 P = cf.ModelParams(0.1)
@@ -85,6 +86,7 @@ ENTRIES = {
     "momentum_by_quadrature.c": (0.3, 0, lambda x: momentum_by_quadrature(P, 0.7, x)),
     "ode_profile.omega": (0.7, 1, lambda x: ode_profile(P, x, 0.3, half_length=15.0, n=256)),
     "ode_profile.c": (0.3, 0, lambda x: ode_profile(P, 0.7, x, half_length=15.0, n=256)),
+    "suggested_half_length": (0.7, 1, lambda x: suggested_half_length(SolitonParams(P, x, 0.3))),
     "algebraic_tail_mass": (20.3, 20, lambda x: algebraic_tail_mass(ALG, x)),
     "algebraic_tail_l4": (20.3, 20, lambda x: algebraic_tail_l4(ALG, x)),
     "evolve.monitor": (0.7, 1, lambda x: _run(F, EvolveConfig(b=0.1, t_end=0.01), (x, 0.3))),
@@ -145,3 +147,11 @@ def test_entry_computes_with_the_float_of_its_parameter(name, kind):
 def test_entry_refuses_a_parameter_that_is_not_a_real_number(name, bad):
     with pytest.raises(TypeError):
         ENTRIES[name][2](bad)
+
+
+# the solitons helpers that return one number return a Python float, not np.float64
+@pytest.mark.parametrize("name", ["suggested_half_length", "algebraic_tail_mass", "algebraic_tail_l4"])
+def test_scalar_helper_returns_a_python_float(name):
+    value, int_value, call = ENTRIES[name]
+    for x in (value, int_value, np.float32(value), np.float64(value)):
+        assert type(call(x)) is float, x
