@@ -19,7 +19,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .closedform import ModelParams, RegionError, as_float, d_value
+from .closedform import B_CRIT, ModelParams, RegionError, as_float, d_value
 from .field import Field, GridError
 from .functionals import WELL_A, Frame, Invariants, invariants
 from .gauge import gauge_transform
@@ -167,7 +167,7 @@ def critical_b_membership(si: Invariants, p: ModelParams) -> dict:
     `scan_curve` at that s says A_plus or both.  A nan or infinite M is
     refused with RegionError before the first halving.
     """
-    if p.b != -3.0 / 16.0:
+    if p.b != B_CRIT:
         raise RegionError("universal-membership route applies at b = -3/16 only")
     if not math.isfinite(si.mass):
         raise RegionError(f"universal-membership route needs a finite mass, got M={si.mass}")
@@ -212,11 +212,11 @@ def classify_thm17(
     (mu^2, 2 s mu).  The witness is the closure point of C where B is least, often an
     open end of C (S = d there), where B is the infimum of bounds that each hold.
     """
-    if p.b < -3.0 / 16.0:  # refused before the field is read
+    if p.b < B_CRIT:  # refused before the field is read
         raise RegionError("classification requires b >= -3/16")
     si = invariant_summary(f, p, frame)
     e, m, mom = si.energy, si.mass, si.momentum
-    if p.b == -3.0 / 16.0:
+    if p.b == B_CRIT:
         return ClassificationResult(
             mass=m,
             energy=e,

@@ -15,7 +15,7 @@ import math
 import sys
 
 from . import closedform
-from .closedform import ModelParams
+from .closedform import B_CRIT, ModelParams
 
 USAGE_EXIT = 64
 
@@ -223,10 +223,10 @@ def _sample_triples(rng, gamma_positive: bool):
     triples = []
     for _ in range(10):
         if gamma_positive:
-            b = rng.uniform(-3.0 / 16.0 + 0.02, 0.5)
+            b = rng.uniform(B_CRIT + 0.02, 0.5)
             s = rng.uniform(-0.95, 0.95)
         else:
-            b = rng.uniform(-0.6, -3.0 / 16.0 - 0.02)
+            b = rng.uniform(-0.6, B_CRIT - 0.02)
             s = rng.uniform(-0.95, ModelParams(b).s_hi - 0.02)
         omega = rng.uniform(0.5, 2.0)
         triples.append((b, omega, 2.0 * s * math.sqrt(omega)))

@@ -25,13 +25,14 @@ terms ~ q^{1/2}, so the sum would lose about 1/q of its digits.
 r = sqrt(c^2 + gamma q), and shares `_t_u`.
 
 The scalar parameter layer lives here too, so that this module runs on
-plain `math` and the closed-form subcommands load no numpy: `RegionError`,
-the rule every scalar parameter meets where it enters the package
-(`as_float`, and `finite_floats` where it must also be finite), the
-existence region and `ModelParams`, which stores b as a finite float and
-whose cached properties compute b's constants once (gamma, the s range's
-upper edge, atan2 terms, and (s*, M*), the one place that picks them by b);
-`ModelParams.curve_d` keeps d(1, 2s) the same way, once per s.
+plain `math` and the closed-form subcommands load no numpy: the critical
+coupling `B_CRIT`, `RegionError`, the rule every scalar parameter meets
+where it enters the package (`as_float`, and `finite_floats` where it must
+also be finite), the existence region and `ModelParams`, which stores b
+as a finite float and whose cached properties compute b's constants once
+(gamma, the s range's upper edge, atan2 terms, and (s*, M*), the one place
+that picks them by b); `ModelParams.curve_d` keeps d(1, 2s) the same way,
+once per s.
 """
 from __future__ import annotations
 
@@ -39,6 +40,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from math import atan2, sqrt
+
+
+# The critical coupling, gamma = 0.  Tests of it read b: b = -0.18750000000000003
+# rounds to gamma = 0.0, so a test on gamma would admit a b below it.
+B_CRIT = -3.0 / 16.0
 
 
 class RegionError(ValueError):
@@ -99,7 +105,7 @@ class ModelParams:
         M* = M(phi_{1,2}) + P(phi_{1,2}) = 4 pi / gamma^{3/2}, 4 pi at b = 0 (s* -> 1)."""
         if self.b > 0:
             return turning_point(self.b)
-        if not self.b > -3.0 / 16.0:
+        if not self.b > B_CRIT:
             raise ValueError(f"mass threshold requires b > -3/16, got {self.b}")
         return None, 4.0 * math.pi / self.gamma**1.5
 

@@ -35,7 +35,7 @@ AMP_CAP = 1e6
 TAIL_MAX = 1e-2  # a record whose spectral tail passes this is under-resolved,
 DRIFT_MAX = 0.1  # and so is one whose dE, dM or dP passes this
 DEALIAS = 2.0 / 3.0  # the 2/3 rule: modes above DEALIAS * k_max are zeroed
-CFL = 0.5  # dt <= CFL dx / (1 + max |v0|^2)
+CFL = 0.5  # the Courant number of the cap `_cfl_dt`
 ADAPT_TOL = 1e-9  # Richardson tolerance, relative L^2
 MAX_STEPS = 10**6  # no dt below t_end / MAX_STEPS is tried or stepped
 
@@ -86,9 +86,18 @@ class EvolveConfig:
             object.__setattr__(self, name, x)
 
 
-def _kept(k):
-    """The 2/3 rule: 1.0 on the modes |k| <= DEALIAS k_max it keeps, else 0.0."""
-    return (np.abs(k) <= DEALIAS * np.max(np.abs(k))).astype(float)
+def _masks(k):
+    """The 2/3 rule's kept modes |k| <= DEALIAS k_max and the tail band
+    (k_max/2, DEALIAS k_max] of them, each 1.0 on its modes, else 0.0."""
+    k_abs = np.abs(k)
+    k_max = np.max(k_abs)
+    kept = (k_abs <= DEALIAS * k_max).astype(float)
+    return kept, kept * (k_abs > 0.5 * k_max)
+
+
+def _cfl_dt(f0: Field, dt: float) -> float:
+    """dt capped at CFL dx / (1 + max |v0|^2)."""
+    return min(dt, CFL * f0.grid.dx / (1.0 + float(np.max(np.abs(f0.values))) ** 2))
 
 
 class _Stepper:
@@ -118,7 +127,7 @@ class _Stepper:
         n, k = g.N, g.k
         self.re_q = 4.0 * a - 1.0
         self.kap = kappa(p, a)
-        self.mask = _kept(k)
+        self.mask = _masks(k)[0]
         # one multiplier turns v-hat into the stack [mask v-hat, mask ik v-hat] / N
         self.to_v_vx = np.stack([self.mask, self.mask * g.ik]) / n
         self.e_half = np.exp(-0.5j * dt * k**2)
@@ -246,17 +255,15 @@ def _tune_dt(f0: Field, vhat0, p: ModelParams, cfg: EvolveConfig) -> tuple[float
     No stepper (n = 0) means "step-budget": no n up to MAX_STEPS passes, and
     the dt is the first one below the budget (the CFL-capped one if it is)."""
     g, a = f0.grid, cfg.gauge_a
-
-    def l2(vhat):  # Parseval: ||ifft(vhat)||_L2 from the FFT coefficients directly
-        return np.sqrt(g.dx / g.N * np.sum(np.abs(vhat) ** 2))
-
-    dt = min(cfg.dt, CFL * g.dx / (1.0 + float(np.max(np.abs(f0.values))) ** 2))
+    dt = _cfl_dt(f0, cfg.dt)
     # dt >= t_end / MAX_STEPS, multiplied out: a dt of 0 fails it, as t_end > 0
     if dt * MAX_STEPS < cfg.t_end:
         return dt, 0, None, []
     # so the quotient is finite; it is 0 only if it underflows
     n = max(1, math.ceil(cfg.t_end / dt))
-    scale = max(l2(vhat0), 1e-30)
+    # L^2 norms by Parseval, as sqrt(vdot(v-hat, v-hat)): the dx / N they
+    # leave out cancels in err / scale
+    scale = max(math.sqrt(np.vdot(vhat0, vhat0).real), 1e-30)
     trail, half = [], None
     while n <= MAX_STEPS:
         trail.append(cfg.t_end / n)
@@ -264,8 +271,9 @@ def _tune_dt(f0: Field, vhat0, p: ModelParams, cfg: EvolveConfig) -> tuple[float
         half = _Stepper(g, cfg.t_end / (2 * n), p, a)
         # a trial step on large data may overflow; a non-finite err rejects it
         with np.errstate(over="ignore", invalid="ignore"):
-            err = l2(full.step(vhat0) - half.step(half.step(vhat0)))
-        if np.isfinite(err) and err / scale < ADAPT_TOL:
+            diff = full.step(vhat0) - half.step(half.step(vhat0))
+            err = math.sqrt(np.vdot(diff, diff).real)
+        if math.isfinite(err) and err / scale < ADAPT_TOL:
             return trail[-1], n, full, trail
         n *= 2
     return cfg.t_end / n, 0, None, trail
@@ -327,9 +335,7 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
     char = max(m0 + inv0.grad_sq, 1e-30)
     scales = [max(abs(q), char) for q in (e0, m0, p0)]
     # the kept modes and the top band of them that the spectral tail reads
-    kept = _kept(g.k)
-    k_abs = np.abs(g.k)
-    band = kept * (k_abs > 0.5 * np.max(k_abs))
+    kept, band = _masks(g.k)
 
     def record(i, f, vhat):
         """Store the state f of step i, with transform vhat."""

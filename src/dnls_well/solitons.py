@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import ModelParams, RegionError, as_float, is_algebraic, soliton_mass
+from .closedform import ModelParams, RegionError, _t_u, as_float, is_algebraic, soliton_mass
 from .field import Field, Grid
 from .gauge import gauge_transform
 
@@ -102,21 +102,32 @@ def phi_one_two(x) -> np.ndarray:
 
 
 def algebraic_tail_mass(sp: SolitonParams, L: float) -> float:
-    """Mass of the algebraic profile outside [-L, L]: (8/sqrt(g))(pi/2 - atan(cL/sqrt(g)))."""
+    """Mass of the algebraic profile outside [-L, L]: (8/sqrt(g)) atan(sqrt(g)/(cL)),
+    the form that keeps its digits as cL grows."""
     if not sp.algebraic:
         raise RegionError("tail-mass model applies to the algebraic profile only")
     c, g, L = sp.c, sp.params.gamma, as_float(L)
-    return (8.0 / math.sqrt(g)) * (math.pi / 2.0 - math.atan(c * L / math.sqrt(g)))
+    rg = math.sqrt(g)
+    return (8.0 / rg) * math.atan2(rg, c * L)
 
 
 def algebraic_tail_l4(sp: SolitonParams, L: float) -> float:
-    """||Phi||_4^4 outside [-L, L] for the algebraic profile, in closed form."""
+    """||Phi||_4^4 outside [-L, L] for the algebraic profile, in closed form.
+
+    Both tails of Phi^4 = (4c)^2/(c^2 x^2 + g)^2 give 32c int_{cL}^inf dt/(t^2 + g)^2.
+    With u = cL, the integral is (atan(sqrt(g)/u)/sqrt(g) - u/(u^2 + g)) / (2g),
+    whose two terms cancel to z = g/u^2 relative.  Below z = 1e-2 it is
+    sum_k (k + 1)(-z)^k / (2k + 3) / u^3 = (1/(1 + z) - U(z)) / (2 u^3) instead,
+    with the series U of `closedform._t_u`, which does not cancel there.
+    """
     if not sp.algebraic:
         raise RegionError("tail model applies to the algebraic profile only")
     c, g, L = sp.c, sp.params.gamma, as_float(L)
-    rg = math.sqrt(g)
     u = c * L
-    # int_{cL}^inf du / (u^2+g)^2; both tails of (4c)^2/(c^2x^2+g)^2 give 32c * inner
-    inner = (math.pi / (2.0 * rg) - math.atan(u / rg) / rg - u / (u * u + g)) / (2.0 * g)
+    if g >= 1e-2 * u * u:
+        rg = math.sqrt(g)
+        inner = (math.atan2(rg, u) / rg - u / (u * u + g)) / (2.0 * g)
+    else:
+        z = g / u / u
+        inner = (1.0 / (1.0 + z) - _t_u(z, 1.0 + z)[1]) / (2.0 * u * u * u)
     return 32.0 * c * inner
-

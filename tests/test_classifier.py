@@ -336,6 +336,15 @@ def test_nehari_normalize_soliton_is_identity():
     assert nehari_normalize(si, 1.0, 0.4) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_nehari_normalize_refuses_a_root_that_misses_k(monkeypatch):
+    f, p = _soliton_field(0.05, 1.0, 0.4)
+    si = invariant_summary(f, p, Frame.GAUGE)
+    # a positive root of the wrong quadratic: K(lam0 f) is far from 0 there
+    monkeypatch.setattr(classifier, "_sign_changes", lambda a, b, c: (3.0,))
+    with pytest.raises(RuntimeError, match="residual too large"):
+        nehari_normalize(si, 1.0, 0.4)
+
+
 def test_nehari_normalize_linear_and_rootless_cases():
     g = make_grid(30.0, 256)
     f = Field(g, np.exp(-g.x**2))

@@ -191,10 +191,8 @@ def test_single_step_preserves_mass(rng):
 def _cfl_dt_only(f0, vhat0, p, cfg):
     """_tune_dt without its Richardson test: the CFL-capped dt, as t_end over
     a whole number of steps."""
-    g = f0.grid
-    dt = min(cfg.dt, ev.CFL * g.dx / (1.0 + float(np.max(np.abs(f0.values))) ** 2))
-    n = max(1, math.ceil(cfg.t_end / dt))
-    return cfg.t_end / n, n, _Stepper(g, cfg.t_end / n, p, cfg.gauge_a), [cfg.t_end / n]
+    n = max(1, math.ceil(cfg.t_end / ev._cfl_dt(f0, cfg.dt)))
+    return cfg.t_end / n, n, _Stepper(f0.grid, cfg.t_end / n, p, cfg.gauge_a), [cfg.t_end / n]
 
 
 def test_blow_up_is_reported_not_raised(monkeypatch):
@@ -542,6 +540,23 @@ def test_each_record_carries_its_spectral_tail():
     assert [t for t, _ in traj.tail_history] == [row["t"] for row in traj.drift]
     assert traj.tail_history[0][1] == pytest.approx(0.05**2 / (1.0 + 0.05**2), rel=1e-12)
     assert traj.peak_tail == max(tail for _, tail in traj.tail_history)
+
+
+@pytest.mark.parametrize("n", [384, 512, 768, 4096])
+@pytest.mark.parametrize("L", [1.0, math.pi, 20.0, 30.0, 45.0, 60.0])
+def test_masks_keep_the_edges_of_the_expressions_they_replaced(n, L):
+    """`_masks` against the kept-mode and band expressions it replaced, copied
+    verbatim, element for element.  Every N here has a mode exactly at N/4, on
+    the band's lower edge, and N = 384 and 768 one exactly at N/3, on the
+    2/3 edge.  There a reordered threshold can fall the other way: at N = 384,
+    L = 45, 2 k_max / 3 keeps the N/3 modes that DEALIAS k_max drops."""
+    k = make_grid(L, n).k
+    kept = (np.abs(k) <= ev.DEALIAS * np.max(np.abs(k))).astype(float)
+    k_abs = np.abs(k)
+    band = kept * (k_abs > 0.5 * np.max(k_abs))
+    new_kept, new_band = ev._masks(k)
+    assert np.array_equal(new_kept, kept) and np.array_equal(new_band, band)
+    assert new_kept.dtype == new_band.dtype == np.float64
 
 
 def test_focusing_soliton_stops_under_resolved():

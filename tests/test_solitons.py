@@ -118,9 +118,25 @@ def test_algebraic_tail_models_match_quadrature():
     sp = SolitonParams(ModelParams(0.0), 1.0, 2.0)
     L = 40.0
     ref = float(mpmath.quad(lambda x: phi_sq(sp, x), [L, mpmath.inf]))
-    assert algebraic_tail_mass(sp, L) == pytest.approx(2.0 * ref, rel=1e-10)
+    assert algebraic_tail_mass(sp, L) == pytest.approx(2.0 * ref, rel=1e-10, abs=0.0)
     ref4 = float(mpmath.quad(lambda x: phi_sq(sp, x) ** 2, [L, mpmath.inf]))
-    assert algebraic_tail_l4(sp, L) == pytest.approx(2.0 * ref4, rel=1e-10)
+    assert algebraic_tail_l4(sp, L) == pytest.approx(2.0 * ref4, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.1, 0.5])
+def test_algebraic_tail_models_keep_their_digits_as_L_grows(b):
+    """Both models to 1e-13 relative of 60-digit quadratures of Phi^2 = 4c/(c^2 x^2 + g)
+    and its square over |x| > L, out to L = 30,000, where the tails are 1e-4 and 1e-13."""
+    sp = SolitonParams(ModelParams(b), 1.0, 2.0)
+    with mpmath.workdps(60):
+        c, g = mpmath.mpf(sp.c), mpmath.mpf(sp.params.gamma)
+        for L in (3.0, 30.0, 300.0, 3000.0, 30000.0):
+            mass, l4 = (
+                float(2 * mpmath.quad(lambda x: (4 * c / (c * c * x * x + g)) ** n, [L, mpmath.inf]))
+                for n in (1, 2)
+            )
+            assert algebraic_tail_mass(sp, L) == pytest.approx(mass, rel=1e-13, abs=0.0)
+            assert algebraic_tail_l4(sp, L) == pytest.approx(l4, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("tail", [algebraic_tail_mass, algebraic_tail_l4])

@@ -180,7 +180,7 @@ def _frozen_run(monkeypatch, state, f0):
     g = f0.grid
     monkeypatch.setattr(ev._Stepper, "step", lambda self, vhat: np.fft.fft(state))
     cfg = EvolveConfig(b=0.0, record_every=10**9)
-    dt = min(cfg.dt, ev.CFL * g.dx / (1.0 + np.max(np.abs(f0.values)) ** 2))
+    dt = ev._cfl_dt(f0, cfg.dt)
     # three steps of t_end / 3 without the Richardson test, which the frozen
     # states would fail before the screen is reached
     t_end = 2.5 * dt

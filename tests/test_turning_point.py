@@ -129,6 +129,13 @@ def test_mass_threshold_rejects_b_outside_its_range(b):
         mass_threshold(b)
 
 
+def test_turning_point_without_a_sign_change_raises(monkeypatch):
+    # a momentum that stays positive on [0, 1] leaves the search no certificate
+    monkeypatch.setattr(cf, "_mass_momentum", lambda p, omega, c: (1.0, 2.0 - 0.5 * c, 0.0))
+    with pytest.raises(RuntimeError, match="momentum lost its sign change"):
+        turning_point(0.137)
+
+
 def test_turning_point_mass_bitwise_equals_mass_threshold():
     for b in (1e-9, 1e-3, 0.1, 3.0):
         s, m = turning_point(b)
