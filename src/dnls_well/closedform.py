@@ -251,11 +251,8 @@ def d_value(p: ModelParams, omega: float, c: float) -> float:
 def turning_point(b: float) -> tuple[float, float]:
     """(s*, M*) for b > 0: the zero s* of s -> P(phi_{1,2s}) and M(phi_{1,2s*}).
 
-    P decreases from P(0) = 4/gamma > 0 to P(1) < 0 at the algebraic end.  A
-    secant step from the point of smaller |P| is kept if it lands inside the
-    sign-change bracket and moves less than half the step before last, else
-    the bracket is bisected; a step below an ulp probes the float neighbour
-    across the root.  The search ends on adjacent floats lo < hi with
+    P decreases from P(0) = 4/gamma > 0 to P(1) < 0 at the algebraic end, so
+    [0, 1] brackets s*.  Bisection ends on adjacent floats lo < hi with
     P(lo) > 0 >= P(hi), not on a residual, which tiny b would defeat: there s*
     is within a few ulp of 1 and P jumps between neighbouring floats.  The one
     of lo, hi with the smaller |P| is returned, with the mass computed with it.
@@ -264,26 +261,16 @@ def turning_point(b: float) -> tuple[float, float]:
     if not (b > 0 and math.isfinite(p.gamma)):
         raise ValueError(f"s* is defined for b > 0 with gamma finite, got b={b}")
     (m_lo, p_lo, _), (m_hi, p_hi, _) = _mass_momentum(p, 1.0, 0.0), _mass_momentum(p, 1.0, 2.0)
-    lo, hi, x0, f0, x1, f1 = 0.0, 1.0, 1.0, p_hi, 0.0, p_lo
-    step = last_step = math.inf
+    lo, hi = 0.0, 1.0
     while True:
-        if abs(f0) < abs(f1):
-            x0, f0, x1, f1 = x1, f1, x0, f0
-        # the ratio first, so that no product of small P and a short step underflows
-        x = x1 - (x1 - x0) * (f1 / (f1 - f0)) if f1 != f0 else lo
-        if x == x1:
-            x = math.nextafter(x1, hi if f1 > 0.0 else lo)
-        if not lo < x < hi or abs(x - x1) > 0.5 * last_step:
-            x = 0.5 * (lo + hi)
-            if x == lo or x == hi:
-                break
-        last_step, step = step, abs(x - x1)
+        x = 0.5 * (lo + hi)
+        if x == lo or x == hi:
+            break
         m, f, _ = _mass_momentum(p, 1.0, 2.0 * x)
         if f > 0.0:
             lo, m_lo, p_lo = x, m, f
         else:
             hi, m_hi, p_hi = x, m, f
-        x0, f0, x1, f1 = x1, f1, x, f
     # lo, hi are adjacent; the sign change across them is the certificate
     if not p_lo > 0.0 >= p_hi:
         raise RuntimeError(f"momentum lost its sign change on [0, 1] at b={b}")

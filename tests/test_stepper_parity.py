@@ -1,4 +1,5 @@
-"""The Lawson-RK4 stepper against the ones it replaced, and the blow-up screen.
+"""The Lawson-RK4 stepper against the ones it replaced and against DNLS in
+Kaup-Newell form, and the blow-up screen.
 
 `SeedStepper` below is the earlier implementation, kept verbatim: two
 inverse FFTs per stage and |v|^2, |v|^4 through np.abs.  The current
@@ -95,6 +96,23 @@ def test_step_matches_seed_stepper(a, b, n, dt):
     # share, which dilutes a difference in the stage evaluation by ~1e-3.
     # The stepper's _nhat leaves the mask to the weights, so apply it here
     assert _rel(new.mask * new._nhat(vhat, np.empty(n, complex)), seed._nhat(vhat)) <= 1e-13
+
+
+# At a = -1/2, kappa is b and the nonlinearity is -(|v|^2 v)_x + i b |v|^4 v:
+# DNLS in Kaup-Newell form at b = 0, the gauge equivalence the paper names.
+# `SeedStepper` shares the stepper's form -(1-2a)|v|^2 v_x + 2a v^2 conj(v_x),
+# so this conservative form is the independent check of the stage.
+@pytest.mark.parametrize("n", [256, 512, 4096])
+@pytest.mark.parametrize("b", [0.0, 0.1, -0.3])
+def test_stage_is_kaup_newell_dnls_at_a_minus_one_half(b, n):
+    g = make_grid(20.0, n)
+    vhat = np.fft.fft(random_smooth_field(np.random.default_rng(n), g, amp=1.5).values)
+    stepper = _Stepper(g, 1e-3, ModelParams(b), -0.5)
+    v = np.fft.ifft(stepper.mask * vhat)
+    rho = np.abs(v) ** 2
+    want = -g.ik * np.fft.fft(rho * v) + 1j * b * np.fft.fft(rho * rho * v)
+    got = stepper._nhat(vhat, np.empty(n, complex))
+    assert _rel(stepper.mask * got, stepper.mask * want) <= 1e-12
 
 
 # --- the pocketfft kernels against np.fft, bit for bit ---------------------
