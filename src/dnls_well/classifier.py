@@ -80,28 +80,31 @@ def _coeffs(si: Invariants) -> tuple[float, float, float]:
     return 0.5 * si.mass, si.momentum, si.energy
 
 
-def _sign_changes(a: float, b: float, c: float) -> tuple[float, ...]:
-    """Real x where a x^2 + b x + c changes sign, as an ascending pair, or ()
-    when there is none; a linear polynomial (a = 0) is a quadratic with its
-    other root at -inf."""
-    if a == 0.0:
-        return (-math.inf, -c / b) if b != 0.0 else ()
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        return ()
-    # q and c/q avoid the cancellation of -b + sqrt(disc) when |a c| << b^2
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    r1, r2 = q / a, c / q
-    return (r2, r1) if r2 < r1 else (r1, r2)
-
-
 def _negative_intervals(a: float, b: float, c: float) -> list[tuple[float, float]]:
-    """{mu > 0 : a mu^2 + b mu + c < 0} as a list of open intervals."""
+    """{mu > 0 : a mu^2 + b mu + c < 0} as a list of open intervals; the only
+    root code of the package.  A linear polynomial (a = 0) has its other root
+    at -inf, and a double root is no sign change.  When b^2 - 4ac overflows,
+    or is below 2^-900 while every coefficient is below 2^509, the roots are
+    taken from the coefficients times the power of two that brings the largest
+    into [2^509, 2^510): the same roots, with b^2 and 4ac inside the floats."""
     inf = math.inf
-    roots = _sign_changes(a, b, c)
-    if not roots:  # one sign: that of a, or of c when a = b = 0
-        return [(0.0, inf)] if (a or c) < 0 else []
-    r1, r2 = roots
+    disc = b * b - 4.0 * (a * c)  # a c first: 4 a can overflow where 4 a c does not
+    if a and not 2.0**-900 <= abs(disc) < inf:
+        big = max(abs(a), abs(b), abs(c))
+        e = 510 - math.frexp(big)[1]  # 2^e brings the largest into [2^509, 2^510)
+        if big < inf and (e > 0 or not abs(disc) < inf):  # a finite disc is never scaled down
+            a, b, c = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e)
+            disc = b * b - 4.0 * (a * c)
+    if a == 0.0:  # linear, or an a below the floats, whose root is past them
+        if b == 0.0:  # one sign: that of c
+            return [(0.0, inf)] if c < 0 else []
+        r1, r2 = -inf, -c / b
+    elif disc <= 0.0:  # one sign: that of a
+        return [(0.0, inf)] if a < 0 else []
+    else:  # q and c/q avoid the cancellation of -b + sqrt(disc) when |a c| << b^2
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        r1, r2 = q / a, c / q
+        r1, r2 = (r2, r1) if r2 < r1 else (r1, r2)
     if (a or b) > 0:
         lo = max(r1, 0.0)
         return [(lo, r2)] if r2 > lo else []
@@ -132,8 +135,8 @@ def _scan(co, dil_co, p: ModelParams, s: float) -> dict:
 
 def _curve(co, dil_co, p: ModelParams, s: float):
     """(J, C, minus) on the curve s: J = {action gap (M/2 - d(1, 2s)) mu^2 + s P mu + E < 0},
-    C = {mu in J : K >= 0} with K the quadratic of dil_co (a zero of K counts as K > 0),
-    and minus says whether J meets {K < 0}."""
+    C = {mu in J : K >= 0} with K the quadratic of dil_co, and minus says whether J meets {K < 0}.
+    A zero of K counts as K > 0; a double root's tie rule lives in `_negative_intervals` alone."""
     half_m, mom, e = co
     try:  # at (1, 2s) the kernel's region test is exactly the admissible s range
         j = _negative_intervals(half_m - p.curve_d(s), s * mom, e)
@@ -273,28 +276,23 @@ def nehari_normalize(si: Invariants, omega: float, c: float) -> float:
     """Scaling lam0 > 0 with K(lam0 phi) = 0.
 
     K(lam phi) = t K2 + t^2 K4 + t^3 K6 with t = lam^2, where K2 = L, K4
-    and K6 are the parts of K of degree 2, 4 and 6; t0 = lam0^2 solves
-    K6 t^2 + K4 t + K2 = 0.  The roots are taken for 2^j phi, whose
-    ||f_x||^2 lies in [1/2, 2): K2, K4 and K6 scale by 2^{2j}, 2^{4j} and
-    2^{6j} exactly, so lam0(2^j phi) = 2^-j lam0(phi) holds to the bit and
-    K4^2 in the discriminant stays a normal float at any amplitude.  A nonzero
-    record whose ||f||_6^6 is below the normal floats has lost K6's digits
-    (below about 1e-51 in amplitude for a unit-width field) and raises GridError.
+    and K6 are the parts of K of degree 2, 4 and 6; t0 = lam0^2 is the least
+    positive root of K6 t^2 + K4 t + K2.  Those of 2^j phi are 2^{2j} K2,
+    2^{4j} K4 and 2^{6j} K6, so lam0(2^j phi) = 2^-j lam0(phi) to the bit.  A
+    nonzero record whose ||f||_6^6 is below the normal floats has lost K6's
+    digits (below about 1e-51 in amplitude for a unit-width field) and raises GridError.
     """
     if si.l6 < sys.float_info.min and (si.mass or si.grad_sq):
         raise GridError(f"||f||_6^6 = {si.l6!r} underflowed; no Nehari normalization from this record")
     omega, c = as_float(omega), as_float(c)
-    j = -(math.frexp(si.grad_sq)[1] // 2)
-    k2, k4, k6 = (
-        math.ldexp(si.graded(*w).nehari(omega, c), 2 * i * j)
-        for i, w in ((1, (1.0, 0.0, 0.0)), (2, (0.0, 1.0, 0.0)), (3, (0.0, 0.0, 1.0)))
-    )
-    roots = [r for r in _sign_changes(k6, k4, k2) if r > 0]
-    if not roots:
+    parts = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    k2, k4, k6 = (si.graded(*w).nehari(omega, c) for w in parts)
+    ends = [x for iv in _negative_intervals(k6, k4, k2) for x in iv if 0.0 < x < math.inf]
+    if not ends:
         raise RegionError("no positive Nehari normalization for this field")
-    t = roots[0]
+    t = min(ends)
     resid = t * (k2 + t * (k4 + t * k6))
     scale = max(k2, abs(k4) * t, abs(k6) * t * t)
     if abs(resid) > 1e-10 * max(scale * t, 1e-30):
         raise RuntimeError("Nehari normalization residual too large")
-    return math.ldexp(math.sqrt(t), j)
+    return math.sqrt(t)

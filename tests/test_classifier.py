@@ -3,14 +3,17 @@
 The `_seed_*` functions at the end are the per-s row kernel as it was before
 it was fused into `_scan`, kept verbatim (renamed) as the reference: the
 fused kernel does the same float operations, so its rows must be equal to
-the bit, 0.0 and -0.0 apart included.
+the bit, 0.0 and -0.0 apart included, wherever the seed's discriminants are
+sound.  Elsewhere the reference is the seed with 60-digit roots.
 """
 import math
 import sys
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dnls_well import classifier
 from dnls_well.classifier import (
@@ -135,6 +138,24 @@ def test_negative_intervals_quadratic_cases():
     # K = 1 - mu is negative only beyond the end of J = (0, 1)
     row = _scan((d1, 1.0, -1.0), (0.0, -1.0, 1.0), p, 1.0)
     assert row["J"] == [[0.0, 1.0]] and row["k_signs"] == [1]
+
+
+normal = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=1000)
+@given(normal, normal, normal, st.data())
+def test_negative_intervals_are_invariant_under_powers_of_two(a, b, c, data):
+    # 2^k (a x^2 + b x + c) changes sign where a x^2 + b x + c does, at every
+    # k that keeps the coefficients zero or normal: past about 1e154 b^2 - 4ac
+    # overflows, and below about 1e-154 it leaves the normal floats.  Nonzero
+    # coefficients more than 2^1530 apart are left out: with the largest
+    # rescaled to 2^509, the least leaves the normal floats
+    exps = [math.frexp(x)[1] for x in (a, b, c) if x]  # |x| in [2^(e-1), 2^e)
+    assume(max(exps, default=0) - min(exps, default=0) <= 1530)
+    k = data.draw(st.integers(-1021 - min(exps, default=0), 1024 - max(exps, default=0)), label="k")
+    scaled = (math.ldexp(a, k), math.ldexp(b, k), math.ldexp(c, k))
+    assert repr(_negative_intervals(*scaled)) == repr(_negative_intervals(a, b, c))
 
 
 def test_scan_curve_small_field_is_a_plus(rng):
@@ -340,7 +361,7 @@ def test_nehari_normalize_refuses_a_root_that_misses_k(monkeypatch):
     f, p = _soliton_field(0.05, 1.0, 0.4)
     si = invariant_summary(f, p, Frame.GAUGE)
     # a positive root of the wrong quadratic: K(lam0 f) is far from 0 there
-    monkeypatch.setattr(classifier, "_sign_changes", lambda a, b, c: (3.0,))
+    monkeypatch.setattr(classifier, "_negative_intervals", lambda a, b, c: [(3.0, math.inf)])
     with pytest.raises(RuntimeError, match="residual too large"):
         nehari_normalize(si, 1.0, 0.4)
 
@@ -614,8 +635,47 @@ def _row_or_refusal(scan, co, dil_co, p, s) -> str:
         return repr(exc)
 
 
+def _seed_roots_sound(co, dil_co, p, s) -> bool:
+    """Whether the seed's float roots of both quadratics of the row hold: each
+    is linear, or its b^2 - 4ac is a finite float of size at least 2^-900."""
+    quads = (_seed_curve(co, s, d_value(p, 1.0, 2.0 * s)), _seed_curve(dil_co, s))
+    return all(a == 0.0 or 2.0**-900 <= abs(b * b - 4.0 * a * c) < math.inf for a, b, c in quads)
+
+
+def _mp_sign_changes(a: float, b: float, c: float) -> list[float]:
+    """`_seed_sign_changes` at 60 digits: the roots of the float coefficients,
+    each rounded once.  The q form, since (-b +- sqrt(D))/2a cancels even at
+    80 digits on coefficients such as (1e-300, 1, -1)."""
+    if a == 0.0:
+        return [-c / b] if b != 0.0 else []
+    sign = math.copysign(1.0, b)
+    with mpmath.workdps(60):
+        a, b, c = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+        disc = b * b - 4 * a * c
+        if disc <= 0:
+            return []
+        q = -(b + sign * mpmath.sqrt(disc)) / 2
+        return sorted((float(q / a), float(c / q)))
+
+
+def _mp_scan(co, dil_co, p, s) -> dict:
+    """`_seed_scan` with the 60-digit roots of `_mp_sign_changes`."""
+    with mock.patch.dict(globals(), _seed_sign_changes=_mp_sign_changes):
+        return _seed_scan(co, dil_co, p, s)
+
+
+def _assert_rows_agree(row: dict, ref: dict):
+    """row is ref but for its J edges, each within 2 ulp of ref's."""
+    assert {**row, "J": len(row["J"])} == {**ref, "J": len(ref["J"])}
+    for got, want in zip(row["J"], ref["J"]):
+        for x, y in zip(got, want):
+            assert x == y or (None not in (x, y) and abs(x - y) <= 2.0 * math.ulp(y)), (row, ref)
+
+
 # the one reference for `_scan`'s rows: `_seed_scan` has its own root and interval
-# code, so a fault in `_sign_changes`, `_negative_intervals` or `_VERDICTS` shows here
+# code, so a fault in `_negative_intervals` or `_VERDICTS` shows here.  Where the
+# seed's b^2 - 4ac overflowed or left the normal floats, its roots are off, and the
+# reference is the same kernel with the 60-digit roots of the same coefficients
 @settings(derandomize=True, deadline=None, database=None, max_examples=800)
 @given(st.sampled_from([0.1, 0.0, -0.3]), s_value, record, record, st.booleans())
 # action gap linear (a = 0), K linear too
@@ -652,12 +712,12 @@ def _row_or_refusal(scan, co, dil_co, p, s) -> str:
 @example(0.1, 1.0, (0.0, 0.0, -1.0), (-1.0, 2.0, -1.0), True)
 # a zero record: K vanishes identically on J = (0, inf)
 @example(0.1, 0.5, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), False)
-# overflowing discriminants: nan ends of J and of {K < 0}
+# b^2 - 4ac overflowing to inf - inf, with b^2 < 4ac: J, {K < 0} or both empty
 @example(0.1, 1.0, (1e300, 1e300, 1e300), (1.0, -4.0, 3.0), False)
 @example(0.1, 1.0, (0.0, 1.0, -1.0), (1e300, 1e300, 1e300), True)
 @example(0.1, 1.0, (1e300, 1e300, 1e300), (1e300, 1e300, 1e300), False)
-# a root overflowed to inf: J = [(inf, inf)] counts as an interval of J, and lies
-# inside {K < 0} = [(inf, inf)] in the second; in the third {K < 0} = [(inf, inf)] alone
+# roots past 1e154, where b^2 overflows: J = (1.7e154, inf), inside {K < 0} =
+# (1.3e154, inf) in the second; in the third J = (0, inf) meets {K < 0} = (2e154, inf)
 @example(0.1, -0.6123724356957945, (0.0, -2.1894858665067568e154, 0.0), (0.0, 0.0, 0.0), False)
 @example(0.1, -0.6123724356957945, (0.0, -2.1894858665067568e154, 0.0), (-1.0, -2.1894858665067568e154, 0.0), False)
 @example(0.1, 0.5, (1.0, 2.0, -1.0), (-1.0, 4e154, 0.0), False)
@@ -668,9 +728,37 @@ def test_scan_matches_seed_row(b, s, co, dil_co, gap_linear):
             co = (d_value(p, 1.0, 2.0 * s),) + co[1:]
         except RegionError:
             pass
-    # repr tells every float apart bit for bit, 0.0 from -0.0 too, and a nan
-    # end of J (from overflowing coefficients) equals itself
-    assert _row_or_refusal(_scan, co, dil_co, p, s) == _row_or_refusal(_seed_scan, co, dil_co, p, s)
+    want = _row_or_refusal(_seed_scan, co, dil_co, p, s)
+    if want.startswith("{") and not _seed_roots_sound(co, dil_co, p, s):
+        _assert_rows_agree(_scan(co, dil_co, p, s), _mp_scan(co, dil_co, p, s))
+    else:  # repr tells every float apart bit for bit, 0.0 from -0.0 too
+        assert _row_or_refusal(_scan, co, dil_co, p, s) == want
+
+
+_P01 = ModelParams(0.1)
+
+
+@pytest.mark.parametrize(
+    "s,co,dil_co",
+    [
+        (-0.612, (0.0, -3e154, 0.0), (0.0, 0.0, 0.0)),
+        (1.0, (1e300, 1e300, 1e300), (1.0, -4.0, 3.0)),
+        (1.0, (d_value(_P01, 1.0, 2.0), 1.0, -1.0), (1e300, 1e300, 1e300)),
+        (1.0, (1e300, 1e300, 1e300), (1e300, 1e300, 1e300)),
+        (-0.6123724356957945, (0.0, -2.1894858665067568e154, 0.0), (0.0, 0.0, 0.0)),
+        (-0.6123724356957945, (0.0, -2.1894858665067568e154, 0.0), (-1.0, -2.1894858665067568e154, 0.0)),
+        (0.5, (1.0, 2.0, -1.0), (-1.0, 4e154, 0.0)),
+    ],
+)
+def test_rows_past_overflow_take_the_roots_of_their_float_coefficients(s, co, dil_co):
+    # where b^2 - 4ac overflows the row still has the roots of its coefficients
+    _assert_rows_agree(_scan(co, dil_co, _P01, s), _mp_scan(co, dil_co, _P01, s))
+
+
+def test_a_root_past_1e154_is_the_correctly_rounded_root():
+    # s P = 1.8e154 overflows b^2; this record once read J = [[inf, None]]
+    row = _scan((0.0, -3e154, 0.0), (0.0, 0.0, 0.0), _P01, -0.612)
+    assert row["J"] == [[2.3222304277544068e154, None]]
 
 
 # --- the case table on records built by hand ------------------------------------

@@ -80,11 +80,11 @@ def test_mass_critical_rescaling_is_exact_on_the_integrals(L, n, b, seed, omega,
         assert (rep.mass, rep.momentum, rep.gn_ratio) == (ref.mass, 4.0 * ref.momentum, ref.gn_ratio)
 
 
-def _scaled_row(row: dict) -> dict:
-    """A per-s row with its J edges times 4, the row of the lam = 4 rescaling."""
+def _scaled_row(row: dict, lam: float = 4.0) -> dict:
+    """A per-s row with its J edges times lam, the row of the lam rescaling."""
     if "J" not in row:  # the b = -3/16 route's row has no J
         return row
-    edges = [[4.0 * lo, None if hi is None else 4.0 * hi] for lo, hi in row["J"]]
+    edges = [[lam * lo, None if hi is None else lam * hi] for lo, hi in row["J"]]
     return {**row, "J": edges}
 
 
@@ -137,6 +137,41 @@ def test_mass_critical_rescaling_is_exact_on_scan_curve(L, n, b, seed, amp, data
     for frame in Frame:
         ref = scan_curve(invariant_summary(f, p, frame), p, s)
         assert scan_curve(invariant_summary(u, p, frame), p, s) == _scaled_row(ref)
+
+
+def _mass_critical(rec: Invariants, lam: float) -> Invariants:
+    """The record of lam^{1/2} v(lam x) from that of v: ||v_x||^2, ||v||_6^6 and
+    inter times lam^2, p_lin and ||v||_4^4 times lam, the mass unchanged."""
+    sq = lam * lam
+    return rec._replace(grad_sq=sq * rec.grad_sq, p_lin=lam * rec.p_lin, l4=lam * rec.l4,
+                        l6=sq * rec.l6, inter=sq * rec.inter)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(
+    st.floats(5.0, 40.0),
+    st.integers(32, 256).map(lambda h: 2 * h),
+    st.sampled_from([-3.0 / 16.0, 0.0, 0.1, -0.1, 0.5]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.1, 4.0),
+    st.integers(500, 510),
+    st.data(),
+)
+def test_scan_curve_scales_with_records_past_the_overflow_of_b_squared(L, n, b, seed, amp, k, data):
+    # the row of a record rescaled by lam = 2^k is the row of the record with its
+    # J edges times lam, bit for bit.  At k near 510, lam^2 E still fits in the
+    # floats while b^2 - 4ac of the rescaled quadratics overflows on about one
+    # row in ten, which the roots must not see
+    p = ModelParams(b)
+    s = data.draw(st.floats(-1.0, p.s_hi, exclude_min=True, exclude_max=p.gamma <= 0.0), label="s")
+    f = random_smooth_field(np.random.default_rng(seed), make_grid(L, n), amp=amp)
+    lam = 2.0**k
+    for frame in Frame:
+        rec = invariant_summary(f, p, frame)
+        big = _mass_critical(rec, lam)
+        dil = big.dilated()
+        assume(all(math.isfinite(x) for x in (big.energy, big.momentum, dil.energy, dil.momentum)))
+        assert scan_curve(big, p, s) == _scaled_row(scan_curve(rec, p, s), lam)
 
 
 @PROPS

@@ -1,4 +1,4 @@
-"""Every module of the package and of the tests reads each name it imports.
+"""Every module of the package, the tests and the benchmark reads each name it imports.
 
 A name counts as read when it appears as a bare name anywhere in the module,
 annotations included; `from __future__` imports are exempt.  A name that a
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "dnls_well").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+MODULES = sorted(path for d in ("src/dnls_well", "tests", "perfbench") for path in (ROOT / d).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
