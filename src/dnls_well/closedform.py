@@ -30,9 +30,9 @@ coupling `B_CRIT`, `RegionError`, the rule every scalar parameter meets
 where it enters the package (`as_float`, and `finite_floats` where it must
 also be finite), the existence region and `ModelParams`, which stores b
 as a finite float and whose cached properties compute b's constants once
-(gamma, the s range's upper edge, atan2 terms, and (s*, M*), the one place
-that picks them by b); `ModelParams.curve_d` keeps d(1, 2s) the same way,
-once per s.
+(gamma, the s range's upper edge s_hi, which is -s_* for gamma <= 0, atan2
+terms, and (s*, M*), searched only there); `ModelParams.curve_d` keeps
+d(1, 2s) the same way, once per s.
 """
 from __future__ import annotations
 
@@ -101,13 +101,42 @@ class ModelParams:
 
     @cached_property
     def turning(self) -> tuple[float | None, float]:
-        """(s*, M*): `turning_point(b)` for b > 0; for -3/16 < b <= 0 no s*, and
-        M* = M(phi_{1,2}) + P(phi_{1,2}) = 4 pi / gamma^{3/2}, 4 pi at b = 0 (s* -> 1)."""
-        if self.b > 0:
-            return turning_point(self.b)
-        if not self.b > B_CRIT:
-            raise ValueError(f"mass threshold requires b > -3/16, got {self.b}")
-        return None, 4.0 * math.pi / self.gamma**1.5
+        """(s*, M*).  For -3/16 < b <= 0 there is no s*, and M* = M(phi_{1,2}) +
+        P(phi_{1,2}) = 4 pi / gamma^{3/2}, 4 pi at b = 0 (s* -> 1).  For b > 0, s* is
+        the zero of s -> P(phi_{1,2s}) and M* = M(phi_{1,2s*}).
+
+        P decreases from P(0) = 4/gamma > 0 to P(1) < 0 at the algebraic end, so
+        [0, 1] brackets s*.  Bisection ends on adjacent floats lo < hi with
+        P(lo) > 0 >= P(hi), not on a residual, which tiny b would defeat: there s*
+        is within a few ulp of 1 and P jumps between neighbouring floats.  The one
+        of lo, hi with the smaller |P| is returned, with the mass computed with it.
+        Large b put s* ~ 2 / (pi sqrt(gamma)) many binades below 1, so a bracket
+        below 1/4 that spans more than a factor 4 is split at its geometric mean
+        (lo = 0 read as the least positive float), which crosses them in a few steps.
+        """
+        b = self.b
+        if not b > 0:
+            if not b > B_CRIT:
+                raise ValueError(f"mass threshold requires b > -3/16, got {b}")
+            return None, 4.0 * math.pi / self.gamma**1.5
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"s* is defined for b > 0 with gamma finite, got b={b}")
+        lo, hi = 0.0, 1.0
+        m_lo, p_lo, _, _ = _mass_momentum(self, 1.0, 0.0)
+        m_hi, p_hi, _, _ = _mass_momentum(self, 1.0, 2.0)
+        while True:
+            x = sqrt(max(lo, 5e-324)) * sqrt(hi) if 4.0 * lo < hi <= 0.25 else 0.5 * (lo + hi)
+            if x == lo or x == hi:
+                break
+            m, f, _, _ = _mass_momentum(self, 1.0, 2.0 * x)
+            if f > 0.0:
+                lo, m_lo, p_lo = x, m, f
+            else:
+                hi, m_hi, p_hi = x, m, f
+        # lo, hi are adjacent; the sign change across them is the certificate
+        if not p_lo > 0.0 >= p_hi:
+            raise RuntimeError(f"momentum lost its sign change on [0, 1] at b={b}")
+        return (lo, m_lo) if abs(p_lo) < abs(p_hi) else (hi, m_hi)
 
     @cached_property
     def _curve_d(self) -> dict[float, float]:
@@ -121,13 +150,6 @@ class ModelParams:
         if d is None:
             d = self._curve_d[s] = d_value(self, 1.0, 2.0 * s)
         return d
-
-
-def s_lower(p: ModelParams) -> float:
-    """Velocity-parameter bound s_* = sqrt(-gamma/(1-gamma)) for gamma <= 0."""
-    if p.gamma > 0:
-        raise RegionError("s_* is defined only for gamma <= 0 (b <= -3/16)")
-    return -p.s_hi
 
 
 def existence_region(p: ModelParams, omega: float, c: float) -> bool:
@@ -145,13 +167,6 @@ def existence_region(p: ModelParams, omega: float, c: float) -> bool:
             raise
         return False
     return True
-
-
-def is_algebraic(omega: float, c: float) -> bool:
-    """c = 2 sqrt(omega) to 1e-13 relative: the algebraic soliton."""
-    c = as_float(c)
-    rw = 2.0 * math.sqrt(omega)
-    return c > 0 and abs(c - rw) <= 1e-13 * rw
 
 
 def _t_u(z: float, zp1: float) -> tuple[float, float]:
@@ -186,8 +201,9 @@ def cosh_integral(alpha: float, power: int) -> float:
     return 2.0 * zp1 * t if power == 1 else 0.5 * zp1 * zp1 * (t + u)
 
 
-def _mass_momentum(p: ModelParams, omega: float, c: float) -> tuple[float, float, float]:
-    """(M, P, d) of phi_{omega,c} by the formulas of the module docstring."""
+def _mass_momentum(p: ModelParams, omega: float, c: float) -> tuple[float, float, float, float]:
+    """(M, P, d, q) of phi_{omega,c} by the formulas of the module docstring; q = 0
+    exactly at the algebraic edge c = 2 sqrt(omega), as the floats give it."""
     c = float(c)  # a numpy scalar would slow every operation below
     if omega <= 0:
         raise RegionError(f"omega must be positive, got {omega}")
@@ -215,15 +231,15 @@ def _mass_momentum(p: ModelParams, omega: float, c: float) -> tuple[float, float
                 if zp1 <= 0.0:
                     # admitted by the rounded edge, but on or past the exact
                     # one, where M and P grow without bound and T - U -> 1
-                    return math.inf, math.inf, h / 2.0
+                    return math.inf, math.inf, h / 2.0, q
             t, u = _t_u(z, zp1)
             m = 4.0 * sq / -c * t
-            return m, -c * m / 2.0 + 2.0 * h / -c * u, h * (t - u) / 2.0
+            return m, -c * m / 2.0 + 2.0 * h / -c * u, h * (t - u) / 2.0, q
     rg, k1, k2 = p.atan2_terms
     m = 4.0 * atan2(rg * sq, -c) / rg
     mom = 0.5 * c * k1 * m + k2 * sq
     # omega's one direct use: float() keeps a numpy omega out of d
-    return m, mom, float(omega) * m / 2.0 + c * mom / 4.0
+    return m, mom, float(omega) * m / 2.0 + c * mom / 4.0, q
 
 
 def soliton_mass(p: ModelParams, omega: float, c: float) -> float:
@@ -248,38 +264,11 @@ def d_value(p: ModelParams, omega: float, c: float) -> float:
     return _mass_momentum(p, omega, c)[2]
 
 
-def turning_point(b: float) -> tuple[float, float]:
-    """(s*, M*) for b > 0: the zero s* of s -> P(phi_{1,2s}) and M(phi_{1,2s*}).
-
-    P decreases from P(0) = 4/gamma > 0 to P(1) < 0 at the algebraic end, so
-    [0, 1] brackets s*.  Bisection ends on adjacent floats lo < hi with
-    P(lo) > 0 >= P(hi), not on a residual, which tiny b would defeat: there s*
-    is within a few ulp of 1 and P jumps between neighbouring floats.  The one
-    of lo, hi with the smaller |P| is returned, with the mass computed with it.
-    """
-    p = ModelParams(b)
-    if not (b > 0 and math.isfinite(p.gamma)):
-        raise ValueError(f"s* is defined for b > 0 with gamma finite, got b={b}")
-    (m_lo, p_lo, _), (m_hi, p_hi, _) = _mass_momentum(p, 1.0, 0.0), _mass_momentum(p, 1.0, 2.0)
-    lo, hi = 0.0, 1.0
-    while True:
-        x = 0.5 * (lo + hi)
-        if x == lo or x == hi:
-            break
-        m, f, _ = _mass_momentum(p, 1.0, 2.0 * x)
-        if f > 0.0:
-            lo, m_lo, p_lo = x, m, f
-        else:
-            hi, m_hi, p_hi = x, m, f
-    # lo, hi are adjacent; the sign change across them is the certificate
-    if not p_lo > 0.0 >= p_hi:
-        raise RuntimeError(f"momentum lost its sign change on [0, 1] at b={b}")
-    return (lo, m_lo) if abs(p_lo) < abs(p_hi) else (hi, m_hi)
-
-
 def s_star(b: float) -> float:
-    """Unique zero of s -> P(phi_{1,2s}) in (0, 1) for b > 0; see `turning_point`."""
-    return turning_point(b)[0]
+    """Unique zero of s -> P(phi_{1,2s}) in (0, 1) for b > 0; see `ModelParams.turning`."""
+    if not b > 0:
+        raise ValueError(f"s* is defined for b > 0 with gamma finite, got b={b}")
+    return ModelParams(b).turning[0]
 
 
 def mass_threshold(b: float) -> float:

@@ -8,46 +8,52 @@ Profiles come in three gauges:
   phi         : Phi * exp(i c x/2 - (i/4) * cumulative integral of Phi^2)
 
 The decay is exponential for omega > c^2/4 ("bright") and ~1/x when
-c = 2*sqrt(omega) ("algebraic", only for gamma > 0).
+c = 2*sqrt(omega) ("algebraic", only for gamma > 0).  Profiles read
+q = 4 omega - c^2 as the closed-form kernel forms it, so each is the soliton
+whose M and P the kernel reports, algebraic exactly where that q is 0.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closedform import ModelParams, RegionError, _t_u, as_float, is_algebraic, soliton_mass
+from .closedform import ModelParams, RegionError, _mass_momentum, _t_u, as_float
 from .field import Field, Grid
 from .gauge import gauge_transform
 
 
 @dataclass(frozen=True)
 class SolitonParams:
-    """(omega, c) soliton parameters in the existence region, stored as floats."""
+    """(omega, c) soliton parameters in the existence region, stored as floats,
+    with the kernel's q = 4 omega - c^2."""
 
     params: ModelParams
     omega: float
     c: float
+    q: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         omega, c = as_float(self.omega), as_float(self.c)
-        soliton_mass(self.params, omega, c)  # the kernel raises RegionError outside the region
+        # the kernel raises RegionError outside the region
+        object.__setattr__(self, "q", _mass_momentum(self.params, omega, c)[3])
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "c", c)
 
     @property
     def algebraic(self) -> bool:
-        return is_algebraic(self.omega, self.c)
+        """c = 2 sqrt(omega) exactly, the kernel's edge: q = 0 with c > 0 (at a
+        subnormal omega q also underflows to 0 just inside the edge c = -2 sqrt(omega))."""
+        return self.q == 0.0 < self.c
 
 
 def phi_sq(sp: SolitonParams, x) -> np.ndarray:
     """Squared modulus Phi^2 of the profile at position(s) x."""
-    w, c, g = sp.omega, sp.c, sp.params.gamma
+    q, c, g = sp.q, sp.c, sp.params.gamma
     x = np.asarray(x, dtype=float)
     if sp.algebraic:
         return 4.0 * c / ((c * x) ** 2 + g)
-    q = 4.0 * w - c * c
     r, y = np.sqrt(c * c + g * q), np.sqrt(q) * x
     # r cosh y - c, for c > 0 as g q/(r + c) + 2 r sinh^2(y/2), which does not
     # cancel at small g; far tails overflow to inf and the quotient underflows to 0
@@ -57,15 +63,14 @@ def phi_sq(sp: SolitonParams, x) -> np.ndarray:
 
 
 def suggested_half_length(sp: SolitonParams) -> float:
-    """Half-length 30/sqrt(4 omega - c^2); exponential regime only.
+    """Half-length 30/sqrt(q), q = 4 omega - c^2; exponential regime only.
 
-    Phi^2 decays like (4q/r) exp(-sqrt(q) |x|), with q = 4 omega - c^2 and
-    r = sqrt(c^2 + gamma q), so at L it is about 1e-13 (4q/r): below 1e-12
-    for the O(1) profiles used here.
+    Phi^2 decays like (4q/r) exp(-sqrt(q) |x|), with r = sqrt(c^2 + gamma q),
+    so at L it is about 1e-13 (4q/r): below 1e-12 for the O(1) profiles used here.
     """
     if sp.algebraic:
         raise RegionError("algebraic profile has 1/x decay; choose L by tail mass")
-    return 30.0 / math.sqrt(4.0 * sp.omega - sp.c**2)
+    return 30.0 / math.sqrt(sp.q)
 
 
 def sample_capital_phi(sp: SolitonParams, g: Grid) -> Field:

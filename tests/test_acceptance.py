@@ -48,7 +48,7 @@ def _random_exponential_sets(rng, regime: str, n=10):
             s = rng.uniform(-0.95, -0.05)
         else:
             b = rng.uniform(-0.6, -3.0 / 16.0 - 0.02)
-            sl = cf.s_lower(ModelParams(b))
+            sl = -ModelParams(b).s_hi
             if sl > 0.9:
                 continue
             s = rng.uniform(-0.95, -sl - 0.02)

@@ -13,7 +13,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dnls_well import classifier
 from dnls_well.classifier import (
@@ -149,10 +149,10 @@ def test_negative_intervals_are_invariant_under_powers_of_two(a, b, c, data):
     # 2^k (a x^2 + b x + c) changes sign where a x^2 + b x + c does, at every
     # k that keeps the coefficients zero or normal: past about 1e154 b^2 - 4ac
     # overflows, and below about 1e-154 it leaves the normal floats.  Nonzero
-    # coefficients more than 2^1530 apart are left out: with the largest
-    # rescaled to 2^509, the least leaves the normal floats
+    # coefficients more than 2^1530 apart are drawn too: with the largest
+    # rescaled to 2^509 the least leaves the normal floats, and a root past
+    # the floats, which one copy then has and the other has not, starts no piece
     exps = [math.frexp(x)[1] for x in (a, b, c) if x]  # |x| in [2^(e-1), 2^e)
-    assume(max(exps, default=0) - min(exps, default=0) <= 1530)
     k = data.draw(st.integers(-1021 - min(exps, default=0), 1024 - max(exps, default=0)), label="k")
     scaled = (math.ldexp(a, k), math.ldexp(b, k), math.ldexp(c, k))
     assert repr(_negative_intervals(*scaled)) == repr(_negative_intervals(a, b, c))
@@ -169,7 +169,7 @@ def test_scan_curve_small_field_is_a_plus(rng):
 
 
 def test_scan_curve_rejects_inadmissible_s():
-    p = ModelParams(-0.3)  # gamma < 0: s must stay below -s_lower
+    p = ModelParams(-0.3)  # gamma < 0: s must stay below s_hi
     g = make_grid(30.0, 256)
     si = invariant_summary(Field(g, np.exp(-g.x**2)), p, Frame.GAUGE)
     with pytest.raises(RegionError):
@@ -759,6 +759,19 @@ def test_a_root_past_1e154_is_the_correctly_rounded_root():
     # s P = 1.8e154 overflows b^2; this record once read J = [[inf, None]]
     row = _scan((0.0, -3e154, 0.0), (0.0, 0.0, 0.0), _P01, -0.612)
     assert row["J"] == [[2.3222304277544068e154, None]]
+
+
+def test_a_root_past_the_floats_starts_no_piece_of_j():
+    # the gap's mu^2 coefficient is one ulp of d(1, 1) below 0, so its large
+    # root, about 1e300 / 4e-16, is past the floats: J is the piece below the
+    # small root alone, with no empty piece [inf, None]
+    d = d_value(_P01, 1.0, 1.0)
+    co = (math.nextafter(d, 0.0), 2e300, -1.0)
+    assert _scan(co, (1.0, 0.0, 1.0), _P01, 0.5)["J"] == [[0.0, 1e-300]]
+    # the same gap through scan_curve, on a record built with exactly these M/2, P and E
+    rec = _record(_P01.b, 2.0 * co[0], co[2], co[1])
+    assert (0.5 * rec.mass, rec.momentum, rec.energy) == co
+    assert scan_curve(rec, _P01, 0.5)["J"] == [[0.0, 1e-300]]
 
 
 # --- the case table on records built by hand ------------------------------------

@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dnls_well import closedform as cf
 from dnls_well.closedform import (
     admissible_s_range,
     cosh_integral,
     d_value,
     existence_region,
     mass_threshold,
-    s_lower,
     s_star,
     soliton_energy,
     soliton_mass,
     soliton_momentum,
-    turning_point,
 )
 from dnls_well.oracle import mass_by_quadrature, momentum_by_quadrature
 from dnls_well.solitons import ModelParams, RegionError
@@ -182,12 +181,10 @@ def test_cached_constants_equal_fresh_formulas(b):
     g = 1.0 + (16.0 / 3.0) * b
     if g > 0:
         assert admissible_s_range(p) == (-1.0, 1.0, True)
-        with pytest.raises(RegionError):
-            s_lower(p)
         assert p.atan2_terms == (math.sqrt(g), 1.0 / g - 1.0, 2.0 / g)
     else:
         sl = math.sqrt(-g / (1.0 - g))
-        assert s_lower(p).hex() == sl.hex()
+        assert (-p.s_hi).hex() == sl.hex()
         lo, hi, closed = admissible_s_range(p)
         assert (lo, hi.hex(), closed) == (-1.0, (-sl).hex(), False)
     for omega in (0.37, 1.0, 2.3):
@@ -199,10 +196,13 @@ def test_cached_constants_equal_fresh_formulas(b):
 
 
 @pytest.mark.parametrize("b", [1e-9, 1e-3, 0.1, 5.0])
-def test_cached_turning_point_is_the_search(b):
+def test_cached_turning_point_is_the_search(b, monkeypatch):
     p = ModelParams(b)
-    assert p.turning == turning_point(b)
-    assert p.turning is p.turning
+    first = p.turning
+    calls = []
+    monkeypatch.setattr(cf, "_mass_momentum", lambda *args: calls.append(args))
+    assert p.turning is first and p.turning is p.turning
+    assert calls == []  # a second read evaluates no kernel
 
 
 @pytest.mark.parametrize("b", [0.1, -3.0 / 16.0, -0.3])
@@ -292,7 +292,7 @@ def test_64_floats_inside_negative_gamma_edge_are_finite():
     # rescaled to (1, 2s) and rounded s out of the region
     p = ModelParams(BCRIT - 1e-6)
     for omega in (0.7, 37.0):
-        c = -s_lower(p) * 2.0 * math.sqrt(omega)
+        c = p.s_hi * 2.0 * math.sqrt(omega)
         for _ in range(64):
             c = math.nextafter(c, -math.inf)
             values = [f(p, omega, c) for f in (soliton_mass, soliton_momentum, soliton_energy, d_value)]
@@ -331,7 +331,7 @@ def test_d_finite_just_inside_negative_gamma_edge():
     for _ in range(2000):
         p = ModelParams(BCRIT - 10.0 ** rng.uniform(-15.0, 2.0))
         omega = 10.0 ** rng.uniform(-3.0, 3.0)
-        c = -s_lower(p) * 2.0 * math.sqrt(omega)
+        c = p.s_hi * 2.0 * math.sqrt(omega)
         for _ in range(4):
             c = math.nextafter(c, -math.inf)
             assert math.isfinite(d_value(p, omega, c)), (p.b, omega, c)

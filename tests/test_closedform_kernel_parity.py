@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from dnls_well import closedform as cf
-from dnls_well.closedform import _t_u, existence_region, s_lower
+from dnls_well.closedform import _t_u, existence_region
 from dnls_well.solitons import ModelParams, RegionError
 
 BCRIT = -3.0 / 16.0
@@ -45,7 +45,7 @@ def _c_grid(p: ModelParams, omega: float) -> np.ndarray:
     edge = 10.0 ** -np.arange(2.0, 15.0)
     s = np.concatenate([np.linspace(lo, hi, 1001)[1:-1], lo + edge, hi - edge, [hi]])
     rw = 2.0 * math.sqrt(omega)
-    c_edges = [-rw, rw if p.gamma > 0 else -s_lower(p) * rw]
+    c_edges = [-rw, rw if p.gamma > 0 else p.s_hi * rw]
     near = [np.nextafter(e, d) for e in c_edges for d in (-np.inf, np.inf)]
     return np.unique(np.concatenate([2.0 * s * math.sqrt(omega), c_edges, near]))
 
@@ -72,7 +72,7 @@ def test_kernel_bit_identical_to_separate_functions(b):
                 assert all(g == ("RegionError", message) for g in got), (omega, c, got)
                 continue
             assert all(isinstance(g, float) and not math.isnan(g) for g in got), (omega, c, got)
-            m, mom, d = cf._mass_momentum(p, omega, c)
+            m, mom, d, _ = cf._mass_momentum(p, omega, c)
             assert got[0] == m and got[1] == mom and got[3] == d, (omega, c)
     # both edges of every omega lie outside the region on one side
     assert n_outside >= 2 * len(OMEGAS)
@@ -141,7 +141,7 @@ def test_edge_band_matches_fraction_kernel(b):
         assert len(band) > 64, omega  # the band reaches past the ulp steps
         for c in band:
             want = repr(_outcome(_fraction_kernel, p, omega, c))
-            assert repr(_outcome(cf._mass_momentum, p, omega, c)) == want, (omega, c)
+            assert repr(_outcome(cf._mass_momentum, p, omega, c)[:3]) == want, (omega, c)
 
 
 @pytest.mark.parametrize("b, omega, c, infinite", [
@@ -153,4 +153,4 @@ def test_edge_points_match_fraction_kernel(b, omega, c, infinite):
     p = ModelParams(b)
     want = _fraction_kernel(p, omega, c)
     assert (want[0] == want[1] == math.inf) is infinite
-    assert repr(cf._mass_momentum(p, omega, c)) == repr(want)
+    assert repr(cf._mass_momentum(p, omega, c)[:3]) == repr(want)

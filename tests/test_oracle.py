@@ -134,7 +134,7 @@ def test_ode_profile_near_the_gamma_negative_edge(d):
     # s -> -s_* from inside: the profile widens into a plateau at the
     # first integral's peak, and one shot from that peak still seeds Newton
     p = ModelParams(-0.3)
-    c = 2.0 * (-cf.s_lower(p) - d)
+    c = 2.0 * (p.s_hi - d)
     sp = SolitonParams(p, 1.0, c)
     x, phi = ode_profile(p, 1.0, c, half_length=suggested_half_length(sp), n=1024)
     ref = np.sqrt(phi_sq(sp, x))
@@ -164,7 +164,7 @@ def test_no_soliton_is_found_by_the_first_integral(b, omega, frac):
     # with omega > c^2/4.  s = -s_* itself is left out, where the radicand
     # is of rounding size and its sign is a matter of rounding.
     p = ModelParams(b)
-    lo = -cf.s_lower(p) + 1e-9
+    lo = p.s_hi + 1e-9
     c = 2.0 * (lo + (1.0 - lo) * frac) * math.sqrt(omega)
     assume(omega - 0.25 * c * c > 0.0)
     _refused_by_the_first_integral(p, omega, c)
@@ -228,7 +228,7 @@ def test_ode_profile_closer_to_the_gamma_negative_edge(b, d, bound):
     # and Newton's steps wander at rounding level after the first; Newton
     # keeps the iterate before a step that is that small and no longer halves
     p = ModelParams(b)
-    c = 2.0 * (-cf.s_lower(p) - d)
+    c = 2.0 * (p.s_hi - d)
     sp = SolitonParams(p, 1.0, c)
     x, phi = ode_profile(p, 1.0, c, half_length=suggested_half_length(sp), n=1024)
     ref = np.sqrt(phi_sq(sp, x))

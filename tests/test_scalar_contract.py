@@ -50,10 +50,17 @@ def _run(f, cfg, monitor):
 # entry: (value, its int stand-in or None, the call on one parameter x)
 ENTRIES = {
     "ModelParams": (0.1, 0, lambda x: (cf.ModelParams(x).b, cf.ModelParams(x).turning)),
-    "turning_point": (0.1, None, cf.turning_point),
+    "s_star": (0.1, 1, cf.s_star),
     "mass_threshold": (0.1, 0, cf.mass_threshold),
     "SolitonParams.omega": (0.7, 1, lambda x: dataclasses.astuple(SolitonParams(P, x, 0.3))),
     "SolitonParams.c": (0.3, 0, lambda x: dataclasses.astuple(SolitonParams(P, 0.7, x))),
+    # the kernel's edge is c = 2.0 * sqrt(omega) in floats, so the second record is algebraic
+    "SolitonParams.algebraic.omega": (
+        0.7,
+        1,
+        lambda x: (SolitonParams(P, x, 0.3).algebraic, SolitonParams(P, x, 2.0 * math.sqrt(x)).algebraic),
+    ),
+    "SolitonParams.algebraic.c": (0.3, 2, lambda x: SolitonParams(P, 1.0, x).algebraic),
     "sample_varphi": (0.3, 0, lambda x: sample_varphi(SolitonParams(P, 0.7, x), G).values),
     "EvolveConfig.b": (0.1, 0, lambda x: dataclasses.astuple(EvolveConfig(b=x))),
     "EvolveConfig.gauge_a": (0.1, 0, lambda x: dataclasses.astuple(EvolveConfig(b=0.1, gauge_a=x))),
@@ -66,8 +73,6 @@ ENTRIES = {
     "report.omega": (0.7, 1, lambda x: report(F, P, x, 0.3, Frame.DNLS)),
     "report.c": (0.3, 0, lambda x: report(F, P, 0.7, x, Frame.GAUGE)),
     "cosh_integral": (0.7, 1, lambda x: (cf.cosh_integral(x, 1), cf.cosh_integral(x, 2))),
-    "is_algebraic.omega": (0.7, 1, lambda x: (cf.is_algebraic(x, 0.3), cf.is_algebraic(x, 2.0))),
-    "is_algebraic.c": (0.3, 2, lambda x: (cf.is_algebraic(1.0, x), cf.is_algebraic(1.0, 2.0 * x))),
     "kappa": (0.1, 0, lambda x: kappa(P, x)),
     "gauge_transform": (0.3, 1, lambda x: gauge_transform(F, x).values),
     "member.omega": (0.7, 1, lambda x: member(SI, P, x, 0.3)),

@@ -1,8 +1,10 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
-from dnls_well.closedform import d_value, existence_region, s_lower
+from dnls_well.closedform import d_value, existence_region
 from dnls_well.field import cumulative_integral, l2_norm_sq, make_grid
 from dnls_well.solitons import (
     ModelParams,
@@ -10,7 +12,6 @@ from dnls_well.solitons import (
     SolitonParams,
     algebraic_tail_l4,
     algebraic_tail_mass,
-    is_algebraic,
     phi_one_two,
     phi_sq,
     sample_capital_phi,
@@ -38,7 +39,7 @@ def test_existence_region_positive_gamma():
 
 def test_existence_region_negative_gamma():
     p = ModelParams(-0.5)
-    sl = s_lower(p)
+    sl = -p.s_hi
     assert 0 < sl < 1
     assert existence_region(p, 1.0, -2.0 * 0.5 * (sl + 1.0))
     assert not existence_region(p, 1.0, 0.0)
@@ -69,9 +70,52 @@ def test_peak_value():
 
 def test_algebraic_profile_and_flag():
     sp = SolitonParams(ModelParams(0.0), 1.0, 2.0)
-    assert sp.algebraic and is_algebraic(1.0, 2.0)
+    assert sp.algebraic and sp.q == 0.0
     x = np.array([0.0, 1.0])
     assert phi_sq(sp, x) == pytest.approx(8.0 / (4.0 * x * x + 1.0))
+
+
+def _phi_sq_60_digits(sp: SolitonParams, x: float) -> float:
+    """2q / (r cosh(sqrt(q) x) - c), r = sqrt(c^2 + gamma q), at 60 digits, with
+    q = (rw - c)(rw + c) from the float rw = 2 sqrt(omega), as the kernel forms it."""
+    with mpmath.workdps(60):
+        c, g = mpmath.mpf(sp.c), mpmath.mpf(sp.params.gamma)
+        rw = mpmath.mpf(2.0 * math.sqrt(sp.omega))
+        q = (rw - c) * (rw + c)
+        r = mpmath.sqrt(c * c + g * q)
+        return float(2 * q / (r * mpmath.cosh(mpmath.sqrt(q) * x) - c))
+
+
+@pytest.mark.parametrize("b", [0.0, 0.1])
+@pytest.mark.parametrize("omega", [0.7, 1.3, 2.3])
+def test_profile_near_the_algebraic_edge_is_the_kernels_soliton(b, omega):
+    # c from one ulp to 1e-8 (relative) below 2 sqrt(omega), where q is
+    # ill-conditioned in (omega, c): the profile must be the soliton whose M
+    # and P the kernel reports, bright up to the last float below the edge
+    rw = 2.0 * math.sqrt(omega)
+    for c in [math.nextafter(rw, 0.0)] + [rw * (1.0 - d) for d in (1e-12, 1e-10, 1e-8)]:
+        sp = SolitonParams(ModelParams(b), omega, c)
+        L = suggested_half_length(sp)
+        assert not sp.algebraic and math.isfinite(L), c
+        for x in (0.0, 0.1 * L, 0.5 * L, L):
+            want = _phi_sq_60_digits(sp, x)
+            assert abs(float(phi_sq(sp, x)) - want) <= 1e-13 * want, (c, x)
+
+
+def test_profile_at_the_algebraic_edge_is_algebraic_and_finite():
+    # at c = 2 sqrt(omega) the kernel's q is exactly 0, where 4 omega - c^2 in
+    # floats is negative for about a quarter of omega and has no square root
+    g = make_grid(60.0, 256)
+    for omega in [0.7, 1.3, 2.3] + list(np.linspace(0.01, 10.0, 400)):
+        sp = SolitonParams(ModelParams(0.1), omega, 2.0 * math.sqrt(omega))
+        assert sp.algebraic, omega
+        assert np.all(np.isfinite(sample_varphi(sp, g).values)), omega
+    # at a subnormal omega q underflows to 0 just inside the c < 0 edge too;
+    # that is no algebraic soliton, and the profile is 0, as the kernel's d
+    omega = 5e-324
+    sp = SolitonParams(ModelParams(0.1), omega, -math.nextafter(2.0 * math.sqrt(omega), 0.0))
+    assert sp.q == 0.0 and not sp.algebraic
+    assert np.all(phi_sq(sp, g.x) == 0.0) and d_value(sp.params, omega, sp.c) == 0.0
 
 
 def test_sampled_mass_matches_quadrature():

@@ -1,4 +1,5 @@
-"""The turning point (s*, M*) found once, by bisection of [0, 1].
+"""The turning point (s*, M*) found once, by bisection of [0, 1] in
+`ModelParams.turning`.
 
 `bisection_s_star` below is the earlier `s_star`, kept verbatim: 53
 bisections of [1e-6, 1] down to two adjacent floats.  The search must end
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from dnls_well import classifier
 from dnls_well import closedform as cf
 from dnls_well.cli import main
-from dnls_well.closedform import mass_threshold, s_star, soliton_mass, soliton_momentum, turning_point
+from dnls_well.closedform import mass_threshold, s_star, soliton_mass, soliton_momentum
 from dnls_well.field import make_grid
 from dnls_well.solitons import ModelParams
 
@@ -109,7 +110,7 @@ def test_certificate_holds_on_grid():
 @given(st.floats(-12.0, 300.0).map(lambda e: 10.0**e))
 @example(124.61179315127185)
 def test_certificate_and_mass_hold_for_log_uniform_b(b):
-    s, m = turning_point(b)
+    s, m = ModelParams(b).turning
     _assert_certificate(b, s)
     assert m == soliton_mass(ModelParams(b), 1.0, 2.0 * s)
 
@@ -117,10 +118,45 @@ def test_certificate_and_mass_hold_for_log_uniform_b(b):
 @pytest.mark.parametrize("b", [1e8, 1e12, 1e100])
 def test_large_b_below_the_old_bracket(b):
     # s* ~ 2 / (pi sqrt(gamma)) lies below 1e-6 from b ~ 1e11 on
-    s, m = turning_point(b)
+    s, m = ModelParams(b).turning
     assert 0.0 < s < 1e-3
     _assert_certificate(b, s)
     assert m == soliton_mass(ModelParams(b), 1.0, 2.0 * s)
+
+
+def _search_evaluations(b: float) -> int:
+    """Kernel evaluations of one (s*, M*) search, on a fresh ModelParams."""
+    calls = []
+    kernel = cf._mass_momentum
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cf, "_mass_momentum", counted)
+        ModelParams(b).turning
+    return len(calls)
+
+
+# a bracket below 1/4 that spans more than a factor 4 is split at its
+# geometric mean, so the binades between s* and 1/4 cost a few evaluations,
+# not one each.  For b <= 1, s* > 1/4 and every split is a midpoint
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.floats(-12.0, math.log10(3e307)).map(lambda e: 10.0**e))
+@example(1e8)
+@example(1e12)
+@example(1e100)
+@example(1e300)
+@example(3e307)
+def test_search_takes_at_most_68_evaluations(b):
+    assert _search_evaluations(b) <= (56 if b <= 1.0 else 68), b
+
+
+def test_search_takes_at_most_56_evaluations_up_to_b_1():
+    for b in B_GRID:
+        if b <= 1.0:
+            assert _search_evaluations(b) <= 56, b
 
 
 @pytest.mark.parametrize("b", [0.0, -0.1, math.nan, math.inf, -math.inf])
@@ -137,14 +173,14 @@ def test_mass_threshold_rejects_b_outside_its_range(b):
 
 def test_turning_point_without_a_sign_change_raises(monkeypatch):
     # a momentum that stays positive on [0, 1] leaves the search no certificate
-    monkeypatch.setattr(cf, "_mass_momentum", lambda p, omega, c: (1.0, 2.0 - 0.5 * c, 0.0))
+    monkeypatch.setattr(cf, "_mass_momentum", lambda p, omega, c: (1.0, 2.0 - 0.5 * c, 0.0, 1.0))
     with pytest.raises(RuntimeError, match="momentum lost its sign change"):
-        turning_point(0.137)
+        ModelParams(0.137).turning
 
 
 def test_turning_point_mass_bitwise_equals_mass_threshold():
     for b in (1e-9, 1e-3, 0.1, 3.0):
-        s, m = turning_point(b)
+        s, m = ModelParams(b).turning
         assert s == s_star(b)
         assert m == mass_threshold(b) == soliton_mass(ModelParams(b), 1.0, 2.0 * s)
 
