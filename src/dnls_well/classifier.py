@@ -83,12 +83,15 @@ def _coeffs(si: Invariants) -> tuple[float, float, float]:
 def _negative_intervals(a: float, b: float, c: float) -> list[tuple[float, float]]:
     """{mu > 0 : a mu^2 + b mu + c < 0} as a list of open intervals; the only
     root code of the package.  A linear polynomial (a = 0) has its other root
-    at -inf, a double root is no sign change, and a root past the floats (inf)
-    starts no piece.  When b^2 - 4ac overflows, or is below 2^-900 while every
-    coefficient is below 2^509, the roots are taken from the coefficients times
-    the power of two that brings the largest into [2^509, 2^510): the same
-    roots, with b^2 and 4ac inside the floats."""
+    at -inf, a double root is no sign change, a root past the floats (inf)
+    starts no piece, and no edge is -0.0.  A zero c is divided out: for mu > 0,
+    a mu^2 + b mu has the sign of a mu + b.  When b^2 - 4ac overflows, or is
+    below 2^-900 while every coefficient is below 2^509, the roots are taken
+    from the coefficients times the power of two that brings the largest into
+    [2^509, 2^510): the same roots, with b^2 and 4ac inside the floats."""
     inf = math.inf
+    if c == 0.0:
+        a, b, c = 0.0, a, b
     disc = b * b - 4.0 * (a * c)  # a c first: 4 a can overflow where 4 a c does not
     if a and not 2.0**-900 <= abs(disc) < inf:
         big = max(abs(a), abs(b), abs(c))
@@ -107,9 +110,9 @@ def _negative_intervals(a: float, b: float, c: float) -> list[tuple[float, float
         r1, r2 = q / a, c / q
         r1, r2 = (r2, r1) if r2 < r1 else (r1, r2)
     if (a or b) > 0:
-        lo = max(r1, 0.0)
+        lo = max(0.0, r1)  # max keeps its first argument on a tie: 0.0, not -0.0
         return [(lo, r2)] if r2 > lo else []
-    return ([(0.0, r1)] if r1 > 0 else []) + ([(max(r2, 0.0), inf)] if r2 < inf else [])
+    return ([(0.0, r1)] if r1 > 0 else []) + ([(max(0.0, r2), inf)] if r2 < inf else [])
 
 
 def scan_curve(si: Invariants, p: ModelParams, s: float) -> dict:

@@ -86,18 +86,11 @@ _SCAN_FUNCS = {
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """np.linspace(lo, hi, n) in plain floats, bit for bit.
-
-    Like numpy, point i is i*step + lo, or (i/(n-1))*(hi-lo) + lo when the
-    step rounds to 0, and the last point is hi exactly; n = 0 gives [], n = 1
-    [0*(hi-lo) + lo], and a negative n is a ValueError.
-    """
-    if n < 0:
-        raise ValueError(f"number of samples must be non-negative, got {n}")
+    """np.linspace(lo, hi, n) for n >= 2 in plain floats, bit for bit: like
+    numpy, point i is i*step + lo, or (i/(n-1))*(hi-lo) + lo when the step
+    rounds to 0, and the last point is hi exactly."""
     div = n - 1
     delta = hi - lo
-    if div <= 0:
-        return [i * delta + lo for i in range(n)]
     step = delta / div
     if step == 0:
         pts = [i / div * delta + lo for i in range(n)]
@@ -127,8 +120,10 @@ def _cmd_threshold(args) -> int:
 
 
 def _parse_s_grid(text: str) -> list[float]:
+    import numpy as np
+
     lo, hi, n = text.split(":")
-    return _linspace(float(lo), float(hi), int(n))
+    return np.linspace(float(lo), float(hi), int(n)).tolist()
 
 
 def _cmd_classify(args) -> int:
@@ -172,7 +167,7 @@ def _cmd_evolve(args) -> int:
         "peak_drift": traj.peak_drift,
         "peak_tail": traj.peak_tail,
         "phase_s": traj.phase_s,
-        "t_final": traj.times[-1],
+        "t_final": traj.n_steps * traj.dt_used,
         "apriori_bound": traj.apriori_bound,
         "k_signs": traj.k_signs,
     }

@@ -221,7 +221,7 @@ class Trajectory:
     one included).
     """
 
-    times: list = field(default_factory=list)
+    times: list = field(default_factory=list)  # one t a record, as snapshots, drift, tail_history
     snapshots: list = field(default_factory=list)
     drift: list = field(default_factory=list)
     k_signs: list = field(default_factory=list)
@@ -373,8 +373,7 @@ def evolve(f0: Field, cfg: EvolveConfig, monitor=None) -> Trajectory:
         traj.n_steps = i
         if not _clean(vhat):
             traj.reason = _blow_up(np.fft.ifft(vhat))
-            if traj.reason is not None:
-                traj.times.append(i * dt)  # the offending state itself is not storable
+            if traj.reason is not None:  # the offending state itself is not storable
                 break
         if i % cfg.record_every and i < n_steps:
             continue

@@ -144,18 +144,40 @@ normal = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=1000)
-@given(normal, normal, normal, st.data())
+@given(normal, normal, st.one_of(st.sampled_from([0.0, -0.0]), normal), st.data())
 def test_negative_intervals_are_invariant_under_powers_of_two(a, b, c, data):
     # 2^k (a x^2 + b x + c) changes sign where a x^2 + b x + c does, at every
     # k that keeps the coefficients zero or normal: past about 1e154 b^2 - 4ac
     # overflows, and below about 1e-154 it leaves the normal floats.  Nonzero
     # coefficients more than 2^1530 apart are drawn too: with the largest
     # rescaled to 2^509 the least leaves the normal floats, and a root past
-    # the floats, which one copy then has and the other has not, starts no piece
+    # the floats, which one copy then has and the other has not, starts no piece.
+    # c = 0 is drawn often: there b^2 alone is the discriminant, and it can
+    # leave the floats in one copy and not in the other
     exps = [math.frexp(x)[1] for x in (a, b, c) if x]  # |x| in [2^(e-1), 2^e)
     k = data.draw(st.integers(-1021 - min(exps, default=0), 1024 - max(exps, default=0)), label="k")
     scaled = (math.ldexp(a, k), math.ldexp(b, k), math.ldexp(c, k))
-    assert repr(_negative_intervals(*scaled)) == repr(_negative_intervals(a, b, c))
+    got = _negative_intervals(a, b, c)
+    assert repr(_negative_intervals(*scaled)) == repr(got)
+    assert all(math.copysign(1.0, edge) == 1.0 for piece in got for edge in piece)  # no -0.0
+
+
+@pytest.mark.parametrize(
+    "co,k,want",
+    [
+        # b^2 underflows in the copy, even with a rescaled to 2^509
+        ((1.3729718105921635e158, -5.020247908989835e-161, 0.0), -193, [(0.0, 3.6565e-319)]),
+        # -b/a underflows to 0.0, so J starts at the root 0 and 0/(-b) is -0.0
+        ((-7.953953662375273e284, 1.5269118634044653e-130, 0.0), -360, [(0.0, math.inf)]),
+    ],
+)
+def test_a_zero_constant_is_divided_out(co, k, want):
+    # for mu > 0, a mu^2 + b mu has the sign of a mu + b: the roots are 0 and
+    # -b/a, which no discriminant has to carry
+    scaled = tuple(math.ldexp(x, k) for x in co)
+    got = _negative_intervals(*co)
+    assert repr(got) == repr(_negative_intervals(*scaled)) == repr(want)
+    assert all(math.copysign(1.0, edge) == 1.0 for piece in got for edge in piece)
 
 
 def test_scan_curve_small_field_is_a_plus(rng):
@@ -570,9 +592,9 @@ def _seed_negative_intervals(a: float, b: float, c: float) -> list[tuple[float, 
     # a linear polynomial is a quadratic with its other root at -inf
     r1, r2 = roots if len(roots) == 2 else (-inf, roots[0])
     if (a or b) > 0:
-        lo = max(r1, 0.0)
+        lo = max(0.0, r1)
         return [(lo, r2)] if r2 > lo else []
-    return ([(0.0, r1)] if r1 > 0 else []) + [(max(r2, 0.0), inf)]
+    return ([(0.0, r1)] if r1 > 0 else []) + [(max(0.0, r2), inf)]
 
 
 def _seed_k_signs_on(intervals, kq) -> set[int]:
@@ -686,7 +708,7 @@ def _assert_rows_agree(row: dict, ref: dict):
 # a tiny leading coefficient of K, and a tiny downward one
 @example(0.1, 1.0, (0.0, 1.0, -1.0), (1e-297, 1.0, -1.0), True)
 @example(0.1, 1.0, (0.0, 0.0, -1.0), (-1e-116, -1.0, 1.0), True)
-# roots at +-0.0: J = [(-0.0, r)], from max(-0.0, 0.0) = -0.0
+# roots at +-0.0: J = [(0.0, r)], as max(0.0, -0.0) keeps its first argument
 @example(0.1, 0.5, (10.0, -1.0, -0.0), (1.0, -2.0, -0.0), False)
 @example(0.1, 0.5, (10.0, 1.0, 0.0), (1.0, 2.0, 0.0), False)
 # disc <= 0 on both quadratics

@@ -239,6 +239,26 @@ def test_evolve_past_any_step_budget_exits_2_with_a_summary(tmp_path, capsys):
     assert summary["t_final"] == 0.0
 
 
+def test_evolve_blow_up_summary_ends_at_the_step_that_blew_up(tmp_path, monkeypatch):
+    from dnls_well import evolve as ev
+
+    def cfl_dt_only(f0, vhat0, p, cfg):  # the CFL-capped dt, with no Richardson test
+        n = math.ceil(cfg.t_end / ev._cfl_dt(f0, cfg.dt))
+        return cfg.t_end / n, n, ev._Stepper(f0.grid, cfg.t_end / n, p, cfg.gauge_a), [cfg.t_end / n]
+
+    # 30 e^{-x^2} at b = 0.5 passes AMP_CAP on its first step, which no record stores
+    monkeypatch.setattr(ev, "_tune_dt", cfl_dt_only)
+    g = make_grid(10.0, 128)
+    path = tmp_path / "big.json"
+    save_field(Field(g, 30.0 * np.exp(-g.x**2, dtype=complex)), path)
+    out = tmp_path / "traj"
+    assert main(["evolve", "--field", str(path), "--b", "0.5", "--dt", "0.05",
+                 "--t-end", "1.0", "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["reason"], summary["n_steps"]) == ("amp-cap", 1)
+    assert summary["t_final"] == summary["dt_used"] > 0.0
+
+
 def test_soliton_with_an_infinite_half_length_is_domain_error(tmp_path, capsys):
     out = tmp_path / "f.json"
     code = main(["soliton", "--b", "0", "--omega", "1", "--c", "0",

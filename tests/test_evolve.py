@@ -195,21 +195,33 @@ def _cfl_dt_only(f0, vhat0, p, cfg):
     return cfg.t_end / n, n, _Stepper(f0.grid, cfg.t_end / n, p, cfg.gauge_a), [cfg.t_end / n]
 
 
-def test_blow_up_is_reported_not_raised(monkeypatch):
+def _blow_up_run(monkeypatch):
     # the step budget stops this run before its first step (see above); step
     # with the CFL-capped dt instead, which meets the blow-up at once
     monkeypatch.setattr(ev, "_tune_dt", _cfl_dt_only)
     g = make_grid(10.0, 128)
     f = Field(g, 30.0 * np.exp(-g.x**2, dtype=complex))
-    cfg = EvolveConfig(b=0.5, dt=0.05, t_end=1.0, record_every=1)
-    traj = evolve(f, cfg)
+    return evolve(f, EvolveConfig(b=0.5, dt=0.05, t_end=1.0, record_every=1))
+
+
+def test_blow_up_is_reported_not_raised(monkeypatch):
+    traj = _blow_up_run(monkeypatch)
     assert traj.status == "blow-up"
     assert traj.reason == "amp-cap"
-    assert traj.n_steps == 1 and traj.times[-1] == pytest.approx(traj.dt_used)
+    # the state after the one step is not storable, so t = 0 is the only record
+    assert traj.n_steps == 1 and traj.times == [0.0]
     assert len(traj.dt_trail) == 1 and traj.dt_used <= traj.dt_trail[0]
     assert traj.times[-1] <= 1.0
     for _, snap in traj.snapshots:
         assert np.all(np.isfinite(snap.values))
+
+
+def test_a_blow_up_run_has_one_time_per_record(monkeypatch):
+    # its stop time n_steps dt_used belongs to no record
+    traj = _blow_up_run(monkeypatch)
+    assert traj.status == "blow-up"
+    assert len(traj.times) == len(traj.snapshots) == len(traj.drift) == len(traj.tail_history)
+    assert traj.times == [t for t, _ in traj.snapshots]
 
 
 def test_monitor_tracks_k_sign_and_bound():
